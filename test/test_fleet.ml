@@ -51,6 +51,42 @@ let test_key_stable () =
     (List.length keys)
     (List.length (List.sort_uniq compare keys))
 
+(* Literal keys of representative specs. A key that moves orphans
+   every existing .ccomp-cache/ entry for that spec, so however jobs
+   come to be built, these must keep matching. *)
+let key_fixture =
+  let open Fleet.Job in
+  [
+    (job (), "v4-0084269e8251ddbfcdf7e0f643390d5c");
+    (job ~scenario:"crc32" ~codec:"lzss" ~k:4 (), "v4-60c98de3bdc4da8659b5f8409c1d9ac4");
+    (job ~strategy:(Pre_all { lookahead = 2 }) (), "v4-d2972ff074cc548f506b9d529f8519d7");
+    ( job ~strategy:(Pre_single { lookahead = 2; predictor = "profile" }) (),
+      "v4-02886f76db4b2dc1b475537b6db7fb68" );
+    ( job ~strategy:(Pre_single { lookahead = 3; predictor = "last-taken" }) (),
+      "v4-72fa8121791fdbdedd6ef461fae4404a" );
+    ( job ~strategy:(Pre_single { lookahead = 1; predictor = "first" }) (),
+      "v4-83635ae3e9dd30e5b586f60ac1acfe39" );
+    (job ~mode:Recompress (), "v4-240e1c58361aee5bf4bf663d5a3a60d1");
+    (job ~budget:512 (), "v4-0cf58ae65a8858b9166c6d012a6710f1");
+    (job ~retention:Clock (), "v4-6fd9c18b62357226f4e2e497b801dbef");
+    (job ~retention:(Loop_aware { weight = 1 }) (), "v4-5d4adefcdc0e8d65ad3534819e43b78f");
+    (job ~retention:(Loop_aware { weight = 2 }) (), "v4-f986b56536763146224d32b0b0423a42");
+    (job ~retention:(Pin_hot { fraction = 0.5 }) (), "v4-4e7cb1c28bd0fea4a2a393470ff83147");
+    (job ~profile:"cortex-m-flash" (), "v4-dc5d0d8b3e9fbb4c2b5fc4cf184718f1");
+    (job ~profile:"sram-heavy" (), "v4-2e373be850ddee2e921e4930a00b8795");
+    (job ~codec:"bdi-32" ~line_size:32 (), "v4-0dfb3f1119e64d8a8a74919520a58079");
+    ( job ~k:2
+        ~scenario:
+          "gen:seed=7,depth=2,fanout=3,blocks=geo:12,calls=1,skew=0.9,cold=8,rounds=8"
+        (),
+      "v4-fd54dd668a16bc320200de8e7bde3b3f" );
+  ]
+
+let test_key_fixture () =
+  List.iter
+    (fun (j, key) -> checks (Fleet.Job.canonical j) key (Fleet.Job.key j))
+    key_fixture
+
 let contains_sub needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -560,6 +596,7 @@ let () =
       ( "job",
         [
           Alcotest.test_case "key stability" `Quick test_key_stable;
+          Alcotest.test_case "key fixture" `Quick test_key_fixture;
           Alcotest.test_case "key charset" `Quick test_key_filesystem_safe;
           Alcotest.test_case "line size in the spec" `Quick
             test_line_size_in_spec;
