@@ -419,71 +419,11 @@ let streaming_100m_bench () =
   float_of_int events /. dt
 
 (* ------------------------------------------------------------------ *)
-(* Service round-trip probe                                             *)
-
-(* An in-process daemon on a temp Unix socket answering health pings:
-   the wire + socket + dispatch overhead a resident client pays per
-   request, with no engine work in the way. Returns the median
-   round-trip in milliseconds. *)
-let service_probe () =
-  let path = Filename.temp_file "ccomp-bench" ".sock" in
-  Sys.remove path;
-  let server =
-    Service.Server.create
-      {
-        Service.Server.default_config with
-        socket_path = Some path;
-        jobs = 1;
-      }
-  in
-  let runner = Thread.create Service.Server.run server in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let ping () =
-    output_string oc "{\"op\":\"health\"}\n";
-    flush oc;
-    ignore (input_line ic)
-  in
-  for _ = 1 to 20 do
-    ping () (* warm-up *)
-  done;
-  let n = 200 in
-  let samples =
-    Array.init n (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ping ();
-        (Unix.gettimeofday () -. t0) *. 1000.0)
-  in
-  Unix.close fd;
-  Service.Server.stop server;
-  Thread.join runner;
-  if Sys.file_exists path then Sys.remove path;
-  Array.sort compare samples;
-  let p50 = samples.(n / 2) in
-  let t =
-    Report.Table.create
-      ~title:
-        (Printf.sprintf "service round trip: %d health pings, one connection"
-           n)
-      ~columns:[ ("measure", Report.Table.Left); ("value", Report.Table.Right) ]
-  in
-  Report.Table.add_row t
-    [ "p50 (ms)"; Report.Table.fmt_float ~decimals:3 p50 ];
-  Report.Table.add_row t
-    [ "p90 (ms)"; Report.Table.fmt_float ~decimals:3 samples.(n * 9 / 10) ];
-  Report.Table.add_row t
-    [ "max (ms)"; Report.Table.fmt_float ~decimals:3 samples.(n - 1) ];
-  Report.Table.print t;
-  p50
-
-(* ------------------------------------------------------------------ *)
 (* Service load phase                                                  *)
 
-(* The event loop under pipelined concurrent load (the regime the
-   single-ping probe above cannot see): N generator domains, a window
-   of requests in flight each, against an in-process daemon. BENCH.json
+(* The event loop under pipelined concurrent load: N generator
+   domains, a window of requests in flight each, against an in-process
+   daemon. BENCH.json
    carries service/{req-per-s,p50-ms,p99-ms} in both full and --smoke
    modes. *)
 let serve_phase ~clients ~requests ~pipeline () =
@@ -598,12 +538,10 @@ let () =
   if Array.exists (( = ) "--smoke") Sys.argv then begin
     print_endline
       "ccomp benchmark harness (smoke): streaming event bus + service \
-       round trip.\n";
+       load.\n";
     let dt = streaming_bench () in
     print_newline ();
     let eps_100m = streaming_100m_bench () in
-    print_newline ();
-    let p50 = service_probe () in
     print_newline ();
     let serve_entries =
       serve_phase ~clients:2 ~requests:5_000 ~pipeline:32 ()
@@ -619,7 +557,6 @@ let () =
     write_bench_json
       (("streaming-1M/wall-s", dt)
       :: ("streaming-100M/events-per-s", eps_100m)
-      :: ("service-roundtrip/p50-ms", p50)
       :: (serve_entries @ codec_entries @ trace_entries @ energy_entries
          @ corpus_entries))
   end
@@ -633,8 +570,6 @@ let () =
     let streaming_dt = streaming_bench () in
     print_newline ();
     let eps_100m = streaming_100m_bench () in
-    print_newline ();
-    let p50 = service_probe () in
     print_newline ();
     let serve_entries =
       serve_phase ~clients:4 ~requests:25_000 ~pipeline:32 ()
@@ -681,7 +616,6 @@ let () =
       @ [
           ("streaming-1M/wall-s", streaming_dt);
           ("streaming-100M/events-per-s", eps_100m);
-          ("service-roundtrip/p50-ms", p50);
           ("experiment-tables/wall-s", tables_dt);
           ("experiment-tables/jobs-per-sec", jobs_per_sec);
         ])

@@ -43,33 +43,9 @@ let effective_workload workload gen =
   | Some _, Some _ -> Error "give either WORKLOAD or --gen, not both"
   | None, None -> Error "missing WORKLOAD (or --gen SPEC)"
 
-(* Validated at parse time against the live registry (same known-set
-   message as the service), so a typo'd codec is a usage error in
-   every subcommand that takes one, not an Invalid_argument escaping
-   from a resolve deep inside a sweep. *)
-let codec_arg =
-  let parse s =
-    if s = "code" || List.mem s (Compress.Registry.names ()) then Ok s
-    else
-      Error
-        (`Msg
-           (Printf.sprintf "unknown codec %S (known: code, %s)" s
-              (String.concat ", " (Compress.Registry.names ()))))
-  in
-  let codec_conv = Arg.conv ~docv:"CODEC" (parse, Format.pp_print_string) in
-  let doc =
-    Printf.sprintf
-      "Codec: %s, or 'code' for the positional shared-Huffman model \
-       trained on the workload itself (default). See `ccomp compress \
-       --list`."
-      (String.concat ", " (Compress.Registry.names ()))
-  in
-  Arg.(value & opt codec_conv "code" & info [ "codec" ] ~docv:"CODEC" ~doc)
-
-(* Bounds-checked integer options: a bad --k/--jobs/--queue/--budget
-   is a usage error cmdliner reports cleanly, not an Invalid_argument
-   escaping from deep inside the engine — every integer option goes
-   through this one parser so the rejection message is uniform. *)
+(* Bounds-checked integer options outside the run settings: a bad
+   --jobs/--queue/--fuel is a usage error cmdliner reports cleanly,
+   not an Invalid_argument escaping from deep inside the fleet. *)
 let bounded_int ~min what =
   let parse s =
     match int_of_string_opt s with
@@ -83,114 +59,59 @@ let bounded_int ~min what =
 
 let positive_int what = bounded_int ~min:1 what
 
-(* Validated at parse time with the same known-set message the service
-   returns, so a typo'd profile is a usage error, not an
-   Invalid_argument escaping from the cost layer. *)
-let device_profile_arg =
-  let parse s =
-    if List.mem s Sim.Cost.profile_names then Ok s
-    else
-      Error
-        (`Msg
-           (Printf.sprintf "unknown device profile %S (known: %s)" s
-              (String.concat ", " Sim.Cost.profile_names)))
+(* The run settings: one option per Fleet.Settings row, parsed and
+   validated by the row, so a typo'd codec or a zero k is a usage
+   error carrying the message the service returns for the same
+   field. *)
+let setting : type a. a Fleet.Settings.t -> (Fleet.Job.t -> Fleet.Job.t) Term.t
+    =
+ fun s ->
+  let open Fleet.Settings in
+  let conv =
+    Arg.conv ~docv:s.docv
+      ( (fun str -> Result.map_error (fun m -> `Msg m) (parse s str)),
+        fun ppf v -> Format.pp_print_string ppf (to_string s v) )
   in
-  let profile_conv = Arg.conv ~docv:"PROFILE" (parse, Format.pp_print_string) in
-  let doc =
-    Printf.sprintf
-      "Device profile naming the cost coefficients (cycle and energy) \
-       every charge is priced with: %s."
-      (String.concat ", " Sim.Cost.profile_names)
+  let arg_info flag = Arg.info [ flag ] ~docv:s.docv ~doc:(doc s) in
+  let given =
+    match s.cli with
+    | Flag (flag, v) ->
+      Term.(
+        const (fun on -> if on then Some v else None)
+        $ Arg.value (Arg.flag (arg_info flag)))
+    | Opt flag ->
+      let none = Option.map (to_string s) s.default in
+      Arg.value (Arg.opt (Arg.some ?none conv) None (arg_info flag))
   in
-  Arg.(
-    value
-    & opt profile_conv Fleet.Job.default_profile
-    & info [ "device-profile" ] ~docv:"PROFILE" ~doc)
+  Term.(const (fun v j -> Option.fold ~none:j ~some:(fun v -> s.set v j) v) $ given)
 
-let k_arg =
-  Arg.(
-    value
-    & opt (positive_int "k") 8
-    & info [ "k" ] ~docv:"K" ~doc:"k of the k-edge compression algorithm.")
+(* The given rows' options, folded in table order into the job for a
+   scenario. *)
+let settings rows =
+  Term.(
+    const (fun apply ~scenario -> apply (Fleet.Settings.base ~scenario))
+    $ List.fold_left
+        (fun acc (Fleet.Settings.Row s) ->
+          const (fun f g j -> g (f j)) $ acc $ setting s)
+        (const Fun.id) rows)
 
-let line_size_arg =
-  let doc =
-    Printf.sprintf
-      "Compress and retain the image per fixed-size cache line of $(docv) \
-       bytes instead of per basic block — the compressed-I-cache \
-       scenario. The bdi-* and cpack-* codecs are line codecs at sizes \
-       %s."
-      (String.concat ", "
-         (List.map string_of_int Compress.Linecodec.line_sizes))
-  in
-  Arg.(
-    value
-    & opt (some (bounded_int ~min:4 "line-size")) None
-    & info [ "line-size" ] ~docv:"BYTES" ~doc)
+(* One setting's value alone, for commands that take no other. *)
+let setting_value s =
+  Term.(
+    const (fun apply ->
+        Option.get (s.Fleet.Settings.get (apply (Fleet.Settings.base ~scenario:""))))
+    $ setting s)
 
-let lookahead_arg =
-  Arg.(
-    value
-    & opt (positive_int "lookahead") 2
-    & info [ "lookahead" ] ~docv:"K" ~doc:"Pre-decompression distance.")
+(* A failed command: the message on stderr, exit code 1. *)
+let error msg =
+  Format.eprintf "error: %s@." msg;
+  1
 
-let strategy_arg =
-  let doc = "Decompression strategy: on-demand, pre-all or pre-single." in
-  Arg.(
-    value
-    & opt (enum [ ("on-demand", `On_demand); ("pre-all", `Pre_all); ("pre-single", `Pre_single) ]) `On_demand
-    & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-
-let predictor_arg =
-  let doc = "Predictor for pre-single: first, last-taken or profile." in
-  Arg.(
-    value
-    & opt (enum [ ("first", `First); ("last-taken", `Last); ("profile", `Profile) ]) `Profile
-    & info [ "predictor" ] ~docv:"PRED" ~doc)
-
-let budget_arg =
-  Arg.(
-    value
-    & opt (some (positive_int "budget")) None
-    & info [ "budget" ] ~docv:"BYTES"
-        ~doc:"Maximum decompressed-area bytes (LRU eviction).")
-
-let retention_arg =
-  let doc =
-    "Retention policy for decompressed copies: kedge (the paper's \
-     k-edge/LRU scheme), loop-aware (k scaled by loop nesting depth), \
-     clock (second-chance, O(1) state) or pin-hot (profile-hot blocks \
-     are never discarded)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("kedge", "kedge");
-             ("loop-aware", "loop-aware");
-             ("clock", "clock");
-             ("pin-hot", "pin-hot");
-           ])
-        "kedge"
-    & info [ "retention" ] ~docv:"POLICY" ~doc)
-
-(* The pin-hot pinned set comes from a profile; [profile] is a thunk so
-   the other policies never pay for the profiling run. *)
-let retention_spec name ~profile =
-  match name with
-  | "pin-hot" ->
-    Residency.Policy.Pin_hot
-      { pinned = Cfg.Profile.hot_blocks (profile ()) ~fraction:0.5 }
-  | name -> Experiments.Retention_compare.retention_of_name name
-
-let recompress_arg =
-  Arg.(
-    value & flag
-    & info [ "recompress" ]
-        ~doc:
-          "Use the background-recompression mode instead of the paper's \
-           discard implementation.")
+(* The codec a codec setting names: "code" is the workload's own
+   positional model, which the scenario builds. *)
+let codec_of = function
+  | "code" -> None
+  | other -> Some (Compress.Registry.find_exn other)
 
 let trace_out_arg =
   Arg.(
@@ -286,20 +207,10 @@ let with_observability ?(observe_events = true) trace_out metrics run =
 (* Any scenario string: a suite workload name, a [gen:] generator spec
    or a [multi:] composition — everywhere a WORKLOAD is accepted. *)
 let scenario_of ~codec name =
-  let plain name =
-    let w = Workloads.Suite.find_exn name in
-    match codec with
-    | "code" -> Workloads.Common.scenario w
-    | other ->
-      Workloads.Common.scenario ~codec:(Compress.Registry.find_exn other) w
-  in
+  let codec = codec_of codec in
+  let plain name = Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name) in
   if Corpus.Resolve.is_spec name then
-    Corpus.Resolve.scenario ~lookup:plain
-      ?codec:
-        (match codec with
-        | "code" -> None
-        | other -> Some (Compress.Registry.find_exn other))
-      name
+    Corpus.Resolve.scenario ~lookup:plain ?codec name
   else plain name
 
 (* ------------------------------------------------------------------ *)
@@ -333,118 +244,64 @@ let print_task_stats stats =
     stats;
   print_string (Report.Table.render t)
 
-let sim workload gen tasks quantum mt_seed jitter codec k strategy lookahead
-    predictor budget recompress retention device_profile line_size trace_out
-    metrics =
-  let scenario_or_tasks =
-    match tasks with
-    | Some ts ->
-      Result.map
-        (fun m -> `Tasks m)
-        (Corpus.Resolve.multi_of_string
-           (Printf.sprintf "multi:quantum=%d,seed=%d,jitter=%g;%s" quantum
-              mt_seed jitter (String.concat "+" ts)))
-    | None -> Result.map (fun w -> `One w) (effective_workload workload gen)
-  in
-  match scenario_or_tasks with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok (`Tasks m) -> (
-    match
-      Corpus.Resolve.multitask ~lookup:(fun n -> scenario_of ~codec n)
-        ?codec:
-          (match codec with
-          | "code" -> None
-          | other -> Some (Compress.Registry.find_exn other))
-        m
-    with
-    | exception Invalid_argument msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | mt -> (
-      let sc = mt.Corpus.Multitask.scenario in
-      let retention =
-        retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-      in
-      let mode =
-        if recompress then Core.Policy.Recompress else Core.Policy.Discard
-      in
-      let predictor =
-        match predictor with
-        | `First -> Core.Predictor.First_successor
-        | `Last -> Core.Predictor.Last_taken
-        | `Profile -> Core.Predictor.By_profile (Core.Scenario.profile sc)
-      in
-      let strategy =
-        match strategy with
-        | `On_demand -> Core.Policy.On_demand
-        | `Pre_all -> Core.Policy.Pre_all { lookahead }
-        | `Pre_single -> Core.Policy.Pre_single { lookahead; predictor }
-      in
-      let policy =
-        Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
-      in
-      Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
-        (Core.Policy.describe policy);
-      try
-        let metrics_v, stats =
-          with_observability trace_out metrics (fun ?sink ?registry () ->
-              Corpus.Multitask.run ~profile:device_profile ?sink ?registry mt
-                policy)
-        in
-        Format.printf "%a@.@." Core.Metrics.pp metrics_v;
-        print_task_stats stats;
-        0
-      with Invalid_argument msg ->
-        Format.eprintf "error: %s@." msg;
-        1))
-  | Ok (`One workload) -> (
-  match scenario_of ~codec workload with
-  | sc -> (
-    let predictor =
-      match predictor with
-      | `First -> Core.Predictor.First_successor
-      | `Last -> Core.Predictor.Last_taken
-      | `Profile -> Core.Predictor.By_profile (Core.Scenario.profile sc)
-    in
-    let strategy =
-      match strategy with
-      | `On_demand -> Core.Policy.On_demand
-      | `Pre_all -> Core.Policy.Pre_all { lookahead }
-      | `Pre_single -> Core.Policy.Pre_single { lookahead; predictor }
-    in
-    let mode =
-      if recompress then Core.Policy.Recompress else Core.Policy.Discard
-    in
-    let retention =
-      retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-    in
-    let policy =
-      Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
-    in
+let sim workload gen tasks quantum mt_seed jitter job trace_out metrics =
+  (* Prints the scenario and the policy the job names, runs it, and
+     hands the result to [report]. *)
+  let simulate sc job run report =
+    let policy = Fleet.Job.policy sc job in
     Format.printf "%a@.policy: %s@.@." Core.Scenario.pp_summary sc
       (Core.Policy.describe policy);
-    try
-      let m =
-        with_observability trace_out metrics (fun ?sink ?registry () ->
-            match line_size with
-            | None ->
-              Core.Scenario.run ~profile:device_profile ?sink ?registry sc
-                policy
-            | Some line_size ->
-              Core.Lineview.run ~profile:device_profile ?sink ?registry
-                ~line_size sc policy)
-      in
-      Format.printf "%a@." Core.Metrics.pp m;
+    match
+      with_observability trace_out metrics (fun ?sink ?registry () ->
+          run ?sink ?registry policy)
+    with
+    | result ->
+      report result;
       0
-    with Invalid_argument msg ->
+    | exception Invalid_argument msg ->
       (* e.g. a pin-hot pinned set that alone exceeds --budget *)
-      Format.eprintf "error: %s@." msg;
-      1)
-  | exception Invalid_argument msg ->
-    Format.eprintf "error: %s@." msg;
-    1)
+      error msg
+  in
+  match tasks with
+  | Some ts -> (
+    let spec =
+      Printf.sprintf "multi:quantum=%d,seed=%d,jitter=%g;%s" quantum mt_seed
+        jitter (String.concat "+" ts)
+    in
+    let job = job ~scenario:spec in
+    match
+      Result.map
+        (Corpus.Resolve.multitask
+           ~lookup:(scenario_of ~codec:job.Fleet.Job.codec)
+           ?codec:(codec_of job.codec))
+        (Corpus.Resolve.multi_of_string spec)
+    with
+    | Error msg -> error msg
+    | exception Invalid_argument msg -> error msg
+    | Ok mt ->
+      simulate mt.Corpus.Multitask.scenario job
+        (fun ?sink ?registry policy ->
+          Corpus.Multitask.run ~profile:job.profile ?sink ?registry mt policy)
+        (fun (m, stats) ->
+          Format.printf "%a@.@." Core.Metrics.pp m;
+          print_task_stats stats))
+  | None -> (
+    match effective_workload workload gen with
+    | Error msg -> error msg
+    | Ok workload -> (
+      let job = job ~scenario:workload in
+      match scenario_of ~codec:job.Fleet.Job.codec workload with
+      | exception Invalid_argument msg -> error msg
+      | sc ->
+        simulate sc job
+          (fun ?sink ?registry policy ->
+            match job.line_size with
+            | None ->
+              Core.Scenario.run ~profile:job.profile ?sink ?registry sc policy
+            | Some line_size ->
+              Core.Lineview.run ~profile:job.profile ?sink ?registry
+                ~line_size sc policy)
+          (fun m -> Format.printf "%a@." Core.Metrics.pp m)))
 
 let tasks_arg =
   Arg.(
@@ -484,10 +341,9 @@ let sim_cmd =
     (Cmd.info "sim" ~doc)
     Term.(
       const sim $ workload_opt_arg $ gen_arg $ tasks_arg $ quantum_arg
-      $ mt_seed_arg $ jitter_arg $ codec_arg $ k_arg $ strategy_arg
-      $ lookahead_arg $ predictor_arg $ budget_arg $ recompress_arg
-      $ retention_arg $ device_profile_arg $ line_size_arg $ trace_out_arg
-      $ metrics_arg)
+      $ mt_seed_arg $ jitter_arg
+      $ settings Fleet.Settings.rows
+      $ trace_out_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Fleet options (shared by sweep and experiments)                     *)
@@ -648,51 +504,27 @@ let experiments_cmd =
 (* ------------------------------------------------------------------ *)
 (* ccomp sweep                                                         *)
 
-let sweep workloads gens ks codec strategy lookahead predictor budget
-    recompress retention device_profile line_size jobs cache_dir no_cache
-    progress fuel timeout_ms metrics =
+let sweep workloads gens ks job jobs cache_dir no_cache progress fuel
+    timeout_ms metrics =
   match
     let names =
       match workloads @ gens with [] -> Workloads.Suite.names | ws -> ws
     in
     (* plain names are checked against the suite; gen:/multi: specs are
        canonicalized so equal shapes share cache keys *)
-    let names =
-      List.map
-        (fun n ->
-          match
-            Corpus.Resolve.canonicalize
-              ~known:(fun w -> List.mem w Workloads.Suite.names)
-              n
-          with
-          | Ok canonical -> canonical
-          | Error msg -> invalid_arg msg)
-        names
-    in
-    let predictor =
-      match predictor with
-      | `First -> "first"
-      | `Last -> "last-taken"
-      | `Profile -> "profile"
-    in
-    let strategy =
-      match strategy with
-      | `On_demand -> Fleet.Job.On_demand
-      | `Pre_all -> Fleet.Job.Pre_all { lookahead }
-      | `Pre_single -> Fleet.Job.Pre_single { lookahead; predictor }
-    in
-    let mode =
-      if recompress then Fleet.Job.Recompress else Fleet.Job.Discard
-    in
-    let retention =
-      Experiments.Retention_compare.job_retention_of_name retention
-    in
-    (names, strategy, mode, retention)
+    List.map
+      (fun n ->
+        match
+          Corpus.Resolve.canonicalize
+            ~known:(fun w -> List.mem w Workloads.Suite.names)
+            n
+        with
+        | Ok canonical -> canonical
+        | Error msg -> invalid_arg msg)
+      names
   with
-  | exception Invalid_argument msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | names, strategy, mode, retention ->
+  | exception Invalid_argument msg -> error msg
+  | names ->
     let ks =
       let normalized = Fleet.Sweep.normalize_ks ks in
       if normalized <> ks then
@@ -701,11 +533,13 @@ let sweep workloads gens ks codec strategy lookahead predictor budget
       normalized
     in
     let specs =
-      Fleet.Sweep.matrix ~codecs:[ codec ] ~strategies:[ strategy ]
-        ~modes:[ mode ] ~budgets:[ budget ] ~retentions:[ retention ]
-        ~profiles:[ device_profile ] ~line_sizes:[ line_size ]
-        ~scenarios:names ~ks ()
+      List.concat_map
+        (fun scenario ->
+          let j = job ~scenario in
+          List.map (fun k -> { j with Fleet.Job.k }) ks)
+        names
     in
+    let codec = (job ~scenario:(List.hd names)).Fleet.Job.codec in
     let registry = Sim.Metrics.create () in
     let outcomes =
       Fleet.Sweep.run ~jobs
@@ -808,10 +642,9 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const sweep $ workloads $ gens $ ks $ codec_arg $ strategy_arg
-      $ lookahead_arg
-      $ predictor_arg $ budget_arg $ recompress_arg $ retention_arg
-      $ device_profile_arg $ line_size_arg $ jobs_arg
+      const sweep $ workloads $ gens $ ks
+      $ settings Fleet.Settings.sweep_rows
+      $ jobs_arg
       $ cache_dir_arg ~default:true
       $ no_cache_arg $ progress_arg $ fuel $ timeout_ms $ metrics_arg)
 
@@ -977,7 +810,12 @@ let trace_cmd =
              .bin/.ctb, text otherwise).")
   in
   let doc = "Show a workload's dynamic basic-block access pattern." in
-  let gen_term = Term.(const trace_cmd_impl $ workload_arg $ codec_arg $ out) in
+  let gen_term =
+    Term.(
+      const trace_cmd_impl $ workload_arg
+      $ setting_value Fleet.Settings.codec
+      $ out)
+  in
   let gen_cmd =
     Cmd.v
       (Cmd.info "gen"
@@ -1098,103 +936,70 @@ let cc_cmd =
   let doc =
     "Compile a MiniC source file and execute it from compressed memory."
   in
-  Cmd.v (Cmd.info "cc" ~doc) Term.(const cc $ file $ emit_asm $ optimize $ k_arg)
+  Cmd.v (Cmd.info "cc" ~doc)
+    Term.(
+      const cc $ file $ emit_asm $ optimize $ setting_value Fleet.Settings.k)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp run                                                           *)
 
-let run_gen spec codec_v k retention device_profile line_size trace_out
-    metrics =
-  let sc = scenario_of ~codec:"code" spec in
-  let prog = Option.get sc.Core.Scenario.program in
-  let retention =
-    retention_spec retention ~profile:(fun () -> Core.Scenario.profile sc)
-  in
-  match
-    with_observability trace_out metrics (fun ?sink ?registry () ->
-        Runtime.run ~k ~retention ~profile:device_profile ?codec:codec_v
-          ?line_size ?sink ?registry prog)
-  with
-  | Ok (_, stats) ->
-    (* generated programs carry no reference checksum; the runtime
-       completing the same trace shape is the verification *)
-    Format.printf
-      "@[<v>%s executed from compressed memory (k=%d)@,\
-       instructions: %d; traps: %d; decompressions: %d; patches: %d; \
-       deletions: %d@,\
-       image: %dB original, %dB compressed; copies: %dB peak, %dB at halt@]@."
-      spec k stats.Runtime.instructions stats.Runtime.traps
-      stats.Runtime.decompressions stats.Runtime.patches
-      stats.Runtime.deletions stats.Runtime.original_image_bytes
-      stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
-      stats.Runtime.live_copy_bytes;
-    0
-  | Error (Runtime.Out_of_fuel _) ->
-    Format.eprintf "error: out of fuel@.";
-    1
-  | Error (Runtime.Machine_fault { pc; message; _ }) ->
-    Format.eprintf "error: fault at %d: %s@." pc message;
-    1
-
-let run_real workload gen codec k retention device_profile line_size trace_out
-    metrics =
+let run_real workload gen job trace_out metrics =
   match effective_workload workload gen with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> error msg
   | Ok name when Corpus.Resolve.is_multi name ->
-    Format.eprintf
-      "error: multi: compositions are simulation-only (one machine runs one \
-       program) — use `ccomp sim --tasks`@.";
-    1
-  | Ok name when Corpus.Resolve.is_gen name ->
-    let codec_v =
-      match codec with
-      | "code" -> None
-      | other -> Some (Compress.Registry.find_exn other)
-    in
-    run_gen name codec_v k retention device_profile line_size trace_out metrics
-  | Ok workload ->
-  let w = Workloads.Suite.find_exn workload in
-  let prog = Eris.Asm.assemble_exn w.Workloads.Common.source in
-  let codec_v =
-    match codec with
-    | "code" -> None
-    | other -> Some (Compress.Registry.find_exn other)
-  in
-  let retention =
-    retention_spec retention ~profile:(fun () ->
-        (* profile the workload in the plain interpreter first *)
-        Core.Scenario.profile (Workloads.Common.scenario w))
-  in
-  match
-    with_observability trace_out metrics (fun ?sink ?registry () ->
-        Runtime.run ~k ~retention ~profile:device_profile ?codec:codec_v
-          ?line_size ?sink ?registry prog)
-  with
-  | Ok (machine, stats) ->
-    let got = Eris.Machine.read_word machine w.Workloads.Common.result_addr in
-    Format.printf
-      "@[<v>%s executed from compressed memory (k=%d)@,\
-       checksum: 0x%08x (%s)@,\
-       instructions: %d; traps: %d; decompressions: %d; patches: %d; \
-       deletions: %d@,\
-       image: %dB original, %dB compressed; copies: %dB peak, %dB at halt@]@."
-      workload k got
-      (if got = w.Workloads.Common.expected then "matches reference"
-       else "MISMATCH")
-      stats.Runtime.instructions stats.Runtime.traps
-      stats.Runtime.decompressions stats.Runtime.patches
-      stats.Runtime.deletions stats.Runtime.original_image_bytes
-      stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
-      stats.Runtime.live_copy_bytes;
-    if got = w.Workloads.Common.expected then 0 else 1
-  | Error (Runtime.Out_of_fuel _) ->
-    Format.eprintf "error: out of fuel@.";
-    1
-  | Error (Runtime.Machine_fault { pc; message; _ }) ->
-    Format.eprintf "error: fault at %d: %s@." pc message;
-    1
+    error
+      "multi: compositions are simulation-only (one machine runs one \
+       program) — use `ccomp sim --tasks`"
+  | Ok name -> (
+    let job = job ~scenario:name in
+    (* the plain interpreter's run of the workload gives the program
+       and, for pin-hot, the profile *)
+    match scenario_of ~codec:"code" name with
+    | exception Invalid_argument msg -> error msg
+    | sc -> (
+      let retention = (Fleet.Job.policy sc job).Core.Policy.retention in
+      match
+        with_observability trace_out metrics (fun ?sink ?registry () ->
+            Runtime.run ~k:job.k ~retention ~profile:job.profile
+              ?codec:(codec_of job.codec) ?line_size:job.line_size ?sink
+              ?registry
+              (Option.get sc.Core.Scenario.program))
+      with
+      | Ok (machine, stats) ->
+        (* suite workloads check their reference checksum; generated
+           programs carry none, and the runtime completing the same
+           trace shape is the verification *)
+        let checksum =
+          Option.map
+            (fun w ->
+              let got =
+                Eris.Machine.read_word machine w.Workloads.Common.result_addr
+              in
+              (got, got = w.Workloads.Common.expected))
+            (Workloads.Suite.find name)
+        in
+        let pp_checksum ppf = function
+          | None -> ()
+          | Some (got, ok) ->
+            Format.fprintf ppf "checksum: 0x%08x (%s)@," got
+              (if ok then "matches reference" else "MISMATCH")
+        in
+        Format.printf
+          "@[<v>%s executed from compressed memory (k=%d)@,\
+           %ainstructions: %d; traps: %d; decompressions: %d; patches: %d; \
+           deletions: %d@,\
+           image: %dB original, %dB compressed; copies: %dB peak, %dB at \
+           halt@]@."
+          name job.k pp_checksum checksum stats.Runtime.instructions
+          stats.Runtime.traps stats.Runtime.decompressions
+          stats.Runtime.patches stats.Runtime.deletions
+          stats.Runtime.original_image_bytes
+          stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
+          stats.Runtime.live_copy_bytes;
+        if Option.fold ~none:true ~some:snd checksum then 0 else 1
+      | Error (Runtime.Out_of_fuel _) -> error "out of fuel"
+      | Error (Runtime.Machine_fault { pc; message; _ }) ->
+        error (Printf.sprintf "fault at %d: %s" pc message)))
 
 let run_cmd =
   let doc =
@@ -1203,9 +1008,11 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_real $ workload_opt_arg $ gen_arg $ codec_arg $ k_arg
-      $ retention_arg $ device_profile_arg $ line_size_arg $ trace_out_arg
-      $ metrics_arg)
+      const run_real $ workload_opt_arg $ gen_arg
+      $ settings
+          Fleet.Settings.
+            [ Row codec; Row k; Row retention; Row profile; Row line_size ]
+      $ trace_out_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp analyze                                                       *)
@@ -1250,7 +1057,8 @@ let analyze_cmd =
     "Analyze a workload's access pattern: reuse distances, loops, hot \
      blocks and recommended k values."
   in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const analyze $ workload_arg $ codec_arg)
+  Cmd.v (Cmd.info "analyze" ~doc)
+    Term.(const analyze $ workload_arg $ setting_value Fleet.Settings.codec)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp serve                                                         *)
@@ -1402,35 +1210,12 @@ let call_connect ~socket ~tcp =
 
 (* Build the request object the same way the server parses it: only the
    fields this op consumes, so the line documents itself. *)
-let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
-    ~budget ~recompress ~retention ~profile ~fuel ~timeout_ms ~id =
+let call_request ~op ~workloads ~job ~ks ~fuel ~timeout_ms ~id =
   let open Service.Json in
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   let guards =
     opt "timeout_ms" (fun v -> Int v) timeout_ms
     @ opt "fuel" (fun v -> Int v) fuel
-  in
-  let policy =
-    [
-      ("codec", Str codec);
-      ( "strategy",
-        Str
-          (match strategy with
-          | `On_demand -> "on-demand"
-          | `Pre_all -> "pre-all"
-          | `Pre_single -> "pre-single") );
-      ("lookahead", Int lookahead);
-      ( "predictor",
-        Str
-          (match predictor with
-          | `First -> "first"
-          | `Last -> "last-taken"
-          | `Profile -> "profile") );
-      ("mode", Str (if recompress then "recompress" else "discard"));
-      ("retention", Str retention);
-      ("profile", Str profile);
-    ]
-    @ opt "budget" (fun v -> Int v) budget
   in
   let base =
     [
@@ -1441,7 +1226,7 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
   in
   let one_workload () =
     match workloads with
-    | [ w ] -> ("workload", Str w)
+    | [ w ] -> w
     | [] -> failwith (op ^ " needs a WORKLOAD argument")
     | _ -> failwith (op ^ " takes exactly one WORKLOAD")
   in
@@ -1449,7 +1234,12 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
   | "health" | "stats" ->
     if workloads <> [] then failwith (op ^ " takes no WORKLOAD arguments");
     Obj base
-  | "sim" -> Obj (base @ [ one_workload (); ("k", Int k) ] @ policy @ guards)
+  | "sim" ->
+    let w = one_workload () in
+    Obj
+      (base
+      @ (("workload", Str w) :: Service.Wire.settings_to_json (job ~scenario:w))
+      @ guards)
   | "sweep" ->
     let ws =
       match workloads with
@@ -1459,10 +1249,19 @@ let call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead ~predictor
     let ks =
       opt "ks" (fun vs -> List (List.map (fun v -> Int v) vs)) ks
     in
+    let policy =
+      Service.Wire.settings_to_json ~rows:Fleet.Settings.sweep_rows
+        (job ~scenario:"")
+    in
     Obj (base @ ws @ ks @ policy @ guards)
   | "compress" ->
-    let codec = if codec = "code" then [] else [ ("codec", Str codec) ] in
-    Obj (base @ [ one_workload () ] @ codec @ guards)
+    let w = one_workload () in
+    let codec =
+      match (job ~scenario:w).Fleet.Job.codec with
+      | "code" -> []
+      | codec -> [ ("codec", Str codec) ]
+    in
+    Obj (base @ [ ("workload", Str w) ] @ codec @ guards)
   | other ->
     failwith
       (Printf.sprintf
@@ -1488,8 +1287,7 @@ let print_reply ~compact reply =
       | None -> "");
     false
 
-let call socket tcp raw op_args codec k ks strategy lookahead predictor
-    budget recompress retention profile fuel timeout_ms id compact repeat
+let call socket tcp raw op_args job ks fuel timeout_ms id compact repeat
     pipeline =
   match
     let build i =
@@ -1500,9 +1298,8 @@ let call socket tcp raw op_args codec k ks strategy lookahead predictor
         failwith "missing OP (health, stats, sim, sweep or compress)"
       | None, op :: workloads ->
         Service.Json.to_string
-          (call_request ~op ~workloads ~codec ~k ~ks ~strategy ~lookahead
-             ~predictor ~budget ~recompress ~retention ~profile ~fuel
-             ~timeout_ms ~id:(id + i))
+          (call_request ~op ~workloads ~job ~ks ~fuel ~timeout_ms
+             ~id:(id + i))
     in
     let lines = Array.init repeat build in
     let window = min pipeline repeat in
@@ -1537,9 +1334,7 @@ let call socket tcp raw op_args codec k ks strategy lookahead predictor
         done;
         if !failures = 0 then 0 else 1)
   with
-  | exception Failure msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Failure msg -> error msg
   | exception End_of_file ->
     Format.eprintf "error: server closed the connection without replying@.";
     1
@@ -1622,10 +1417,9 @@ let call_cmd =
   in
   Cmd.v (Cmd.info "call" ~doc)
     Term.(
-      const call $ socket_arg $ tcp_arg $ raw $ op_args $ codec_arg $ k_arg
-      $ ks $ strategy_arg $ lookahead_arg $ predictor_arg $ budget_arg
-      $ recompress_arg $ retention_arg $ device_profile_arg $ fuel
-      $ timeout_ms $ id $ compact $ repeat $ pipeline)
+      const call $ socket_arg $ tcp_arg $ raw $ op_args
+      $ settings Fleet.Settings.rows
+      $ ks $ fuel $ timeout_ms $ id $ compact $ repeat $ pipeline)
 
 (* ------------------------------------------------------------------ *)
 (* ccomp bench-serve                                                   *)

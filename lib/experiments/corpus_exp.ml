@@ -60,9 +60,8 @@ let rows () =
       (fun (_, scenario) ->
         List.map
           (fun policy ->
-            Fleet.Job.make
-              ~retention:(Retention_compare.job_retention_of_name policy)
-              ~scenario ~k:compress_k ())
+            Fleet.Settings.(retention.set) policy
+              (Fleet.Job.make ~scenario ~k:compress_k ()))
           policies)
       corpus
   in
@@ -70,13 +69,7 @@ let rows () =
   let cycles = Hashtbl.create 512 in
   List.iter
     (fun ((job : Fleet.Job.t), m) ->
-      let policy =
-        match job.retention with
-        | Fleet.Job.Kedge -> "kedge"
-        | Fleet.Job.Loop_aware _ -> "loop-aware"
-        | Fleet.Job.Clock -> "clock"
-        | Fleet.Job.Pin_hot _ -> "pin-hot"
-      in
+      let policy = Option.get (Fleet.Settings.(retention.get) job) in
       Hashtbl.replace cycles (job.scenario, policy) m.Core.Metrics.total_cycles)
     results;
   let winner scenario =

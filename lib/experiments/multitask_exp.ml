@@ -38,14 +38,17 @@ let rows () =
       List.concat_map
         (fun quantum ->
           let mt = Corpus.Multitask.compose ~quantum ~seed:1 scenarios in
-          let budget = budget_of mt.Corpus.Multitask.scenario in
+          let sc = mt.Corpus.Multitask.scenario in
+          let budget = budget_of sc in
           List.map
             (fun retention ->
+              let job =
+                Fleet.Settings.(retention.set) retention
+                  (Fleet.Job.make ~budget ~scenario:sc.Core.Scenario.name
+                     ~k:compress_k ())
+              in
               let metrics, stats =
-                Corpus.Multitask.run mt
-                  (Core.Policy.make ~compress_k ~budget
-                     ~retention:(Retention_compare.retention_of_name retention)
-                     ())
+                Corpus.Multitask.run mt (Fleet.Job.policy sc job)
               in
               { tasks; quantum; retention; metrics; stats })
             retentions)

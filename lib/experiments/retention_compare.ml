@@ -5,7 +5,6 @@
    the trade-off each policy makes is visible in one row. *)
 
 let compress_k = 8
-let pin_fraction = 0.5
 
 type agg = {
   mutable total_cycles : int;
@@ -30,30 +29,7 @@ let zero () =
     runs = 0;
   }
 
-let retention_of_name = function
-  | "kedge" -> Residency.Policy.Kedge
-  | "loop-aware" -> Residency.Policy.Loop_aware { weight = 1 }
-  | "clock" -> Residency.Policy.Clock
-  | name -> invalid_arg ("Retention_compare: unknown policy " ^ name)
-
-let retention_for sc = function
-  | "pin-hot" ->
-    let profile = Core.Scenario.profile sc in
-    Residency.Policy.Pin_hot
-      { pinned = Cfg.Profile.hot_blocks profile ~fraction:pin_fraction }
-  | name -> retention_of_name name
-
-let policies = [ "kedge"; "loop-aware"; "clock"; "pin-hot" ]
-
-(* The serializable twin of [retention_for]: pin-hot's pinned set is
-   recomputed inside the fleet job from the scenario's own profile at
-   the same fraction, so the job spec stays closure-free. *)
-let job_retention_of_name = function
-  | "kedge" -> Fleet.Job.Kedge
-  | "loop-aware" -> Fleet.Job.Loop_aware { weight = 1 }
-  | "clock" -> Fleet.Job.Clock
-  | "pin-hot" -> Fleet.Job.Pin_hot { fraction = pin_fraction }
-  | name -> invalid_arg ("Retention_compare: unknown policy " ^ name)
+let policies = Fleet.Settings.(choices retention)
 
 let rows () =
   let names =
@@ -64,23 +40,18 @@ let rows () =
       (fun policy ->
         List.map
           (fun scenario ->
-            Fleet.Job.make
-              ~retention:(job_retention_of_name policy)
-              ~scenario ~k:compress_k ())
+            Fleet.Settings.(retention.set) policy
+              (Fleet.Job.make ~scenario ~k:compress_k ()))
           names)
       policies
   in
   let by_policy = Hashtbl.create 8 in
   List.iter (fun p -> Hashtbl.replace by_policy p (zero ())) policies;
   List.iter
-    (fun ((job : Fleet.Job.t), m) ->
+    (fun (job, m) ->
       let a =
         Hashtbl.find by_policy
-          (match job.retention with
-          | Fleet.Job.Kedge -> "kedge"
-          | Fleet.Job.Loop_aware _ -> "loop-aware"
-          | Fleet.Job.Clock -> "clock"
-          | Fleet.Job.Pin_hot _ -> "pin-hot")
+          (Option.get (Fleet.Settings.(retention.get) job))
       in
       a.total_cycles <- a.total_cycles + m.Core.Metrics.total_cycles;
       a.stall_cycles <- a.stall_cycles + m.Core.Metrics.stall_cycles;

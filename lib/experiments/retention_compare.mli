@@ -16,22 +16,8 @@ type agg = {
 }
 
 val policies : string list
-(** CLI-facing names, in table order. *)
-
-val retention_of_name : string -> Residency.Policy.spec
-(** The profile-free policies ([kedge], [loop-aware], [clock]).
-    @raise Invalid_argument for unknown names (including [pin-hot],
-    which needs a profile — use {!retention_for}). *)
-
-val retention_for : Core.Scenario.t -> string -> Residency.Policy.spec
-(** The spec a named policy uses for one scenario (pin-hot derives its
-    pinned set from the scenario's own profile).
-    @raise Invalid_argument for unknown names. *)
-
-val job_retention_of_name : string -> Fleet.Job.retention
-(** The serializable {!Fleet.Job} twin of {!retention_for}: same four
-    names, pin-hot expressed as a fraction the job re-derives from the
-    scenario profile. @raise Invalid_argument for unknown names. *)
+(** The {!Fleet.Settings.retention} names, in table order; each runs
+    at its default parameter. *)
 
 val rows : unit -> (string * agg) list
 (** Aggregates per policy across the suite. *)

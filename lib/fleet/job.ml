@@ -95,7 +95,7 @@ let predictor_of sc = function
   | "profile" -> Core.Predictor.By_profile (Core.Scenario.profile sc)
   | other -> invalid_arg (Printf.sprintf "Fleet.Job: unknown predictor %S" other)
 
-let execute ?sink sc t =
+let policy sc t =
   let strategy =
     match t.strategy with
     | On_demand -> Core.Policy.On_demand
@@ -119,10 +119,11 @@ let execute ?sink sc t =
       Residency.Policy.Pin_hot
         { pinned = Cfg.Profile.hot_blocks profile ~fraction }
   in
-  let policy =
-    Core.Policy.make ~mode ~strategy ?budget:t.budget ~retention
-      ~compress_k:t.k ()
-  in
+  Core.Policy.make ~mode ~strategy ?budget:t.budget ~retention ~compress_k:t.k
+    ()
+
+let execute ?sink sc t =
+  let policy = policy sc t in
   match t.line_size with
   | None -> Core.Scenario.run ~profile:t.profile ?sink sc policy
   | Some line_size ->

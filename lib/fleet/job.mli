@@ -77,6 +77,15 @@ val key : t -> string
 val describe : t -> string
 (** Human-readable one-liner for progress output. *)
 
+val policy : Core.Scenario.t -> t -> Core.Policy.t
+(** The engine policy the job names, built against [scenario]: the
+    profile predictor and the pin-hot pinned set are derived from the
+    scenario's own trace. The one translation from a job's settings to
+    a {!Core.Policy.t} — {!execute}, [ccomp sim] and [ccomp run] all
+    go through it.
+    @raise Invalid_argument on an unknown predictor or a malformed
+    parameter. *)
+
 val execute : ?sink:Sim.Events.sink -> Core.Scenario.t -> t -> Core.Metrics.t
 (** Runs the job against [scenario] (which the caller resolved from
     [t.scenario]/[t.codec]). Deterministic: no clocks, no global

@@ -75,15 +75,6 @@ let positive obj name =
 
 let default d = function Some v -> v | None -> d
 
-let enum_field obj name choices ~fallback =
-  let* v = str_field obj name in
-  let v = default fallback v in
-  if List.mem v choices then Ok v
-  else
-    fail "field %S: expected one of %s (got %S)" name
-      (String.concat ", " choices)
-      v
-
 let workload_ok name = List.mem name Workloads.Suite.names
 
 (* A workload field also accepts corpus specs ([gen:]/[multi:]); they
@@ -99,97 +90,42 @@ let check_workload name =
     fail "unknown workload %S (known: %s, or a gen:/multi: spec)" name
       (String.concat ", " Workloads.Suite.names)
 
-let check_codec name =
-  if name = "code" || List.mem name (Compress.Registry.names ()) then Ok name
-  else
-    fail "unknown codec %S (known: code, %s)" name
-      (String.concat ", " (Compress.Registry.names ()))
+module Settings = Fleet.Settings
 
-let check_profile name =
-  if List.mem name Sim.Cost.profile_names then Ok name
-  else
-    fail "unknown device profile %S (known: %s)" name
-      (String.concat ", " Sim.Cost.profile_names)
+(* One settings row off the request object: an absent field keeps the
+   job's default, a present one is type-checked, validated by the row
+   and applied. *)
+let decode_setting : type a.
+    Json.t -> a Settings.t -> Fleet.Job.t -> (Fleet.Job.t, error) result =
+ fun obj s job ->
+  let* value =
+    (match s.Settings.kind with
+     | Settings.Int _ -> int_field obj s.field
+     | Settings.Fraction -> float_field obj s.field
+     | Settings.Name _ -> str_field obj s.field
+      : (a option, error) result)
+  in
+  match Option.map (Settings.validate s) value with
+  | None -> Ok job
+  | Some (Ok v) -> Ok (s.set v job)
+  | Some (Error msg) -> fail "field %S: %s" s.field msg
 
-(* The policy surface shared by sim and sweep: everything in a
-   Fleet.Job.t except scenario and k, which the op supplies. *)
-let job_builder obj =
-  let* codec = str_field obj "codec" in
-  let codec = default "code" codec in
-  let* codec = check_codec codec in
-  let* lookahead = positive obj "lookahead" in
-  let lookahead = default 2 lookahead in
-  let* predictor =
-    enum_field obj "predictor"
-      [ "first"; "last-taken"; "profile" ]
-      ~fallback:"profile"
-  in
-  let* strategy =
-    let* s =
-      enum_field obj "strategy"
-        [ "on-demand"; "pre-all"; "pre-single" ]
-        ~fallback:"on-demand"
-    in
-    Ok
-      (match s with
-      | "pre-all" -> Fleet.Job.Pre_all { lookahead }
-      | "pre-single" -> Fleet.Job.Pre_single { lookahead; predictor }
-      | _ -> Fleet.Job.On_demand)
-  in
-  let* mode =
-    let* m =
-      enum_field obj "mode" [ "discard"; "recompress" ] ~fallback:"discard"
-    in
-    Ok (if m = "recompress" then Fleet.Job.Recompress else Fleet.Job.Discard)
-  in
-  let* budget = positive obj "budget" in
-  let* profile = str_field obj "profile" in
-  let profile = default Fleet.Job.default_profile profile in
-  let* profile = check_profile profile in
-  let* line_size = positive obj "line_size" in
-  let* () =
-    match line_size with
-    | Some l when l < 4 ->
-      fail "field \"line_size\": must be >= 4 bytes (got %d)" l
-    | _ -> Ok ()
-  in
-  let* weight = positive obj "weight" in
-  let weight = default 2 weight in
-  let* fraction = float_field obj "fraction" in
-  let fraction = default 0.5 fraction in
-  let* () =
-    if fraction > 0.0 && fraction <= 1.0 then Ok ()
-    else fail "field \"fraction\": must be in (0, 1] (got %g)" fraction
-  in
-  let* retention =
-    let* r =
-      enum_field obj "retention"
-        [ "kedge"; "loop-aware"; "clock"; "pin-hot" ]
-        ~fallback:"kedge"
-    in
-    Ok
-      (match r with
-      | "loop-aware" -> Fleet.Job.Loop_aware { weight }
-      | "clock" -> Fleet.Job.Clock
-      | "pin-hot" -> Fleet.Job.Pin_hot { fraction }
-      | _ -> Fleet.Job.Kedge)
-  in
-  Ok
-    (fun ~scenario ~k ->
-      Fleet.Job.make ~codec ~strategy ~mode ?budget ~retention ~profile
-        ?line_size ~scenario ~k ())
+let decode_job ?(rows = Settings.rows) obj ~scenario =
+  List.fold_left
+    (fun acc (Settings.Row s) -> Result.bind acc (decode_setting obj s))
+    (Ok (Settings.base ~scenario))
+    rows
+
+let required_workload obj op =
+  let* workload = str_field obj "workload" in
+  match workload with
+  | Some w -> check_workload w
+  | None -> fail "op %S requires field \"workload\"" op
 
 let parse_sim obj =
-  let* workload = str_field obj "workload" in
-  let* workload =
-    match workload with
-    | Some w -> check_workload w
-    | None -> fail "op \"sim\" requires field \"workload\""
-  in
-  let* k = positive obj "k" in
-  let k = default 8 k in
-  let* build = job_builder obj in
-  Ok (Sim (build ~scenario:workload ~k))
+  let* workload = required_workload obj "sim" in
+  let* job = decode_job obj ~scenario:workload in
+  Ok (Sim job)
 
 let parse_sweep obj =
   let* workloads =
@@ -225,20 +161,16 @@ let parse_sweep obj =
     else fail "field \"ks\": every k must be >= 1"
   in
   let ks = Fleet.Sweep.normalize_ks ks in
-  let* build = job_builder obj in
+  let* job = decode_job ~rows:Settings.sweep_rows obj ~scenario:"" in
   Ok
     (Sweep
        (List.concat_map
-          (fun scenario -> List.map (fun k -> build ~scenario ~k) ks)
+          (fun scenario ->
+            List.map (fun k -> { job with Fleet.Job.scenario; k }) ks)
           workloads))
 
 let parse_compress obj =
-  let* workload = str_field obj "workload" in
-  let* workload =
-    match workload with
-    | Some w -> check_workload w
-    | None -> fail "op \"compress\" requires field \"workload\""
-  in
+  let* workload = required_workload obj "compress" in
   let* codec = str_field obj "codec" in
   let* codec =
     match codec with
@@ -511,46 +443,23 @@ let metrics_to_json (m : Core.Metrics.t) =
         Json.Float (Core.Metrics.energy_overhead_ratio m) );
     ]
 
+let setting_to_json : type a.
+    a Settings.t -> Fleet.Job.t -> (string * Json.t) option =
+ fun s job ->
+  Option.map
+    (fun (v : a) ->
+      ( s.Settings.field,
+        match s.kind with
+        | Settings.Int _ -> Json.Int v
+        | Settings.Fraction -> Json.Float v
+        | Settings.Name _ -> Json.Str v ))
+    (s.get job)
+
+let settings_to_json ?(rows = Settings.rows) job =
+  List.filter_map (fun (Settings.Row s) -> setting_to_json s job) rows
+
 let job_to_json (j : Fleet.Job.t) =
-  let strategy, lookahead, predictor =
-    match j.strategy with
-    | Fleet.Job.On_demand -> ("on-demand", None, None)
-    | Fleet.Job.Pre_all { lookahead } -> ("pre-all", Some lookahead, None)
-    | Fleet.Job.Pre_single { lookahead; predictor } ->
-      ("pre-single", Some lookahead, Some predictor)
-  in
-  let retention, weight, fraction =
-    match j.retention with
-    | Fleet.Job.Kedge -> ("kedge", None, None)
-    | Fleet.Job.Loop_aware { weight } -> ("loop-aware", Some weight, None)
-    | Fleet.Job.Clock -> ("clock", None, None)
-    | Fleet.Job.Pin_hot { fraction } -> ("pin-hot", None, Some fraction)
-  in
-  let optional name f v =
-    match v with Some v -> [ (name, f v) ] | None -> []
-  in
-  Json.Obj
-    ([
-       ("workload", Json.Str j.scenario);
-       ("codec", Json.Str j.codec);
-       ("k", Json.Int j.k);
-       ("strategy", Json.Str strategy);
-     ]
-    @ optional "lookahead" (fun v -> Json.Int v) lookahead
-    @ optional "predictor" (fun v -> Json.Str v) predictor
-    @ [
-        ( "mode",
-          Json.Str
-            (match j.mode with
-            | Fleet.Job.Discard -> "discard"
-            | Fleet.Job.Recompress -> "recompress") );
-      ]
-    @ optional "budget" (fun v -> Json.Int v) j.budget
-    @ [ ("retention", Json.Str retention) ]
-    @ optional "weight" (fun v -> Json.Int v) weight
-    @ optional "fraction" (fun v -> Json.Float v) fraction
-    @ [ ("profile", Json.Str j.profile) ]
-    @ optional "line_size" (fun v -> Json.Int v) j.line_size)
+  Json.Obj (("workload", Json.Str j.scenario) :: settings_to_json j)
 
 let outcome_to_json (o : Fleet.Sweep.outcome) =
   Json.Obj

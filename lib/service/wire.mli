@@ -17,11 +17,9 @@
       outstanding request.
     - ["op"] selects the operation: [health], [stats], [sim],
       [sweep] or [compress].
-    - [sim]/[sweep] accept the CLI's whole policy surface
-      ([workload]/[workloads], [k]/[ks], [codec], [strategy],
-      [lookahead], [predictor], [mode], [budget], [retention],
-      [weight], [fraction]) plus per-request guards [timeout_ms] and
-      [fuel].
+    - [sim] takes [workload] and [sweep] takes [workloads] and [ks];
+      both take every {!Fleet.Settings} row by its field name (sweep
+      all but [k]) plus per-request guards [timeout_ms] and [fuel].
     - [compress] takes [workload] and optionally [codec] (all codecs
       when omitted).
 
@@ -130,9 +128,14 @@ val metrics_to_json : Core.Metrics.t -> Json.t
 (** Every scalar field plus the derived ratios ([overhead_ratio],
     [peak_memory_saving], [avg_memory_saving]). *)
 
+val settings_to_json :
+  ?rows:Fleet.Settings.row list -> Fleet.Job.t -> (string * Json.t) list
+(** The request fields of the job's settings (default: every row),
+    omitting those the job does not use. *)
+
 val job_to_json : Fleet.Job.t -> Json.t
-(** The spec as it would be written in a request: op-independent
-    fields only, suitable for replaying. *)
+(** The spec as it would be written in a request: [workload] plus
+    {!settings_to_json}, suitable for replaying. *)
 
 val outcome_to_json : Fleet.Sweep.outcome -> Json.t
 (** Job spec + key + [cached] + either ["metrics"] or ["error"]. *)

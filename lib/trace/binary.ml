@@ -21,9 +21,14 @@ let is_binary s =
 let zigzag d = (d lsl 1) lxor (d asr 62)
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
 
-(* 32-bit mixing checksum over a frame's ids (order-sensitive) *)
+(* 32-bit mixing checksum over a frame's ids (order-sensitive). An id
+   folds to its low 32 bits xor its bits from 31 up times an odd
+   constant: ids in [0, 2^31) fold to themselves, and x never folds
+   like [lnot x] — a zigzag low-bit flip turns a delta d into lnot d,
+   which a plain xor of the two halves could not see. *)
 let mix h x =
-  let h = h lxor ((x land 0xFFFFFFFF) lxor (x lsr 31)) in
+  let high = ((x lsr 31) * 0x9E3779B1) land 0xFFFFFFFF in
+  let h = h lxor ((x land 0xFFFFFFFF) lxor high) in
   let h = (h * 0x85EBCA6B) land 0xFFFFFFFF in
   h lxor (h lsr 13)
 

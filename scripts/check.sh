@@ -207,6 +207,13 @@ grep -q '"count": 1' "$cache_dir/stats.out" || {
   echo "check: FAIL — stats counters did not move" >&2
   exit 1
 }
+# call takes every run setting sim does, line size included
+"$ccomp" call --socket "$sock" sim fir -k 4 --line-size 32 \
+  > "$cache_dir/sim-line.out"
+grep -q '"total_cycles"' "$cache_dir/sim-line.out" || {
+  echo "check: FAIL — line-granular sim through call returned no metrics" >&2
+  exit 1
+}
 # malformed input answers a structured error and exit 1, not a crash
 if "$ccomp" call --socket "$sock" --raw 'not json' > /dev/null 2>&1; then
   echo "check: FAIL — malformed request did not error" >&2
@@ -224,7 +231,7 @@ if [ "$pipe_lines" -ne 8 ]; then
 fi
 # prune the cache the daemon just populated
 "$ccomp" cache --dir "$cache_dir/serve-cache" --stats \
-  | grep -q '1 entry' || {
+  | grep -q '2 entries' || {
   echo "check: FAIL — serve did not populate its cache" >&2
   exit 1
 }

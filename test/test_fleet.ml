@@ -87,6 +87,41 @@ let test_key_fixture () =
     (fun (j, key) -> checks (Fleet.Job.canonical j) key (Fleet.Job.key j))
     key_fixture
 
+(* ------------------------------------------------------------------ *)
+(* Settings table                                                      *)
+
+let test_settings_defaults () =
+  let base = Fleet.Settings.base ~scenario:"fir" in
+  checks "base is Job.make's defaults" (Fleet.Job.key (job ()))
+    (Fleet.Job.key base);
+  let at_defaults =
+    List.fold_left
+      (fun j (Fleet.Settings.Row s) ->
+        match s.default with Some d -> s.set d j | None -> j)
+      base Fleet.Settings.rows
+  in
+  checks "every row's default leaves the base job" (Fleet.Job.key base)
+    (Fleet.Job.key at_defaults);
+  checkb "loop-aware defaults to weight 1" true
+    ((Fleet.Settings.(retention.set) "loop-aware" base).retention
+    = Fleet.Job.Loop_aware { weight = 1 })
+
+let test_settings_messages () =
+  let open Fleet.Settings in
+  let message = function Ok _ -> "accepted" | Error m -> m in
+  checks "k" "must be >= 1 (got 0)" (message (parse k "0"));
+  checks "not a number" {|expected an integer, got "x"|}
+    (message (parse k "x"));
+  checks "line size" "must be >= 4 (got 2)" (message (parse line_size "2"));
+  checks "fraction" "must be in (0, 1] (got 1.5)"
+    (message (parse fraction "1.5"));
+  checks "profile"
+    {|unknown device profile "nope" (known: paper-2005, cortex-m-flash, sram-heavy)|}
+    (message (parse profile "nope"));
+  checks "strategy"
+    {|unknown strategy "warp" (known: on-demand, pre-all, pre-single)|}
+    (message (validate strategy "warp"))
+
 let contains_sub needle hay =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -597,6 +632,8 @@ let () =
         [
           Alcotest.test_case "key stability" `Quick test_key_stable;
           Alcotest.test_case "key fixture" `Quick test_key_fixture;
+          Alcotest.test_case "settings defaults" `Quick test_settings_defaults;
+          Alcotest.test_case "settings messages" `Quick test_settings_messages;
           Alcotest.test_case "key charset" `Quick test_key_filesystem_safe;
           Alcotest.test_case "line size in the spec" `Quick
             test_line_size_in_spec;

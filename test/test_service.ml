@@ -743,6 +743,157 @@ let test_server_drain_pipelined () =
           cleanup_ok := true;
           checkb "socket unlinked" true (not (Sys.file_exists path))))
 
+(* ------------------------------------------------------------------ *)
+(* Settings: the CLI, the wire and job_to_json agree                   *)
+
+(* Random specs over every setting, at values every surface accepts. *)
+let spec_gen =
+  QCheck.Gen.(
+    let* scenario = oneofl [ "fir"; "crc32" ] in
+    let* codec = oneofl [ "code"; "lzss"; "rle" ] in
+    let* k = int_range 1 32 in
+    let* lookahead = int_range 1 4 in
+    let* predictor = oneofl [ "first"; "last-taken"; "profile" ] in
+    let* strategy =
+      oneofl
+        Fleet.Job.
+          [ On_demand; Pre_all { lookahead }; Pre_single { lookahead; predictor } ]
+    in
+    let* mode = oneofl Fleet.Job.[ Discard; Recompress ] in
+    let* budget = oneofl [ None; Some 65536; Some 1_000_000 ] in
+    let* weight = int_range 1 4 in
+    let* fraction = oneofl [ 0.1; 0.25; 0.5; 1.0 ] in
+    let* retention =
+      oneofl
+        Fleet.Job.[ Kedge; Loop_aware { weight }; Clock; Pin_hot { fraction } ]
+    in
+    let* profile = oneofl Sim.Cost.profile_names in
+    (* pin-hot pins block ids, which a line-granular run rejects *)
+    let* line_size =
+      match retention with
+      | Pin_hot _ -> return None
+      | _ -> oneofl [ None; Some 16; Some 32 ]
+    in
+    return
+      (Fleet.Job.make ~codec ~strategy ~mode ?budget ~retention ~profile
+         ?line_size ~scenario ~k ()))
+
+let arb_spec = QCheck.make ~print:Fleet.Job.canonical spec_gen
+
+(* The spec spelled out as request fields and as ccomp options, by hand
+   rather than through the settings table they are checked against. *)
+let spelled (j : Fleet.Job.t) =
+  let strategy, lookahead, predictor =
+    match j.strategy with
+    | On_demand -> ("on-demand", None, None)
+    | Pre_all { lookahead } -> ("pre-all", Some lookahead, None)
+    | Pre_single { lookahead; predictor } ->
+      ("pre-single", Some lookahead, Some predictor)
+  in
+  let retention, weight, fraction =
+    match j.retention with
+    | Kedge -> ("kedge", None, None)
+    | Loop_aware { weight } -> ("loop-aware", Some weight, None)
+    | Clock -> ("clock", None, None)
+    | Pin_hot { fraction } -> ("pin-hot", None, Some fraction)
+  in
+  let mode = match j.mode with Discard -> "discard" | Recompress -> "recompress" in
+  let int = Option.map (fun v -> Json.Int v) in
+  let fields =
+    [
+      ("workload", Some (Json.Str j.scenario));
+      ("codec", Some (Json.Str j.codec));
+      ("k", Some (Json.Int j.k));
+      ("strategy", Some (Json.Str strategy));
+      ("lookahead", int lookahead);
+      ("predictor", Option.map (fun p -> Json.Str p) predictor);
+      ("mode", Some (Json.Str mode));
+      ("budget", int j.budget);
+      ("retention", Some (Json.Str retention));
+      ("weight", int weight);
+      ("fraction", Option.map (fun f -> Json.Float f) fraction);
+      ("profile", Some (Json.Str j.profile));
+      ("line_size", int j.line_size);
+    ]
+  in
+  let request =
+    Json.Obj
+      (("op", Json.Str "sim")
+      :: List.filter_map (fun (n, v) -> Option.map (fun v -> (n, v)) v) fields)
+  in
+  let opt flag = function None -> [] | Some v -> [ flag; v ] in
+  let str = Option.map string_of_int in
+  let argv =
+    [ j.scenario; "--codec"; j.codec; "-k"; string_of_int j.k ]
+    @ [ "--strategy"; strategy ]
+    @ opt "--lookahead" (str lookahead)
+    @ opt "--predictor" predictor
+    @ (if j.mode = Recompress then [ "--recompress" ] else [])
+    @ opt "--budget" (str j.budget)
+    @ [ "--retention"; retention ]
+    @ opt "--weight" (str weight)
+    @ opt "--fraction" (Option.map (Printf.sprintf "%.17g") fraction)
+    @ [ "--device-profile"; j.profile ]
+    @ opt "--line-size" (str j.line_size)
+  in
+  (request, argv)
+
+let sim_job line =
+  match Wire.parse_request line with
+  | Ok { request = Wire.Sim job; _ } -> job
+  | Ok _ -> failwith ("parsed as a different op: " ^ line)
+  | Error (_, e) -> failwith (Printf.sprintf "rejected %s: %s" line e.Wire.msg)
+
+let prop_wire_settings =
+  QCheck.Test.make ~count:500
+    ~name:"request and job_to_json round trip give the spec's key" arb_spec
+    (fun j ->
+      let request, _ = spelled j in
+      let replay =
+        match Wire.job_to_json j with
+        | Json.Obj fields -> Json.Obj (("op", Json.Str "sim") :: fields)
+        | _ -> failwith "job_to_json is not an object"
+      in
+      let key line = Fleet.Job.key (sim_job (Json.to_string line)) in
+      key request = Fleet.Job.key j && key replay = Fleet.Job.key j)
+
+(* ccomp call's options become its request through the same settings
+   table as every other subcommand's, so the key the daemon reports for
+   them is the key of the job the flags describe. *)
+let ccomp_exe = Filename.concat (Filename.dirname (Sys.getcwd ())) "bin/ccomp.exe"
+
+let call_key path args =
+  let argv = ccomp_exe :: "call" :: "--socket" :: path :: "--compact" :: args in
+  let ic = Unix.open_process_args_in ccomp_exe (Array.of_list argv) in
+  let reply = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> (
+    match Result.map (Json.member "key") (Json.parse (String.trim reply)) with
+    | Ok (Some (Json.Str key)) -> key
+    | _ -> failwith ("reply carries no key: " ^ reply))
+  | _ -> failwith (Printf.sprintf "%s failed: %s" (String.concat " " argv) reply)
+
+let test_cli_settings () =
+  with_server ~jobs:1 (fun path _server ->
+      (* the weight a loop-aware run gets when none is given: the same
+         1 on the command line, on the wire and in E17/E20 *)
+      let weight_1 =
+        Fleet.Job.key
+          (Fleet.Job.make ~retention:(Loop_aware { weight = 1 })
+             ~scenario:"fir" ~k:8 ())
+      in
+      checks "CLI loop-aware" weight_1
+        (call_key path [ "sim"; "fir"; "--retention"; "loop-aware" ]);
+      checks "wire loop-aware" weight_1
+        (Fleet.Job.key
+           (sim_job
+              {|{"op":"sim","workload":"fir","k":8,"retention":"loop-aware"}|}));
+      QCheck.Test.check_exn
+        (QCheck.Test.make ~count:25 ~name:"CLI options give the spec's key"
+           arb_spec (fun j ->
+             let _, argv = spelled j in
+             call_key path ("sim" :: argv) = Fleet.Job.key j)))
+
 let () =
   Alcotest.run "service"
     [
@@ -767,6 +918,9 @@ let () =
             test_wire_response_roundtrip;
           Alcotest.test_case "error classification" `Quick test_wire_classify;
           Alcotest.test_case "fast-path scanner" `Quick test_wire_scan_fast;
+          QCheck_alcotest.to_alcotest prop_wire_settings;
+          Alcotest.test_case "CLI options give the wire's key" `Quick
+            test_cli_settings;
         ] );
       ( "admission",
         [

@@ -292,6 +292,46 @@ let prop_binary_bitflip =
       | Error _ -> true
       | Ok ids' -> ids' = ids)
 
+(* Every single-bit flip of [enc] decodes to an Error or to [ids]. *)
+let check_all_bitflips ~lzss ids =
+  let enc = Trace.Binary.encode ~lzss ~frame:16 ids in
+  for pos = 0 to String.length enc - 1 do
+    for bit = 0 to 7 do
+      let buf = Bytes.of_string enc in
+      Bytes.set buf pos (Char.chr (Char.code enc.[pos] lxor (1 lsl bit)));
+      match Trace.Binary.decode (Bytes.to_string buf) with
+      | Error _ -> ()
+      | Ok ids' ->
+        if ids' <> ids then
+          Alcotest.failf "flip of bit %d in byte %d decodes silently to [%s]"
+            bit pos
+            (String.concat "; " (Array.to_list (Array.map string_of_int ids')))
+    done
+  done
+
+(* Flipping the low bit of a zigzag delta turns an id x into lnot x,
+   which the frame checksum used to fold identically: [|22|] decoded
+   as [|-23|] with a matching checksum. *)
+let test_binary_sign_flip_detected () =
+  let enc = Trace.Binary.encode ~lzss:true ~frame:16 [| 22 |] in
+  let buf = Bytes.of_string enc in
+  Bytes.set buf 18 (Char.chr (Char.code enc.[18] lxor 1));
+  checkb "sign flip rejected" true
+    (Result.is_error (Trace.Binary.decode (Bytes.to_string buf)))
+
+let test_binary_bitflips_exhaustive () =
+  List.iter
+    (fun ids ->
+      check_all_bitflips ~lzss:true ids;
+      check_all_bitflips ~lzss:false ids)
+    [
+      [| 22 |];
+      [| -23 |];
+      [| 0; -1; 5 |];
+      [| 7; -8; 1_000_000; -1_000_001 |];
+      [| -1_000_000_000; 3; 3; -64; 64 |];
+    ]
+
 let test_binary_empty () =
   let enc = Trace.Binary.encode [||] in
   checkb "magic" true (Trace.Binary.is_binary enc);
@@ -441,6 +481,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_binary_roundtrip_lzss;
           QCheck_alcotest.to_alcotest prop_binary_truncation;
           QCheck_alcotest.to_alcotest prop_binary_bitflip;
+          Alcotest.test_case "sign flip detected" `Quick
+            test_binary_sign_flip_detected;
+          Alcotest.test_case "every single-bit flip" `Quick
+            test_binary_bitflips_exhaustive;
         ] );
       ( "io-strict",
         [
