@@ -80,10 +80,12 @@ let setting : type a. a Fleet.Settings.t -> (Fleet.Job.t -> Fleet.Job.t) Term.t
         const (fun on -> if on then Some v else None)
         $ Arg.value (Arg.flag (arg_info flag)))
     | Opt flag ->
-      let none = Option.map (to_string s) s.default in
+      let none = Option.map (to_string s) (s.get (base ~scenario:"")) in
       Arg.value (Arg.opt (Arg.some ?none conv) None (arg_info flag))
   in
-  Term.(const (fun v j -> Option.fold ~none:j ~some:(fun v -> s.set v j) v) $ given)
+  Term.(
+    const (fun v j -> Option.fold ~none:j ~some:(fun v -> s.set v j) v)
+    $ given)
 
 (* The given rows' options, folded in table order into the job for a
    scenario. *)
@@ -97,15 +99,26 @@ let settings rows =
 
 (* One setting's value alone, for commands that take no other. *)
 let setting_value s =
+  let open Fleet.Settings in
   Term.(
-    const (fun apply ->
-        Option.get (s.Fleet.Settings.get (apply (Fleet.Settings.base ~scenario:""))))
+    const (fun apply -> Option.get (s.get (apply (base ~scenario:""))))
     $ setting s)
 
 (* A failed command: the message on stderr, exit code 1. *)
 let error msg =
   Format.eprintf "error: %s@." msg;
   1
+
+let unix_error e fn arg =
+  error
+    (Printf.sprintf "%s: %s%s" fn (Unix.error_message e)
+       (if arg = "" then "" else " (" ^ arg ^ ")"))
+
+(* A compressed-memory execution that did not halt. *)
+let runtime_error = function
+  | Runtime.Out_of_fuel _ -> error "out of fuel"
+  | Runtime.Machine_fault { pc; message; _ } ->
+    error (Printf.sprintf "fault at %d: %s" pc message)
 
 (* The codec a codec setting names: "code" is the workload's own
    positional model, which the scenario builds. *)
@@ -179,8 +192,7 @@ let with_observability ?(observe_events = true) trace_out metrics run =
           (if binary_trace_path path then binary_event_sink path
            else Sim.Events.to_file path)
       with Sys_error msg ->
-        Format.eprintf "error: cannot open trace output: %s@." msg;
-        Stdlib.exit 1)
+        Stdlib.exit (error ("cannot open trace output: " ^ msg)))
   in
   let registry = if metrics then Some (Sim.Metrics.create ()) else None in
   let sink =
@@ -208,7 +220,9 @@ let with_observability ?(observe_events = true) trace_out metrics run =
    or a [multi:] composition — everywhere a WORKLOAD is accepted. *)
 let scenario_of ~codec name =
   let codec = codec_of codec in
-  let plain name = Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name) in
+  let plain name =
+    Workloads.Common.scenario ?codec (Workloads.Suite.find_exn name)
+  in
   if Corpus.Resolve.is_spec name then
     Corpus.Resolve.scenario ~lookup:plain ?codec name
   else plain name
@@ -354,6 +368,20 @@ let jobs_arg =
     & opt (positive_int "jobs") 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Worker-domain pool size; 1 runs inline with no domains.")
+
+(* The per-job guards of sweep, serve and call; each command says what
+   its limit applies to. *)
+let fuel_arg doc =
+  Arg.(
+    value
+    & opt (some (positive_int "fuel")) None
+    & info [ "fuel" ] ~docv:"TICKS" ~doc)
+
+let timeout_arg doc =
+  Arg.(
+    value
+    & opt (some (positive_int "timeout")) None
+    & info [ "timeout-ms" ] ~docv:"MS" ~doc)
 
 let cache_dir_arg ~default =
   let doc =
@@ -623,19 +651,9 @@ let sweep_cmd =
           ~doc:"Comma-separated k values of the sweep grid.")
   in
   let fuel =
-    Arg.(
-      value
-      & opt (some (positive_int "fuel")) None
-      & info [ "fuel" ] ~docv:"TICKS"
-          ~doc:
-            "Per-job fuel: abort a job after this many simulation events.")
+    fuel_arg "Per-job fuel: abort a job after this many simulation events."
   in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some (positive_int "timeout")) None
-      & info [ "timeout-ms" ] ~docv:"MS" ~doc:"Per-job wall-clock timeout.")
-  in
+  let timeout_ms = timeout_arg "Per-job wall-clock timeout." in
   let doc =
     "Run a workload/policy sweep matrix through the fleet: a fixed-size \
      domain worker pool with a content-addressed on-disk result cache."
@@ -688,9 +706,7 @@ let asm file listing dot =
         Format.printf "CFG written to %s@." path
       | None -> ());
       0)
-  | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Sys_error msg -> error msg
 
 let asm_cmd =
   let file =
@@ -730,29 +746,22 @@ let trace_cmd_impl workload codec out =
       Format.printf "trace written to %s@." path
     | None -> ());
     0
-  | exception Invalid_argument msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Invalid_argument msg -> error msg
 
 let trace_convert_impl input output to_format lzss frame =
   match Trace.Io.load input with
-  | Error e ->
-    Format.eprintf "error: %s: %s@." input e;
-    1
+  | Error e -> error (input ^ ": " ^ e)
   | Ok ids ->
     let binary =
       match to_format with
       | `Binary -> true
       | `Text -> false
-      | `Auto -> Filename.check_suffix output ".bin"
-                 || Filename.check_suffix output ".ctb"
+      | `Auto -> binary_trace_path output
     in
     (try
        if binary then Trace.Binary.write_file ~lzss ~frame output ids
        else Trace.Io.save ~format:`Text output ids
-     with Invalid_argument msg ->
-       Format.eprintf "error: %s@." msg;
-       Stdlib.exit 1);
+     with Invalid_argument msg -> Stdlib.exit (error msg));
     let size path = (Unix.stat path).Unix.st_size in
     Format.printf "%s: %d ids, %d bytes -> %s: %d bytes (%s)@." input
       (Array.length ids) (size input) output (size output)
@@ -761,15 +770,11 @@ let trace_convert_impl input output to_format lzss frame =
 
 let trace_info_impl file =
   match In_channel.with_open_bin file In_channel.input_all with
-  | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Sys_error msg -> error msg
   | data ->
     if Trace.Binary.is_binary data then (
       match Trace.Binary.info data with
-      | Error e ->
-        Format.eprintf "error: %s: %s@." file e;
-        1
+      | Error e -> error (file ^ ": " ^ e)
       | Ok i ->
         Format.printf "format:       binary v%d%s@." i.Trace.Binary.version
           (if i.lzss then " (lzss frames)" else "");
@@ -787,9 +792,7 @@ let trace_info_impl file =
         0)
     else (
       match Trace.Io.of_string data with
-      | Error e ->
-        Format.eprintf "error: %s: %s@." file e;
-        1
+      | Error e -> error (file ^ ": " ^ e)
       | Ok ids ->
         Format.printf "format:       text@.";
         Format.printf "ids:          %d@." (Array.length ids);
@@ -882,9 +885,7 @@ let trace_cmd =
 
 let cc file emit_asm optimize k =
   match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Sys_error msg -> error msg
   | source -> (
     match Minic.Compile.to_assembly ~optimize source with
     | Error e ->
@@ -911,12 +912,7 @@ let cc file emit_asm optimize k =
             k stats.Runtime.instructions stats.Runtime.traps
             stats.Runtime.decompressions stats.Runtime.peak_copy_bytes;
           0
-        | Error (Runtime.Out_of_fuel _) ->
-          Format.eprintf "error: out of fuel@.";
-          1
-        | Error (Runtime.Machine_fault { pc; message; _ }) ->
-          Format.eprintf "error: fault at %d: %s@." pc message;
-          1
+        | Error e -> runtime_error e
       end)
 
 let cc_cmd =
@@ -952,18 +948,26 @@ let run_real workload gen job trace_out metrics =
        program) — use `ccomp sim --tasks`"
   | Ok name -> (
     let job = job ~scenario:name in
-    (* the plain interpreter's run of the workload gives the program
-       and, for pin-hot, the profile *)
-    match scenario_of ~codec:"code" name with
+    (* a suite program is assembled directly; the scenario, a traced
+       run in the plain interpreter, is built only for a generated
+       program or for pin-hot's profile *)
+    let sc = lazy (scenario_of ~codec:"code" name) in
+    match
+      match Workloads.Suite.find name with
+      | Some w -> Eris.Asm.assemble_exn w.Workloads.Common.source
+      | None -> Option.get (Lazy.force sc).Core.Scenario.program
+    with
     | exception Invalid_argument msg -> error msg
-    | sc -> (
-      let retention = (Fleet.Job.policy sc job).Core.Policy.retention in
+    | program -> (
+      let retention =
+        Fleet.Job.retention_spec job ~profile:(fun () ->
+            Core.Scenario.profile (Lazy.force sc))
+      in
       match
         with_observability trace_out metrics (fun ?sink ?registry () ->
             Runtime.run ~k:job.k ~retention ~profile:job.profile
               ?codec:(codec_of job.codec) ?line_size:job.line_size ?sink
-              ?registry
-              (Option.get sc.Core.Scenario.program))
+              ?registry program)
       with
       | Ok (machine, stats) ->
         (* suite workloads check their reference checksum; generated
@@ -997,9 +1001,7 @@ let run_real workload gen job trace_out metrics =
           stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
           stats.Runtime.live_copy_bytes;
         if Option.fold ~none:true ~some:snd checksum then 0 else 1
-      | Error (Runtime.Out_of_fuel _) -> error "out of fuel"
-      | Error (Runtime.Machine_fault { pc; message; _ }) ->
-        error (Printf.sprintf "fault at %d: %s" pc message)))
+      | Error e -> runtime_error e))
 
 let run_cmd =
   let doc =
@@ -1048,9 +1050,7 @@ let analyze workload codec =
           (Cfg.Profile.block_count profile b.id))
       (Cfg.Graph.blocks g);
     0
-  | exception Invalid_argument msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Invalid_argument msg -> error msg
 
 let analyze_cmd =
   let doc =
@@ -1065,10 +1065,8 @@ let analyze_cmd =
 
 let serve socket tcp jobs queue max_conns cache_dir no_cache fuel timeout_ms
     idle_timeout max_buffer_kb =
-  if socket = None && tcp = None then begin
-    Format.eprintf "error: need --socket PATH and/or --tcp PORT@.";
-    1
-  end
+  if socket = None && tcp = None then
+    error "need --socket PATH and/or --tcp PORT"
   else
     match
       let lifecycle = Service.Lifecycle.create () in
@@ -1106,13 +1104,8 @@ let serve socket tcp jobs queue max_conns cache_dir no_cache fuel timeout_ms
       Service.Server.run server;
       Format.printf "ccomp serve: drained@.";
       0
-    | exception Invalid_argument msg | exception Sys_error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | exception Unix.Unix_error (e, fn, arg) ->
-      Format.eprintf "error: %s: %s%s@." fn (Unix.error_message e)
-        (if arg = "" then "" else " (" ^ arg ^ ")");
-      1
+    | exception Invalid_argument msg | exception Sys_error msg -> error msg
+    | exception Unix.Unix_error (e, fn, arg) -> unix_error e fn arg
 
 let socket_arg =
   Arg.(
@@ -1145,20 +1138,10 @@ let serve_cmd =
           ~doc:"Maximum simultaneous client connections.")
   in
   let fuel =
-    Arg.(
-      value
-      & opt (some (positive_int "fuel")) None
-      & info [ "fuel" ] ~docv:"TICKS"
-          ~doc:
-            "Default per-request fuel cap (requests may only tighten it).")
+    fuel_arg "Default per-request fuel cap (requests may only tighten it)."
   in
   let timeout_ms =
-    Arg.(
-      value
-      & opt (some (positive_int "timeout")) None
-      & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Default per-request deadline (requests may only tighten it).")
+    timeout_arg "Default per-request deadline (requests may only tighten it)."
   in
   let idle_timeout =
     Arg.(
@@ -1336,12 +1319,8 @@ let call socket tcp raw op_args job ks fuel timeout_ms id compact repeat
   with
   | exception Failure msg -> error msg
   | exception End_of_file ->
-    Format.eprintf "error: server closed the connection without replying@.";
-    1
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Format.eprintf "error: %s: %s%s@." fn (Unix.error_message e)
-      (if arg = "" then "" else " (" ^ arg ^ ")");
-    1
+    error "server closed the connection without replying"
+  | exception Unix.Unix_error (e, fn, arg) -> unix_error e fn arg
   | code -> code
 
 let call_cmd =
@@ -1367,18 +1346,8 @@ let call_cmd =
       & info [ "ks" ] ~docv:"K,K,..."
           ~doc:"Sweep k values (server default when omitted).")
   in
-  let fuel =
-    Arg.(
-      value
-      & opt (some (positive_int "fuel")) None
-      & info [ "fuel" ] ~docv:"TICKS" ~doc:"Per-request fuel cap.")
-  in
-  let timeout_ms =
-    Arg.(
-      value
-      & opt (some (positive_int "timeout")) None
-      & info [ "timeout-ms" ] ~docv:"MS" ~doc:"Per-request deadline.")
-  in
+  let fuel = fuel_arg "Per-request fuel cap." in
+  let timeout_ms = timeout_arg "Per-request deadline." in
   let id =
     Arg.(
       value
@@ -1429,13 +1398,8 @@ let bench_serve clients requests pipeline tcp op smoke =
     if smoke then (2, 5_000, 32) else (clients, requests, pipeline)
   in
   match Service.Bench.run_load ~tcp ~op ~clients ~requests ~pipeline () with
-  | exception Invalid_argument msg | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | exception Unix.Unix_error (e, fn, arg) ->
-    Format.eprintf "error: %s: %s%s@." fn (Unix.error_message e)
-      (if arg = "" then "" else " (" ^ arg ^ ")");
-    1
+  | exception Invalid_argument msg | exception Sys_error msg -> error msg
+  | exception Unix.Unix_error (e, fn, arg) -> unix_error e fn arg
   | r ->
     Printf.printf
       "bench-serve: %d client%s x %d requests, pipeline %d, %s, op %s\n"
@@ -1510,9 +1474,7 @@ let bench_serve_cmd =
 
 let cache_admin dir prune_to =
   match Fleet.Cache.open_dir dir with
-  | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | exception Sys_error msg -> error msg
   | cache ->
     (match prune_to with
     | None -> ()
@@ -1606,8 +1568,7 @@ let compress_report list_only workloads min_time_ms =
       names
   with
   | Some bad ->
-    Format.eprintf "error: unknown workload %S (try: ccomp workloads)@." bad;
-    1
+    error (Printf.sprintf "unknown workload %S (try: ccomp workloads)" bad)
   | None ->
     let images =
       List.map
@@ -1694,9 +1655,7 @@ let compress_cmd =
 
 let gen_describe spec_str =
   match Corpus.Spec.of_string spec_str with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> error msg
   | Ok spec ->
     let bt = Corpus.Gen.build spec in
     Format.printf

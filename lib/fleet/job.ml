@@ -95,6 +95,15 @@ let predictor_of sc = function
   | "profile" -> Core.Predictor.By_profile (Core.Scenario.profile sc)
   | other -> invalid_arg (Printf.sprintf "Fleet.Job: unknown predictor %S" other)
 
+let retention_spec ~profile t =
+  match t.retention with
+  | Kedge -> Residency.Policy.Kedge
+  | Loop_aware { weight } -> Residency.Policy.Loop_aware { weight }
+  | Clock -> Residency.Policy.Clock
+  | Pin_hot { fraction } ->
+    Residency.Policy.Pin_hot
+      { pinned = Cfg.Profile.hot_blocks (profile ()) ~fraction }
+
 let policy sc t =
   let strategy =
     match t.strategy with
@@ -110,14 +119,7 @@ let policy sc t =
     | Recompress -> Core.Policy.Recompress
   in
   let retention =
-    match t.retention with
-    | Kedge -> Residency.Policy.Kedge
-    | Loop_aware { weight } -> Residency.Policy.Loop_aware { weight }
-    | Clock -> Residency.Policy.Clock
-    | Pin_hot { fraction } ->
-      let profile = Core.Scenario.profile sc in
-      Residency.Policy.Pin_hot
-        { pinned = Cfg.Profile.hot_blocks profile ~fraction }
+    retention_spec ~profile:(fun () -> Core.Scenario.profile sc) t
   in
   Core.Policy.make ~mode ~strategy ?budget:t.budget ~retention ~compress_k:t.k
     ()

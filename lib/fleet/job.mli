@@ -74,6 +74,12 @@ val key : t -> string
     version — the content address used by {!Cache}. Filesystem-safe
     ([a-z0-9-] only). *)
 
+val strategy_to_string : strategy -> string
+val mode_to_string : mode -> string
+val retention_to_string : retention -> string
+(** The renderings {!canonical} uses: a name, then any parameters after
+    colons (["pre-single:2:profile"], ["loop-aware:1"]). *)
+
 val describe : t -> string
 (** Human-readable one-liner for progress output. *)
 
@@ -81,10 +87,17 @@ val policy : Core.Scenario.t -> t -> Core.Policy.t
 (** The engine policy the job names, built against [scenario]: the
     profile predictor and the pin-hot pinned set are derived from the
     scenario's own trace. The one translation from a job's settings to
-    a {!Core.Policy.t} — {!execute}, [ccomp sim] and [ccomp run] all
-    go through it.
+    a {!Core.Policy.t} — {!execute} and [ccomp sim] go through it,
+    [ccomp run] through its {!retention_spec}.
     @raise Invalid_argument on an unknown predictor or a malformed
     parameter. *)
+
+val retention_spec :
+  profile:(unit -> Cfg.Profile.t) -> t -> Residency.Policy.spec
+(** The retention part of {!policy}. [profile] is called only for
+    pin-hot, whose pinned set it gives: a caller without a scenario at
+    hand (the runtime) skips the profiling run for every other
+    policy. *)
 
 val execute : ?sink:Sim.Events.sink -> Core.Scenario.t -> t -> Core.Metrics.t
 (** Runs the job against [scenario] (which the caller resolved from

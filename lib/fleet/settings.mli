@@ -1,6 +1,9 @@
 (** The run settings of a {!Job.t}, declared once: one row per setting
     with its JSON field, CLI spelling, value type (which is also its
-    validator), default, doc string, and how it reads and writes a job.
+    validator), doc string, and how it reads and writes a job. Defaults
+    are {!base}'s, plus the parameters a choice brings with it (the
+    strategies' lookahead and predictor, loop-aware's weight, pin-hot's
+    fraction), which those rows' docs state.
     The [ccomp] options of sim, run, sweep and call, the service's
     request decoding and [job_to_json] all derive from {!rows}. *)
 
@@ -19,7 +22,6 @@ type 'a t = {
   cli : 'a cli;
   docv : string;
   kind : 'a kind;
-  default : 'a option;  (** [None]: unset unless given *)
   doc : string;
   get : Job.t -> 'a option;
       (** [None] when the job does not use the setting (a lookahead
@@ -51,7 +53,8 @@ val sweep_rows : row list
 (** {!rows} without {!k}: a sweep takes a list of k values instead. *)
 
 val base : scenario:string -> Job.t
-(** The job with every setting at its default. *)
+(** The job with every setting at its default: {!Job.make}'s, and
+    [k = 8]. *)
 
 val validate : 'a t -> 'a -> ('a, string) result
 (** The row's one message, unprefixed: each surface adds its own. *)

@@ -63,6 +63,12 @@ let opt_field obj name decode what =
     | Some x -> Ok (Some x)
     | None -> fail "field %S: expected %s" name what)
 
+(* A JSON list whose every element decodes. *)
+let list_of decode v =
+  Option.bind (Json.to_list v) (fun vs ->
+      let xs = List.filter_map decode vs in
+      if List.length xs = List.length vs then Some xs else None)
+
 let str_field obj name = opt_field obj name Json.to_str "a string"
 let int_field obj name = opt_field obj name Json.to_int "an integer"
 let float_field obj name = opt_field obj name Json.to_float "a number"
@@ -129,12 +135,7 @@ let parse_sim obj =
 
 let parse_sweep obj =
   let* workloads =
-    opt_field obj "workloads"
-      (fun v ->
-        Option.bind (Json.to_list v) (fun vs ->
-            let names = List.filter_map Json.to_str vs in
-            if List.length names = List.length vs then Some names else None))
-      "a list of workload names"
+    opt_field obj "workloads" (list_of Json.to_str) "a list of workload names"
   in
   let workloads = default Workloads.Suite.names workloads in
   let* () =
@@ -147,12 +148,7 @@ let parse_sweep obj =
   in
   let* () = if workloads = [] then fail "field \"workloads\": empty" else Ok () in
   let* ks =
-    opt_field obj "ks"
-      (fun v ->
-        Option.bind (Json.to_list v) (fun vs ->
-            let ks = List.filter_map Json.to_int vs in
-            if List.length ks = List.length vs then Some ks else None))
-      "a list of integers"
+    opt_field obj "ks" (list_of Json.to_int) "a list of integers"
   in
   let ks = default [ 1; 2; 4; 8; 16; 32 ] ks in
   let* () = if ks = [] then fail "field \"ks\": empty" else Ok () in
@@ -372,15 +368,16 @@ let scan_fast buf ~pos ~len =
 
 let ok_line ~id payload = Json.to_string (Json.Obj [ ("id", id); ("ok", payload) ])
 
-let error_line ~id { code; msg; retry_after_ms } =
-  let fields =
-    [ ("code", Json.Str code); ("msg", Json.Str msg) ]
+let error_to_json { code; msg; retry_after_ms } =
+  Json.Obj
+    ([ ("code", Json.Str code); ("msg", Json.Str msg) ]
     @
     match retry_after_ms with
     | Some ms -> [ ("retry_after_ms", Json.Int ms) ]
-    | None -> []
-  in
-  Json.to_string (Json.Obj [ ("id", id); ("error", Json.Obj fields) ])
+    | None -> [])
+
+let error_line ~id e =
+  Json.to_string (Json.Obj [ ("id", id); ("error", error_to_json e) ])
 
 let parse_response line =
   match Json.parse line with
@@ -472,11 +469,4 @@ let outcome_to_json (o : Fleet.Sweep.outcome) =
     match o.result with
     | Ok m -> [ ("metrics", metrics_to_json m) ]
     | Error msg ->
-      [
-        ( "error",
-          Json.Obj
-            [
-              ("code", Json.Str (classify_run_error msg));
-              ("msg", Json.Str msg);
-            ] );
-      ])
+      [ ("error", error_to_json (err (classify_run_error msg) msg)) ])

@@ -90,21 +90,24 @@ let test_key_fixture () =
 (* ------------------------------------------------------------------ *)
 (* Settings table                                                      *)
 
+(* The parameters a choice brings with it: the settings table is the
+   one place each of these defaults is declared. *)
 let test_settings_defaults () =
-  let base = Fleet.Settings.base ~scenario:"fir" in
+  let open Fleet.Settings in
+  let base = base ~scenario:"fir" in
   checks "base is Job.make's defaults" (Fleet.Job.key (job ()))
     (Fleet.Job.key base);
-  let at_defaults =
-    List.fold_left
-      (fun j (Fleet.Settings.Row s) ->
-        match s.default with Some d -> s.set d j | None -> j)
-      base Fleet.Settings.rows
-  in
-  checks "every row's default leaves the base job" (Fleet.Job.key base)
-    (Fleet.Job.key at_defaults);
+  let strategy_of name = (strategy.set name base).strategy in
+  let retention_of name = (retention.set name base).retention in
+  checkb "pre-all looks 2 ahead" true
+    (strategy_of "pre-all" = Fleet.Job.Pre_all { lookahead = 2 });
+  checkb "pre-single looks 2 ahead by profile" true
+    (strategy_of "pre-single"
+    = Fleet.Job.Pre_single { lookahead = 2; predictor = "profile" });
   checkb "loop-aware defaults to weight 1" true
-    ((Fleet.Settings.(retention.set) "loop-aware" base).retention
-    = Fleet.Job.Loop_aware { weight = 1 })
+    (retention_of "loop-aware" = Fleet.Job.Loop_aware { weight = 1 });
+  checkb "pin-hot defaults to half the visits" true
+    (retention_of "pin-hot" = Fleet.Job.Pin_hot { fraction = 0.5 })
 
 let test_settings_messages () =
   let open Fleet.Settings in

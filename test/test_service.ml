@@ -402,6 +402,30 @@ let test_server_errors_keep_connection () =
           checkb "connection survived" true
             (Json.member "status" h = Some (Json.Str "ok"))))
 
+(* A bad setting value is answered with its settings row's message
+   behind a field prefix: pinned, so the reply text cannot drift
+   unnoticed. *)
+let test_server_setting_messages () =
+  with_server (fun path _server ->
+      let c = connect path in
+      Fun.protect
+        ~finally:(fun () -> close c)
+        (fun () ->
+          let reply line =
+            let e = err_of (rpc c line) in
+            checks "code" Wire.bad_request e.Wire.code;
+            e.Wire.msg
+          in
+          checks "bad strategy"
+            {|field "strategy": unknown strategy "warp" (known: on-demand, pre-all, pre-single)|}
+            (reply {|{"op":"sim","workload":"fir","strategy":"warp"}|});
+          checks "bad codec"
+            (Printf.sprintf {|field "codec": unknown codec "nope" (known: %s)|}
+               (String.concat ", " ("code" :: Compress.Registry.names ())))
+            (reply {|{"op":"sim","workload":"fir","codec":"nope"}|});
+          checks "bad k" {|field "k": must be >= 1 (got 0)|}
+            (reply {|{"op":"sim","workload":"fir","k":0}|})))
+
 let test_server_truncated_request () =
   with_server (fun path _server ->
       let c = connect path in
@@ -934,6 +958,8 @@ let () =
             test_server_round_trip;
           Alcotest.test_case "errors keep the connection" `Quick
             test_server_errors_keep_connection;
+          Alcotest.test_case "setting error messages" `Quick
+            test_server_setting_messages;
           Alcotest.test_case "truncated request" `Quick
             test_server_truncated_request;
           Alcotest.test_case "concurrent clients are isolated" `Quick
