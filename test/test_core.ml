@@ -854,6 +854,206 @@ let () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* General-path fixture: the MD5 of every run's metrics and full event
+   stream over a seeded cross product of the Fig. 3 design space —
+   every strategy and predictor, both modes, with and without a
+   budget, every retention policy, k in {1, 4} — each case on its own
+   synthetic graph (varied block sizes) and skewed Markov trace. Any
+   change to what the engine computes, or to the order it reports it
+   in, moves a digest. *)
+
+let fixture_strategies =
+  [ "on-demand"; "pre-all"; "pre-single:first"; "pre-single:last-taken";
+    "pre-single:profile" ]
+
+let fixture_retentions = [ "kedge"; "clock"; "loop-aware"; "pin-hot" ]
+
+let fixture_cases =
+  List.concat_map
+    (fun strategy ->
+      List.concat_map
+        (fun mode ->
+          List.concat_map
+            (fun budget ->
+              List.concat_map
+                (fun retention ->
+                  List.map
+                    (fun k -> (strategy, mode, budget, retention, k))
+                    [ 1; 4 ])
+                fixture_retentions)
+            [ false; true ])
+        [ Core.Policy.Discard; Core.Policy.Recompress ])
+    fixture_strategies
+
+let fixture_run case (strategy, mode, budgeted, retention, k) =
+  let rng = Random.State.make [| 7919; case |] in
+  let blocks = 4 + Random.State.int rng 11 in
+  let extra =
+    List.init (Random.State.int rng 14) (fun _ ->
+        (Random.State.int rng blocks, Random.State.int rng blocks))
+  in
+  let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
+  let sizes = Array.init blocks (fun _ -> 4 * (4 + Random.State.int rng 29)) in
+  let g =
+    Cfg.Graph.synthetic ~sizes blocks (List.sort_uniq compare (ring @ extra))
+  in
+  let weight ~src ~dst = float_of_int (1 + (((src * 7) + (dst * 13) + case) mod 5)) in
+  let trace =
+    Trace.Synthetic.markov ~seed:case ~weight g
+      ~length:(200 + Random.State.int rng 200)
+  in
+  let sc = Core.Scenario.of_graph g ~trace in
+  let profile = Core.Scenario.profile sc in
+  let lookahead = 1 + (case mod 3) in
+  let strategy =
+    match strategy with
+    | "on-demand" -> Core.Policy.On_demand
+    | "pre-all" -> Core.Policy.Pre_all { lookahead }
+    | s ->
+      let predictor =
+        match s with
+        | "pre-single:first" -> Core.Predictor.First_successor
+        | "pre-single:last-taken" -> Core.Predictor.Last_taken
+        | _ -> Core.Predictor.By_profile profile
+      in
+      Core.Policy.Pre_single { lookahead; predictor }
+  in
+  let pinned =
+    List.filteri (fun i _ -> i < 2) (Cfg.Profile.hot_blocks profile ~fraction:0.3)
+  in
+  let retention =
+    match retention with
+    | "kedge" -> Residency.Policy.Kedge
+    | "clock" -> Residency.Policy.Clock
+    | "loop-aware" -> Residency.Policy.Loop_aware { weight = 2 }
+    | _ -> Residency.Policy.Pin_hot { pinned }
+  in
+  let budget =
+    if budgeted then
+      let total = Array.fold_left ( + ) 0 sizes in
+      let pinned_bytes = List.fold_left (fun a b -> a + sizes.(b)) 0 pinned in
+      Some (max (total / 3) pinned_bytes)
+    else None
+  in
+  let policy =
+    Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
+  in
+  let buf = Buffer.create 4096 in
+  let m =
+    Core.Scenario.run
+      ~log:(fun e ->
+        Buffer.add_string buf (Sim.Events.to_json e);
+        Buffer.add_char buf '\n')
+      sc policy
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string m [] ^ Buffer.contents buf))
+
+let fixture_expected =
+  [|
+    "251bd4e9fac3f65411831dc123150396"; "1eb9b5da146a6f3e95d07a7d23c6aeae";
+    "689ee898c2298439ead99ba34a464dfe"; "16f02646d1e0ee3b2a45950c56da9c5d";
+    "19e481f329070e875d8b01c808d192e9"; "b70e16c1dfe5678ee3ab397534a3a80c";
+    "fad3c064cd167222d34c65e02bbf9876"; "00e1c1d4081c1efdfd88aab07b1ee9da";
+    "6d9b1e9f7298d348d3d22c6ad72c66d6"; "eeb4a2369445e1417f64877ef39ca449";
+    "cce8876904dcff48dd8f3c40496fd35a"; "8d2c3de2c1a8b7cf9f015406b299e23a";
+    "a5b34d6cc82af4c5bd74c2500472c09e"; "1b3e682ec6b4313d06e330804c21bdc8";
+    "0760553617cb5a81e7ad4bbca0f1c10b"; "c5ab4ebc3b6b4450e87241600786eb7d";
+    "63a93df6c9b7aeffb11d646c1ba17436"; "634e448107f0e06660e6debd9e67be68";
+    "4d0b3631d05671afac0dc0d058c98049"; "d81419a7dd6d2c94ccd48e7b99953f3a";
+    "c2039d69f0a8d040f42354150d865fd8"; "d1a34cfd9311e9c471c3305554caeb0e";
+    "40deda52519aeae1e1b71bdec02105d2"; "61dbddf677ded69349cacab3470d82ed";
+    "5ae66f9a95e65b563658585e577cd85b"; "62a6c4bc6dd4bd3407b9d8811cf9e9cd";
+    "af6467cb5e62978d17b16f9c118bf683"; "35ca005bb298c6ec5bcf3f668bd9975a";
+    "81d3ba4f9b0e9ac15a120b1dbf8250f9"; "842a98a4b28c000a9e98fbd4d54dd583";
+    "89b6769e746be902fac62099528d3f07"; "c930ad6a468a15540572d015daad59ec";
+    "3fd1003a30a850a9a65bbe153c4e5e62"; "9d38438cad6c75b7eb1b8379cb7344d7";
+    "95764db05a1e5c4b5d98f2fe93cb3edd"; "2d579e5662bf53f604aac9546c45585c";
+    "dc76cce5aec7f4de04f5e9680f5a4ca3"; "95c7012cffa5cc2496695e7a2e4306eb";
+    "9ca54b64bff8275806f99273dcd1e988"; "6e0ff0f395bede96a1a56c59adfc12ba";
+    "36e452df153c21d68911d53da5a0c709"; "848df8e1d616d49bde71798864598c9d";
+    "5b731b8935acf6117f43405931abae41"; "8ec330de27829bc5f44c103a2d99c31f";
+    "1861ac66f9a0319d626fed300305096e"; "0ed8911c2e06d2c0bbaf3075d4fd1104";
+    "204c956e8a13ded20c7325519b4756d7"; "8c210202670645b80dd11b700ea9ea3d";
+    "1416724a6e9a48825989ce73714612f8"; "997f88e42ad3d55927ef4b6f4ae8babb";
+    "4f1fe441c00a1f48a3e14983de01f7f1"; "c01f96f255d7d165d4583bfe8b7b3f28";
+    "8af4969e5416509125179a0eb06301a1"; "88f885e71fc367fd1e905aa575da5af9";
+    "69db8b392dde684f4605dd3f6482df30"; "f51a32b4b8c95b4ef829baabe0e0884a";
+    "dc4a96c7f6c0786b46bce2f048c6e76d"; "3a40a971ea7bd1c1fc2304175c372b08";
+    "095f77b403eeb205a05d48d0cb00bea8"; "eae6e4d8477ada4137a33acd7a52f7e4";
+    "6ee6dfebd55fcb71e6b44bf52d6afabe"; "792f029b670f0be70baf8d7599a6b66d";
+    "4a5ef8efabfdeb85464c03731534ac4a"; "12c433a08baebc68291dc9dc372fa334";
+    "77e58b498000f6c4d3054bc2fbce828a"; "8ee5ab99b9b37bb9d5c1fe44da784a52";
+    "d60ceed83d5a4c2657327d65c6382cfb"; "3df041899b21c664d4e0759559489732";
+    "314d67478753f10220851fa9a20b346f"; "1cc8670eb39d865c87fffc4645ea94d8";
+    "1133b05fe8edff9c502a7d09724ef4d2"; "9a949d5d986dfa83ee8f7e88ac2ddd5c";
+    "c64458bfee5935162da886ecd04a684d"; "db9e198f7c95d6bdd258b03d6988dae4";
+    "5467d3267f6e9495abd698d221c9a331"; "3c03069cdc106c4aecfb0c400e5b7337";
+    "3caeaa622c365adf020cde424ce3b53c"; "956457a9ae5b92617f8b3f2849ef77f6";
+    "7650784067f2ee762c96498603de0263"; "5ad4602f95720bbf48da035c8fdc9ba9";
+    "88d65ca5bf6abe362da68ddfdbade2ec"; "d123bc79bc6e438a62910807b6735dcc";
+    "afeb345376fabb5217af2e1d71f4d079"; "dc167559038aa22e1fbf4d0477dd0500";
+    "70852261c9553707876cdfc9e11f9428"; "3c89628491d5570df8758fc7ae552407";
+    "46cf5eeb672018977ab2285e2c876ba5"; "5a63ad7221994ecd57bb5dca1c090f40";
+    "7fbca5278580e5d30f58eeb242b1336d"; "ba7349f2de509cdad83b79cbc7ac5ec0";
+    "1d257df5aac5e2505a741fbae8bb9db7"; "9624903cc8c327177900502b96ab8422";
+    "2d25f6254c556d02c395f930e72ae5b1"; "054f5b54a6cf87284f6593b1e137526f";
+    "5f5c7b41fb17412cd8590d034955e145"; "b1abeaff5b4d06e2f1ac1ba0d68536ad";
+    "dc0faeb8bcecb2fc060ee9d9917cd4a9"; "9106717c28dc2add6127c2586081d1a6";
+    "56b070f61a649079d9d23b130ec26299"; "ac2dc7ebe2de208afc99783a1e1f7f3c";
+    "1a7a9d9d031196b2ddb6e72361c7ad1c"; "714c0df347d4de1389c4f20f60b6f4c5";
+    "dcf4120ff82aeb762b29fd2b58f92aff"; "bc2fea28f23cd660e95420ad80833443";
+    "d7e3db6d33be4813752cd40d62df7e4a"; "7b6ca0c117c08aa8093391933bf0eb9b";
+    "ac9ca9acb3b46663910a46f242f89cba"; "57ba8ac2c01bd5b316a97814899a86a8";
+    "0df6d4243766cf96203e841160c6579d"; "b3ba9f22791db5e3e1333d71d1b6fdd2";
+    "21afe954a9a031da99cdfb8439e28114"; "6b1e0a16c8354edf7f6ccf877e2e875f";
+    "1f6baf55a7c182a5df3bf43fb934d74f"; "e0201452e4bfcb781c5173d5f7e680e4";
+    "d431900116118a8ed3d24696a89427b2"; "01b4142e9e21748cbf3a5b205f7e4c3d";
+    "fb1421d438bcd28734c4413bad2f0d46"; "85339f46047756051b8e69478ec3b107";
+    "36f2c7d75dafc9bc77136a3d784a2f8e"; "c7103055805ca1621ec8649acaa02fba";
+    "bd639f0609f6e1ed17f1ffc472328b9d"; "7dddbd003a9df214d38356a36c0bd1af";
+    "64b8f89a1498442c4f4c28c625692e52"; "62ad9d94e3664334acc3a7023bc5999e";
+    "e1f6a69a335a5e9d5cdb16d37cd408fd"; "cb96365366cdd53c82be0ca20642e115";
+    "ab5faca90b5d02548ff327dbf7fd36e2"; "9c8024bf8d583923556417b07be6dcdb";
+    "6a1c155a94d5064f00af4512b281cca1"; "d2195436470a73a25b34ab2e932d49f4";
+    "9c0d2a2cb77d27f17bb8d911ebed7ece"; "28e6754c622711d0656a02d31196fa0b";
+    "5b6e90719dba8b17371bd17c6eb187ab"; "8aac65b8128af2aa43573e53dda973e4";
+    "d495620d7547afc21652292f18a9bd53"; "17d965f9ee9c9003b4c942c5a5211d1b";
+    "447f262bf5122982a11ce2598812b6c9"; "6cbaec95869b8e970bf672db9cc7808f";
+    "26a45c929a1eab3fa3f703a87d9979bb"; "eab00ce91e37cbcb06ba932e7343bc9c";
+    "f8c1b14f9a4418de74a6c416515bae7e"; "fce09e01286df4abce1219dc7c8a661a";
+    "722b3b7c9a31c2e0c572681b6805dff1"; "f15aa697c12089af5c9e66bab8dcc200";
+    "1125b5d59187c3b05d0735ab78d67278"; "4bd4eecf67e7a8e90ce37e67619fe16d";
+    "ea2b3d6726ffce4c14e18f7850010f9c"; "58127f12fa3a337f366509b3001601f4";
+    "ac732b4a12e62f46c365746cacef5309"; "6ed8e2df2911d30c9bbc867be3662f1d";
+    "d8f8cb466d71487457c36fa442f9ee21"; "a807b0442a98355ffcf7df6fed07280f";
+    "9db4a93e8448f6229dd105babc3860ae"; "65517087dc9bcf326b4ecf4e068ce8d0";
+    "8b55590b9bb19d96ff32c9f8dd25cbd9"; "20aff2759cfcd87e3f11bfdaff3f5ab4";
+    "f761a2e337246cb970b78a13d250f519"; "72f65dee1bddd70a819270e12f77cdd2";
+    "5c25ade7f3116fdb85a3b8a12aa0428e"; "3052fbcc0258d556ea15e9d1b56b8842";
+  |]
+
+let test_general_path_fixture () =
+  let got = List.mapi fixture_run fixture_cases in
+  checki "cases" (Array.length fixture_expected) (List.length got);
+  List.iteri
+    (fun i ((strategy, mode, budget, retention, k), d) ->
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "case %d: %s %s%s %s k=%d" i strategy
+           (match mode with Core.Policy.Discard -> "discard" | Recompress -> "recompress")
+           (if budget then " budget" else "")
+           retention k)
+        fixture_expected.(i) d)
+    (List.combine fixture_cases got)
+
+let () =
+  Alcotest.run ~and_exit:false "core-fixture"
+    [
+      ( "general-path",
+        [ Alcotest.test_case "design-space fixture" `Quick test_general_path_fixture ]
+      );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Fast path (appended suite): the engine silently routes plain
    on-demand/discard/k-edge runs through a fused allocation-free loop.
    Passing any [charge_log] forces the general path, so the two can be
