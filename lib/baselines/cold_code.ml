@@ -64,7 +64,7 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
       on_ready = (fun ~block:_ ~time:_ -> ());
       on_execute = (fun ~block:_ ~step:_ ~time:_ -> ());
       rearm = (fun ~block:_ ~step:_ -> ());
-      due = (fun ~step:_ -> []);
+      due = (fun ~step:_ ~into:_ -> 0);
       victim =
         (fun ~exclude ->
           if !occupant >= 0 && not (exclude !occupant) then Some !occupant
@@ -74,9 +74,9 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
     }
   in
   let area =
-    Residency.Area.create ~policy:buffer_policy ~blocks:n ~emit
+    Residency.Area.create_keyed ~policy:buffer_policy ~blocks:n ~emit
       ~now:(fun () -> !total)
-      ~site_key:Fun.id ()
+      ()
   in
   Array.iteri
     (fun step b ->

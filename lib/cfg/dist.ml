@@ -35,3 +35,23 @@ let all_distances g ~from =
 let distance g ~src ~dst =
   let dist = all_distances g ~from:src in
   if dist.(dst) = max_int then None else Some dist.(dst)
+
+type frontiers = {
+  graph : Graph.t;
+  k : int;
+  rows : int array option array;  (* per block, built on first request *)
+}
+
+let frontiers g ~k =
+  if k < 0 then invalid_arg "Cfg.Dist.frontiers: negative k";
+  { graph = g; k; rows = Array.make (Graph.num_blocks g) None }
+
+let horizon t = t.k
+
+let frontier t b =
+  match t.rows.(b) with
+  | Some row -> row
+  | None ->
+    let row = Array.of_list (List.map fst (within t.graph ~from:b ~k:t.k)) in
+    t.rows.(b) <- Some row;
+    row

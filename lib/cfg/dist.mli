@@ -18,3 +18,23 @@ val distance : Graph.t -> src:int -> dst:int -> int option
 
 val all_distances : Graph.t -> from:int -> int array
 (** Array of minimum forward distances ([max_int] when unreachable). *)
+
+(** {1 Frontier tables}
+
+    A simulator asks for the same block's lookahead set at every visit;
+    a frontier table answers each block's question once per run. *)
+
+type frontiers
+
+val frontiers : Graph.t -> k:int -> frontiers
+(** An empty table for one graph and one lookahead [k]; rows are
+    filled on first request.
+    @raise Invalid_argument if [k < 0]. *)
+
+val horizon : frontiers -> int
+(** The table's [k]. *)
+
+val frontier : frontiers -> int -> int array
+(** [frontier t b] is the blocks of [within g ~from:b ~k], in the same
+    (BFS) order, without their distances. The array is shared across
+    calls: do not mutate it. *)

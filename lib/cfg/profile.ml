@@ -1,14 +1,24 @@
+(* Edge counts live per successor slot, in flat arrays parallel to each
+   block's successor array: profiling a trace step is a short scan over
+   immediates, with no list, tuple or hashtable in sight. A successor
+   listed twice (two edge kinds to one target) counts in its first
+   slot. *)
+
 type t = {
-  graph : Graph.t;
   blocks : int array;
-  edges : (int * int, int) Hashtbl.t;
+  succ : int array array;  (* [Graph.succ_ids], as arrays *)
+  counts : int array array;  (* traversals per successor slot *)
   out_total : int array;
 }
 
+let rec slot (a : int array) d i =
+  if i >= Array.length a then -1 else if a.(i) = d then i else slot a d (i + 1)
+
 let of_trace g trace =
   let n = Graph.num_blocks g in
+  let succ = Array.init n (fun b -> Array.of_list (Graph.succ_ids g b)) in
+  let counts = Array.map (fun s -> Array.make (Array.length s) 0) succ in
   let blocks = Array.make n 0 in
-  let edges = Hashtbl.create 64 in
   let out_total = Array.make n 0 in
   let len = Array.length trace in
   for i = 0 to len - 1 do
@@ -16,46 +26,50 @@ let of_trace g trace =
     if b >= 0 && b < n then begin
       blocks.(b) <- blocks.(b) + 1;
       if i + 1 < len then begin
-        let d = trace.(i + 1) in
-        if List.mem d (Graph.succ_ids g b) then begin
-          let key = (b, d) in
-          Hashtbl.replace edges key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt edges key));
+        let j = slot succ.(b) trace.(i + 1) 0 in
+        if j >= 0 then begin
+          counts.(b).(j) <- counts.(b).(j) + 1;
           out_total.(b) <- out_total.(b) + 1
         end
       end
     end
   done;
-  { graph = g; blocks; edges; out_total }
+  { blocks; succ; counts; out_total }
 
 let uniform g = of_trace g [||]
 
 let block_count t b = t.blocks.(b)
 
 let edge_count t ~src ~dst =
-  Option.value ~default:0 (Hashtbl.find_opt t.edges (src, dst))
+  if src < 0 || src >= Array.length t.succ then 0
+  else
+    let j = slot t.succ.(src) dst 0 in
+    if j < 0 then 0 else t.counts.(src).(j)
 
 let edge_probability t ~src ~dst =
-  let succ = Graph.succ_ids t.graph src in
-  if not (List.mem dst succ) then 0.0
-  else if t.out_total.(src) = 0 then 1.0 /. float_of_int (List.length succ)
-  else float_of_int (edge_count t ~src ~dst) /. float_of_int t.out_total.(src)
+  let succ = t.succ.(src) in
+  let j = slot succ dst 0 in
+  if j < 0 then 0.0
+  else if t.out_total.(src) = 0 then 1.0 /. float_of_int (Array.length succ)
+  else float_of_int t.counts.(src).(j) /. float_of_int t.out_total.(src)
 
 let hottest_successor t b =
-  match Graph.succ_ids t.graph b with
-  | [] -> None
-  | succ ->
-    let best =
-      List.fold_left
-        (fun acc s ->
-          let c = edge_count t ~src:b ~dst:s in
-          match acc with
-          | None -> Some (s, c)
-          | Some (_, bc) when c > bc -> Some (s, c)
-          | Some _ -> acc)
-        None succ
-    in
-    Option.map fst best
+  let succ = t.succ.(b) in
+  if Array.length succ = 0 then None
+  else begin
+    (* first successor with the strictly largest count *)
+    let best = ref succ.(0) in
+    let best_count = ref (edge_count t ~src:b ~dst:succ.(0)) in
+    Array.iter
+      (fun s ->
+        let c = edge_count t ~src:b ~dst:s in
+        if c > !best_count then begin
+          best := s;
+          best_count := c
+        end)
+      succ;
+    Some !best
+  end
 
 let hot_blocks t ~fraction =
   if fraction < 0.0 || fraction > 1.0 then

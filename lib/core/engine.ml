@@ -65,18 +65,23 @@ let bit_prefetched = 8
    the engine used to perform over the whole O(trace) event list. *)
 type occupancy = {
   acct : Memsim.Accounting.t;
-  mutable future : (int * int) list;  (* (time, delta), sorted *)
+  future : Memsim.Pairheap.t;  (* (time, delta) *)
+  mutable future_at : int;  (* earliest [future] time; max_int if none *)
   mutable buf_time : int;
   mutable buf : int array;  (* deltas at [buf_time], unordered *)
   mutable buf_len : int;
   mutable horizon : int;  (* latest timestamp ever posted *)
 }
 
+(* What the strategy looks up at each edge, built once per run. *)
+type lookahead =
+  | No_lookahead
+  | All of Cfg.Dist.frontiers  (* pre-all: every frontier block *)
+  | Single of Predictor.plan  (* pre-single: the predicted one *)
+
 type state = {
-  graph : Cfg.Graph.t;
-  info : block_info array;
   policy : Policy.t;
-  config : Config.t;
+  lookahead : lookahead;
   (* packed event stream: the hot paths push into [ev] and hand full
      chunks to [deliver]; nothing per-event is heap-allocated *)
   ev : Packed.chunk;
@@ -87,13 +92,26 @@ type state = {
       (* copy lifecycle: retention policy + remember sets; sites are
          the branching block's id *)
   pred_state : Predictor.state;
+  compressed : int -> bool;  (* [stat] reads as Compressed *)
+  spare : int array;
+      (* the (up to three) blocks the current [make_room] must not
+         evict, read by [spared] *)
+  spared : int -> bool;
   clock : Sim.Clock.t;
   dec : Sim.Clock.resource;  (* decompression thread *)
   comp : Sim.Clock.resource;  (* compression thread *)
   occ : occupancy;
   mutable live_bytes : int;  (* decompressed area, settled view *)
-  mutable inflight : (int * int) list;  (* (ready_at, block), sorted *)
-  mutable pending_frees : (int * int) list;  (* (time, bytes), sorted *)
+  (* Time-ordered queues, popped in the lexicographic order of their
+     pairs. [inflight] deletes lazily: an entry is live only while its
+     block is still Decompressing with [aux] = its ready_at; a demand
+     arrival that finishes a prefetch early just leaves its entry to
+     be skipped. *)
+  inflight : Memsim.Pairheap.t;  (* (ready_at, block) *)
+  pending_frees : Memsim.Pairheap.t;  (* (time, bytes) *)
+  mutable settle_at : int;
+      (* earliest time in either queue, max_int if both are empty:
+         until then [settle] has nothing to do *)
   (* every priced event lands here as one charge vector; the metrics'
      per-source cycle and energy totals are read back out at the end *)
   acc : Sim.Cost.Acc.acc;
@@ -125,15 +143,6 @@ type state = {
   mutable evictions : int;
   mutable budget_overflows : int;
 }
-
-(* Ordered insertion, equivalent to the old [List.sort compare (entry
-   :: l)] on an already-sorted [l] (the new entry lands before any
-   equal element, as stable sort did) without resorting the list. *)
-let rec insert_sorted l (entry : int * int) =
-  match l with
-  | [] -> [ entry ]
-  | h :: tl ->
-    if compare entry h <= 0 then entry :: l else h :: insert_sorted tl entry
 
 let now st = Sim.Clock.now st.clock
 
@@ -192,18 +201,33 @@ let occ_feed occ ~time ~delta =
   occ.buf.(n) <- delta;
   occ.buf_len <- n + 1
 
-let rec occ_drain occ ~upto =
-  match occ.future with
-  | (time, delta) :: rest when time <= upto ->
-    occ.future <- rest;
+(* The least first component of a queue, max_int when it is empty. *)
+let head_time q =
+  if Memsim.Pairheap.is_empty q then max_int else Memsim.Pairheap.min_fst q
+
+let rec occ_pop occ ~upto =
+  let f = occ.future in
+  if (not (Memsim.Pairheap.is_empty f)) && Memsim.Pairheap.min_fst f <= upto
+  then begin
+    let time = Memsim.Pairheap.min_fst f and delta = Memsim.Pairheap.min_snd f in
+    Memsim.Pairheap.pop f;
     occ_feed occ ~time ~delta;
-    occ_drain occ ~upto
-  | _ :: _ | [] -> ()
+    occ_pop occ ~upto
+  end
+
+let occ_drain occ ~upto =
+  if occ.future_at <= upto then begin
+    occ_pop occ ~upto;
+    occ.future_at <- head_time occ.future
+  end
 
 let mem_event st ~time ~delta =
   let occ = st.occ in
   if time > occ.horizon then occ.horizon <- time;
-  if time > now st then occ.future <- insert_sorted occ.future (time, delta)
+  if time > now st then begin
+    Memsim.Pairheap.push occ.future time delta;
+    if time < occ.future_at then occ.future_at <- time
+  end
   else begin
     occ_drain occ ~upto:time;
     occ_feed occ ~time ~delta
@@ -223,32 +247,33 @@ let memory_stats st =
   let avg = float_of_int byte_cycles /. float_of_int until in
   (peak, avg, byte_cycles)
 
-(* Promote finished prefetches and apply recompression frees whose
-   time has passed. *)
+(* Promote finished prefetches (skipping stale [inflight] entries) and
+   apply recompression frees whose time has passed. *)
+let rec promote st q =
+  if head_time q <= now st then begin
+    let ready_at = Memsim.Pairheap.min_fst q and b = Memsim.Pairheap.min_snd q in
+    Memsim.Pairheap.pop q;
+    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at then begin
+      st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
+      Residency.Area.on_ready st.area ~block:b ~time:ready_at
+    end;
+    promote st q
+  end
+
+let rec apply_frees st q =
+  if head_time q <= now st then begin
+    st.live_bytes <- st.live_bytes - Memsim.Pairheap.min_snd q;
+    Memsim.Pairheap.pop q;
+    apply_frees st q
+  end
+
 let settle st =
-  (match st.inflight with
-  | [] -> ()
-  | inflight ->
-    let rec promote = function
-      | (ready_at, b) :: rest when ready_at <= now st ->
-        (if st.stat.(b) land 3 = tag_decompressing then begin
-           st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
-           Residency.Area.on_ready st.area ~block:b ~time:ready_at
-         end);
-        promote rest
-      | rest -> rest
-    in
-    st.inflight <- promote inflight);
-  match st.pending_frees with
-  | [] -> ()
-  | frees ->
-    let rec apply = function
-      | (time, bytes) :: rest when time <= now st ->
-        st.live_bytes <- st.live_bytes - bytes;
-        apply rest
-      | rest -> rest
-    in
-    st.pending_frees <- apply frees
+  if st.settle_at <= now st then begin
+    promote st st.inflight;
+    apply_frees st st.pending_frees;
+    let a = head_time st.inflight and b = head_time st.pending_frees in
+    st.settle_at <- (if a < b then a else b)
+  end
 
 let dec_time st b = st.dec_cyc.(b)
 
@@ -288,7 +313,8 @@ let delete_copy st ~eviction b =
     let done_at =
       Sim.Clock.schedule st.comp ~now:(now st) ~cycles:st.comp_cyc.(b)
     in
-    st.pending_frees <- insert_sorted st.pending_frees (done_at, st.u_size.(b));
+    Memsim.Pairheap.push st.pending_frees done_at st.u_size.(b);
+    if done_at < st.settle_at then st.settle_at <- done_at;
     mem_event st ~time:done_at ~delta:(-st.u_size.(b));
     st.stat.(b) <- tag_recompressing;
     st.aux.(b) <- done_at;
@@ -302,36 +328,35 @@ let delete_copy st ~eviction b =
     Packed.push_discard (chunk st) ~at:(now st) ~block:b ~patched_back ~wasted
   end
 
-(* Ensures [bytes] fit under the budget, evicting LRU residents.
-   Returns false if the space cannot be freed. *)
-let make_room st ~exclude bytes =
+let rec evict_until st cap bytes =
+  if st.live_bytes + bytes <= cap then true
+  else
+    match Residency.Area.victim st.area ~exclude:st.spared with
+    | Some v ->
+      delete_copy st ~eviction:true v;
+      evict_until st cap bytes
+    | None -> false
+
+(* Ensures [bytes] fit under the budget, evicting LRU residents other
+   than [a], [b] and [c]. Returns false if the space cannot be
+   freed. *)
+let make_room st ~a ~b ~c bytes =
   match st.policy.Policy.budget with
   | None -> true
   | Some cap ->
     settle st;
-    let excluded v =
-      List.mem v exclude || st.stat.(v) land 3 <> tag_resident
-    in
-    let rec evict () =
-      if st.live_bytes + bytes <= cap then true
-      else
-        match Residency.Area.victim st.area ~exclude:excluded with
-        | Some v ->
-          delete_copy st ~eviction:true v;
-          evict ()
-        | None -> false
-    in
-    evict ()
+    st.spare.(0) <- a;
+    st.spare.(1) <- b;
+    st.spare.(2) <- c;
+    evict_until st cap bytes
 
-(* Allocates space for a decompressed copy of [b]. The exclude list
-   only exists on the budgeted path — the common unbudgeted run
-   allocates nothing here. *)
+(* Allocates space for a decompressed copy of [b]. *)
 let allocate st b =
   let u = st.u_size.(b) in
   (match st.policy.Policy.budget with
   | None -> ()
   | Some _ ->
-    let ok = make_room st ~exclude:[ b ] u in
+    let ok = make_room st ~a:b ~b ~c:b u in
     if not ok then st.budget_overflows <- st.budget_overflows + 1);
   st.live_bytes <- st.live_bytes + u;
   mem_event st ~time:(now st) ~delta:u
@@ -355,11 +380,11 @@ let charge_patch st ~target ~site =
    [jalr] site re-traps on every return and is never recorded. A pair
    qualifies only when every [site -> target] edge is a return — a
    site that can also branch there keeps its patchable slot. *)
+let rec mem_site (a : int array) site i =
+  i < Array.length a && (Array.unsafe_get a i = site || mem_site a site (i + 1))
+
 let return_only_site st ~site ~target =
-  let a = Array.unsafe_get st.ret_sites target in
-  let n = Array.length a in
-  let rec go i = i < n && (Array.unsafe_get a i = site || go (i + 1)) in
-  go 0
+  mem_site (Array.unsafe_get st.ret_sites target) site 0
 
 (* Records the branch site and charges the patch if it is new. The
    caller has already paid the exception. [site] is -1 on the initial
@@ -405,7 +430,7 @@ let rec arrive st ~step ~prev b =
     let ready_at = st.aux.(b) in
     charge_exception st b;
     stall_until st b ready_at;
-    st.inflight <- List.filter (fun (_, blk) -> blk <> b) st.inflight;
+    (* its [inflight] entry goes stale: Resident now *)
     st.stat.(b) <- s land bit_prefetched lor tag_resident;
     Residency.Area.on_ready st.area ~block:b ~time:(now st);
     patch_site st ~target:b ~site:prev
@@ -443,10 +468,11 @@ let execute st ~step ~cycles b =
     ~energy_nj:(st.exec_nj_rate * cycles);
   Sim.Clock.advance st.clock ~cycles
 
-(* Queue a pre-decompression of [c] on the decompression thread. *)
-let issue_prefetch st ~step ~exclude c =
+(* Queue a pre-decompression of [c] on the decompression thread, at the
+   edge from [b] to [next]. *)
+let issue_prefetch st ~step ~b ~next c =
   if st.stat.(c) land 3 = tag_compressed then
-    if make_room st ~exclude (st.u_size.(c)) then begin
+    if make_room st ~a:b ~b:next ~c (st.u_size.(c)) then begin
       st.live_bytes <- st.live_bytes + st.u_size.(c);
       mem_event st ~time:(now st) ~delta:(st.u_size.(c));
       let ready_at =
@@ -454,7 +480,8 @@ let issue_prefetch st ~step ~exclude c =
       in
       st.stat.(c) <- tag_decompressing lor bit_prefetched;
       st.aux.(c) <- ready_at;
-      st.inflight <- insert_sorted st.inflight (ready_at, c);
+      Memsim.Pairheap.push st.inflight ready_at c;
+      if ready_at < st.settle_at then st.settle_at <- ready_at;
       Residency.Area.on_materialize st.area ~block:c ~step;
       charge_fast st Sim.Cost.Prefetch_dec ~cycles:0
         ~energy_nj:st.prefetch_nj.(c);
@@ -468,38 +495,29 @@ let traverse_edge st ~b ~next ~step =
   settle st;
   (* k-edge: delete the copies whose counter reaches k, sparing the
      branch target (its counter resets on execution instead, §5). *)
-  (match Residency.Area.due st.area ~step with
-  | [] -> ()
-  | due ->
-    List.iter
-      (fun d ->
-        if d <> next then
-          match st.stat.(d) land 3 with
-          | 2 (* Resident *) -> delete_copy st ~eviction:false d
-          | 1 (* Decompressing *) ->
-            (* Still in flight: give it another k edges. *)
-            Residency.Area.rearm st.area ~block:d ~step
-          | _ -> ())
-      due);
+  for i = 0 to Residency.Area.due st.area ~step - 1 do
+    let d = Residency.Area.due_block st.area i in
+    if d <> next then
+      match st.stat.(d) land 3 with
+      | 2 (* Resident *) -> delete_copy st ~eviction:false d
+      | 1 (* Decompressing *) ->
+        (* Still in flight: give it another k edges. *)
+        Residency.Area.rearm st.area ~block:d ~step
+      | _ -> ()
+  done;
   (* Pre-decompression of blocks up to [lookahead] edges ahead. *)
-  (match st.policy.Policy.strategy with
-  | Policy.On_demand -> ()
-  | Policy.Pre_all { lookahead } ->
-    List.iter
-      (fun (c, _dist) -> issue_prefetch st ~step ~exclude:[ b; next; c ] c)
-      (Cfg.Dist.within st.graph ~from:b ~k:lookahead)
-  | Policy.Pre_single { lookahead; predictor } -> (
-    let candidates =
-      Cfg.Dist.within st.graph ~from:b ~k:lookahead
-      |> List.filter_map (fun (c, _) ->
-             if st.stat.(c) land 3 = tag_compressed then Some c else None)
+  (match st.lookahead with
+  | No_lookahead -> ()
+  | All frontiers ->
+    let fr = Cfg.Dist.frontier frontiers b in
+    for i = 0 to Array.length fr - 1 do
+      issue_prefetch st ~step ~b ~next fr.(i)
+    done
+  | Single plan ->
+    let c =
+      Predictor.pick plan st.pred_state ~from:b ~compressed:st.compressed
     in
-    match
-      Predictor.choose predictor st.pred_state st.graph ~from:b ~k:lookahead
-        ~candidates
-    with
-    | Some c -> issue_prefetch st ~step ~exclude:[ b; next; c ] c
-    | None -> ()));
+    if c >= 0 then issue_prefetch st ~step ~b ~next c);
   Predictor.note_edge st.pred_state ~src:b ~dst:next
 
 (* --- fused fast path --- *)
@@ -780,34 +798,51 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
       }
   in
   let costs = config.Config.costs in
+  let stat = Array.make n tag_compressed in
+  let spare = Array.make 3 (-1) in
   let st =
     {
-      graph;
-      info;
       policy;
-      config;
+      lookahead =
+        (match policy.Policy.strategy with
+        | Policy.On_demand -> No_lookahead
+        | Policy.Pre_all { lookahead } ->
+          All (Cfg.Dist.frontiers graph ~k:lookahead)
+        | Policy.Pre_single { lookahead; predictor } ->
+          Single
+            (Predictor.plan predictor graph
+               (Cfg.Dist.frontiers graph ~k:lookahead)));
       ev = Packed.create ();
       deliver;
-      stat = Array.make n tag_compressed;
+      stat;
       aux = Array.make n 0;
-      area =
-        Residency.Area.create ~policy:retention ~blocks:n ~site_key:Fun.id ();
+      area = Residency.Area.create_keyed ~policy:retention ~blocks:n ();
       pred_state = Predictor.create_state ~blocks:n;
+      compressed = (fun c -> Array.unsafe_get stat c land 3 = tag_compressed);
+      spare;
+      spared =
+        (fun v ->
+          v = Array.unsafe_get spare 0
+          || v = Array.unsafe_get spare 1
+          || v = Array.unsafe_get spare 2
+          || Array.unsafe_get stat v land 3 <> tag_resident);
       clock = Sim.Clock.create ();
       dec = Sim.Clock.resource ();
       comp = Sim.Clock.resource ();
       occ =
         {
           acct = Memsim.Accounting.create ();
-          future = [];
+          future = Memsim.Pairheap.create ();
+          future_at = max_int;
           buf_time = 0;
           buf = Array.make 64 0;
           buf_len = 0;
           horizon = 0;
         };
       live_bytes = 0;
-      inflight = [];
-      pending_frees = [];
+      inflight = Memsim.Pairheap.create ();
+      pending_frees = Memsim.Pairheap.create ();
+      settle_at = max_int;
       acc;
       u_size = Array.map (fun i -> i.uncompressed_bytes) info;
       def_cycles = Array.map (fun i -> i.exec_cycles) info;

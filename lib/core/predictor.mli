@@ -36,3 +36,23 @@ val choose :
     (nearest first), as produced by {!Cfg.Dist.within}; the fallback
     when the predicted path misses every candidate is the nearest
     one. Returns [None] iff [candidates] is empty. *)
+
+(** {1 Table-driven picks}
+
+    A simulator asks the same question at every edge; a plan answers it
+    from tables built once per run (per block, on first use): the
+    block's frontier — {!Cfg.Dist.within} order — and, for
+    [By_profile], each frontier block's reach probability. A pick
+    allocates nothing. {!choose} stays the reference: {!pick} returns
+    exactly its answer. *)
+
+type plan
+
+val plan : t -> Cfg.Graph.t -> Cfg.Dist.frontiers -> plan
+(** A plan for one run over [g], looking [Cfg.Dist.horizon] edges
+    ahead. The frontier table may be shared with other users. *)
+
+val pick : plan -> state -> from:int -> compressed:(int -> bool) -> int
+(** [choose t state g ~from ~k ~candidates] where [candidates] are the
+    blocks of [from]'s frontier for which [compressed] holds, in
+    frontier order — as a block id, or [-1] for [None]. *)

@@ -1,23 +1,23 @@
+(* One FIFO ring of (due step, block) entries per distinct per-block k:
+   hosts track at nondecreasing steps, so entries sharing a k arrive in
+   due order and each ring stays sorted — a push is a store at the
+   tail, a pop a move of the head. A push that would break its ring's
+   order (a host tracking at an earlier step than before) goes to a
+   heap instead, so any call order stays correct. *)
+type ring = {
+  kval : int;
+  mutable rdue : int array;  (* capacity: a power of two *)
+  mutable rblk : int array;
+  mutable head : int;
+  mutable len : int;
+}
+
 type t = {
   k : int;
   k_of : int -> int;
   base : int array;  (* step of last reset; -1 = untracked *)
-  (* Pending due entries as a binary min-heap on the due step, kept in
-     two parallel int arrays. Entries are never updated in place: a
-     re-track just pushes a new entry and [due] drops stale ones (an
-     entry is live only while the block's current [base + k] still
-     lands on the entry's step). With the engine's monotone step
-     sequence a push's sift-up terminates immediately, so tracking is
-     a couple of stores — no hashing, no allocation. *)
-  mutable hdue : int array;
-  mutable hblk : int array;
-  mutable hsize : int;
-  (* Scratch buffer [due] collects into before sorting; reused across
-     calls so the common empty/singleton result costs at most one
-     cons. Compiled without flambda, local refs and closures are real
-     heap allocations, so the helpers below are top-level recursive
-     functions over ints. *)
-  mutable scratch : int array;
+  mutable rings : ring array;
+  late : Pairheap.t;  (* out-of-order entries *)
 }
 
 let create ?k_of ~blocks ~k () =
@@ -32,76 +32,55 @@ let create ?k_of ~blocks ~k () =
         if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1"
         else kb
   in
-  {
-    k;
-    k_of;
-    base = Array.make blocks (-1);
-    hdue = Array.make 64 0;
-    hblk = Array.make 64 0;
-    hsize = 0;
-    scratch = Array.make 16 0;
-  }
+  { k; k_of; base = Array.make blocks (-1); rings = [||]; late = Pairheap.create () }
 
 let k t = t.k
 let k_for t ~block = t.k_of block
 
-let rec sift_up hdue hblk i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if hdue.(p) > hdue.(i) then begin
-      let d = hdue.(p) and b = hblk.(p) in
-      hdue.(p) <- hdue.(i);
-      hblk.(p) <- hblk.(i);
-      hdue.(i) <- d;
-      hblk.(i) <- b;
-      sift_up hdue hblk p
-    end
+let new_ring kval =
+  { kval; rdue = Array.make 16 0; rblk = Array.make 16 0; head = 0; len = 0 }
+
+let rec ring_for t kb i =
+  if i < Array.length t.rings then
+    let r = Array.unsafe_get t.rings i in
+    if r.kval = kb then r else ring_for t kb (i + 1)
+  else begin
+    let r = new_ring kb in
+    t.rings <- Array.append t.rings [| r |];
+    r
   end
 
-let rec sift_down hdue hblk n i =
-  let l = (2 * i) + 1 in
-  if l < n then begin
-    let r = l + 1 in
-    let s = if hdue.(l) < hdue.(i) then l else i in
-    let s = if r < n && hdue.(r) < hdue.(s) then r else s in
-    if s <> i then begin
-      let d = hdue.(s) and b = hblk.(s) in
-      hdue.(s) <- hdue.(i);
-      hblk.(s) <- hblk.(i);
-      hdue.(i) <- d;
-      hblk.(i) <- b;
-      sift_down hdue hblk n s
-    end
+let grow r =
+  let cap = Array.length r.rdue in
+  let rdue = Array.make (2 * cap) 0 and rblk = Array.make (2 * cap) 0 in
+  for i = 0 to r.len - 1 do
+    let j = (r.head + i) land (cap - 1) in
+    rdue.(i) <- r.rdue.(j);
+    rblk.(i) <- r.rblk.(j)
+  done;
+  r.rdue <- rdue;
+  r.rblk <- rblk;
+  r.head <- 0
+
+let push t kb due block =
+  let r = ring_for t kb 0 in
+  let mask = Array.length r.rdue - 1 in
+  if r.len > 0 && r.rdue.((r.head + r.len - 1) land mask) > due then
+    Pairheap.push t.late due block
+  else begin
+    if r.len = Array.length r.rdue then grow r;
+    let mask = Array.length r.rdue - 1 in
+    let j = (r.head + r.len) land mask in
+    r.rdue.(j) <- due;
+    r.rblk.(j) <- block;
+    r.len <- r.len + 1
   end
-
-let heap_push t due block =
-  let n = t.hsize in
-  if n = Array.length t.hdue then begin
-    let cap = 2 * n in
-    let hdue = Array.make cap 0 and hblk = Array.make cap 0 in
-    Array.blit t.hdue 0 hdue 0 n;
-    Array.blit t.hblk 0 hblk 0 n;
-    t.hdue <- hdue;
-    t.hblk <- hblk
-  end;
-  t.hdue.(n) <- due;
-  t.hblk.(n) <- block;
-  t.hsize <- n + 1;
-  sift_up t.hdue t.hblk n
-
-let heap_pop t =
-  let n = t.hsize - 1 in
-  let hdue = t.hdue and hblk = t.hblk in
-  hdue.(0) <- hdue.(n);
-  hblk.(0) <- hblk.(n);
-  t.hsize <- n;
-  sift_down hdue hblk n 0
 
 let track t ~block ~step =
   t.base.(block) <- step;
   let kb = t.k_of block in
   (* Guard against overflow for "never compress" style huge k. *)
-  if kb <= max_int - step then heap_push t (step + kb) block
+  if kb <= max_int - step then push t kb (step + kb) block
 
 let untrack t ~block = t.base.(block) <- -1
 let tracked t ~block = t.base.(block) >= 0
@@ -110,52 +89,53 @@ let counter t ~block ~step =
   let base = t.base.(block) in
   if base < 0 then None else Some (step - base)
 
-let scratch_push t n b =
-  if n = Array.length t.scratch then begin
-    let a = Array.make (2 * n) 0 in
-    Array.blit t.scratch 0 a 0 n;
-    t.scratch <- a
-  end;
-  t.scratch.(n) <- b
+let rec position (into : int array) n b i =
+  if i < n && into.(i) < b then position into n b (i + 1) else i
 
-(* Pop every heap entry at or below [step] into the scratch buffer,
-   keeping only live ones: a block is really due only if it was not
-   reset again since the entry was queued and is still tracked.
-   Entries below [step] are stale by the same test (their block's
-   counter was reset past them) and are discarded on the way. *)
-let rec collect_due t step n =
-  if t.hsize = 0 || t.hdue.(0) > step then n
+let rec shift_up (into : int array) i j =
+  if j > i then begin
+    into.(j) <- into.(j - 1);
+    shift_up into i (j - 1)
+  end
+
+let insert_unique into n b =
+  let i = position into n b 0 in
+  if i < n && into.(i) = b then n
   else begin
-    let d = t.hdue.(0) and b = t.hblk.(0) in
-    heap_pop t;
-    if d = step && t.base.(b) >= 0 && t.base.(b) + t.k_of b = step then begin
-      scratch_push t n b;
-      collect_due t step (n + 1)
-    end
-    else collect_due t step n
+    shift_up into i n;
+    into.(i) <- b;
+    n + 1
   end
 
-let rec insert_back (a : int array) i x =
-  if i >= 0 && a.(i) > x then begin
-    a.(i + 1) <- a.(i);
-    insert_back a (i - 1) x
-  end
-  else a.(i + 1) <- x
+let[@inline] live t step d b =
+  let base = t.base.(b) in
+  d = step && base >= 0 && base + t.k_of b = step
 
-(* Build the sorted, deduplicated result list right-to-left. *)
-let rec build_result (a : int array) n i acc =
-  if i < 0 then acc
-  else if i < n - 1 && a.(i) = a.(i + 1) then build_result a n (i - 1) acc
-  else build_result a n (i - 1) (a.(i) :: acc)
+let rec drain_ring t r step into n =
+  if r.len = 0 || r.rdue.(r.head) > step then n
+  else begin
+    let d = r.rdue.(r.head) and b = r.rblk.(r.head) in
+    r.head <- (r.head + 1) land (Array.length r.rdue - 1);
+    r.len <- r.len - 1;
+    drain_ring t r step into (if live t step d b then insert_unique into n b else n)
+  end
+
+let rec drain_late t step into n =
+  let h = t.late in
+  if Pairheap.is_empty h || Pairheap.min_fst h > step then n
+  else begin
+    let d = Pairheap.min_fst h and b = Pairheap.min_snd h in
+    Pairheap.pop h;
+    drain_late t step into (if live t step d b then insert_unique into n b else n)
+  end
+
+let rec drain_rings t step into n i =
+  if i = Array.length t.rings then n
+  else drain_rings t step into (drain_ring t t.rings.(i) step into n) (i + 1)
+
+let due_into t ~step ~into = drain_late t step into (drain_rings t step into 0 0)
 
 let due t ~step =
-  let n = collect_due t step 0 in
-  if n = 0 then []
-  else begin
-    let a = t.scratch in
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      insert_back a (i - 1) x
-    done;
-    build_result a n (n - 1) []
-  end
+  let into = Array.make (Array.length t.base) 0 in
+  let n = due_into t ~step ~into in
+  List.init n (fun i -> into.(i))

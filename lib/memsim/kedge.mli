@@ -6,7 +6,7 @@
 
     Steps are global edge-traversal counts (position in the trace).
     The implementation keeps, per block, the step of its last reset and
-    a min-heap of pending due steps — a few int stores per event
+    a {!Pairheap} of pending due steps — a few int stores per event
     instead of touching every resident counter on every branch.
 
     Steps passed to {!due} must be nondecreasing across calls on one
@@ -44,4 +44,10 @@ val due : t -> step:int -> int list
     copies the algorithm deletes on this edge traversal. Each block is
     reported at most once per reset; the caller decides whether to
     actually delete (the branch target itself is spared — its counter
-    resets instead, §5). Sorted. *)
+    resets instead, §5). Sorted. Allocates the list; per-step callers
+    use {!due_into}. *)
+
+val due_into : t -> step:int -> into:int array -> int
+(** {!due} without allocation: writes the due blocks, sorted, into
+    [into.(0 .. n-1)] and returns [n]. [into] must have room for every
+    block ([Array.length into >= blocks]). *)

@@ -1,52 +1,64 @@
 (* Remember sets are tiny (a handful of branch sites per target), so
-   each one is an unsorted int list plus a cached cardinal: membership
-   is a short scan over immediates, recording a site is one cons. The
-   previous IntSet representation allocated a balanced-tree node per
-   insert on the engine's per-step patch path. *)
+   each one is an int array in recording order plus a count:
+   membership is a short scan over immediates, recording a site is one
+   store, and a set's array is reused after a flush — nothing is
+   allocated once every set has grown to its high-water mark. *)
 
 type t = {
-  sites : int list array;  (* no duplicates, unsorted *)
+  sites : int array array;  (* per target: [counts.(t)] live entries *)
   counts : int array;
 }
 
 let create ~blocks =
   if blocks <= 0 then invalid_arg "Memsim.Remember.create";
-  { sites = Array.make blocks []; counts = Array.make blocks 0 }
+  { sites = Array.make blocks [||]; counts = Array.make blocks 0 }
 
-let rec mem_int (x : int) = function
-  | [] -> false
-  | y :: tl -> y = x || mem_int x tl
+let rec index (a : int array) n x i =
+  if i >= n then -1 else if Array.unsafe_get a i = x then i else index a n x (i + 1)
 
 let record t ~target ~site =
-  let l = t.sites.(target) in
-  if mem_int site l then false
+  let a = t.sites.(target) and n = t.counts.(target) in
+  if index a n site 0 >= 0 then false
   else begin
-    t.sites.(target) <- site :: l;
-    t.counts.(target) <- t.counts.(target) + 1;
+    let a =
+      if n < Array.length a then a
+      else begin
+        let grown = Array.make (max 4 (2 * n)) 0 in
+        Array.blit a 0 grown 0 n;
+        t.sites.(target) <- grown;
+        grown
+      end
+    in
+    a.(n) <- site;
+    t.counts.(target) <- n + 1;
     true
   end
 
-let sites t ~target = List.sort compare t.sites.(target)
+let sites t ~target =
+  List.sort compare (Array.to_list (Array.sub t.sites.(target) 0 t.counts.(target)))
+
+let iter t ~target f =
+  let a = t.sites.(target) in
+  for i = 0 to t.counts.(target) - 1 do
+    f a.(i)
+  done
+
 let cardinal t ~target = t.counts.(target)
 
 let flush t ~target =
   let n = t.counts.(target) in
-  t.sites.(target) <- [];
   t.counts.(target) <- 0;
   n
 
-(* No duplicates, so dropping the first match is dropping them all. *)
-let rec remove_int (x : int) = function
-  | [] -> []
-  | y :: tl -> if y = x then tl else y :: remove_int x tl
-
 let remove_site t ~target ~site =
-  let l = t.sites.(target) in
-  if mem_int site l then begin
-    t.sites.(target) <- remove_int site l;
-    t.counts.(target) <- t.counts.(target) - 1;
+  let a = t.sites.(target) and n = t.counts.(target) in
+  let i = index a n site 0 in
+  if i < 0 then false
+  else begin
+    (* shift down, keeping the recording order *)
+    Array.blit a (i + 1) a i (n - i - 1);
+    t.counts.(target) <- n - 1;
     true
   end
-  else false
 
 let total_sites t = Array.fold_left ( + ) 0 t.counts

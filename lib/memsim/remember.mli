@@ -16,6 +16,9 @@ val record : t -> target:int -> site:int -> bool
 val sites : t -> target:int -> int list
 (** Currently recorded sites, sorted. *)
 
+val iter : t -> target:int -> (int -> unit) -> unit
+(** The recorded sites of [target], in recording order. *)
+
 val cardinal : t -> target:int -> int
 
 val flush : t -> target:int -> int

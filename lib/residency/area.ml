@@ -1,27 +1,44 @@
+(* How a host's sites are stored beside their int keys. The timing
+   model's site is a block id — its own key — so it keeps nothing
+   else; the runtime's sites are (copy, slot) pairs, kept in payload
+   lists, most recent first. *)
+type _ sites =
+  | Keys : int sites
+  | Payloads : {
+      key : 'site -> int;
+      lists : 'site list array;
+    }
+      -> 'site sites
+
 type 'site t = {
   policy : Policy.t;
-  blocks : int;
-  site_key : 'site -> int;
   emit : Sim.Events.t -> unit;
   now : unit -> int;
-  keys : Memsim.Remember.t;  (* site keys, for O(log n) dedup *)
-  sites : 'site list array;  (* payloads, most recent first *)
+  keys : Memsim.Remember.t;  (* site keys, deduplicated *)
+  sites : 'site sites;
+  due_buf : int array;  (* [due]'s hand-off: room for every block *)
 }
 
-let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
-    ?(now = fun () -> 0) ~site_key () =
+let make ~policy ~blocks ~emit ~now sites =
   if blocks < 1 then invalid_arg "Residency.Area.create: blocks must be >= 1";
   {
     policy;
-    blocks;
-    site_key;
     emit;
     now;
     keys = Memsim.Remember.create ~blocks;
-    sites = Array.make blocks [];
+    sites;
+    due_buf = Array.make blocks 0;
   }
 
-let policy t = t.policy
+let create ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
+    ?(now = fun () -> 0) ~site_key () =
+  make ~policy ~blocks ~emit ~now
+    (Payloads { key = site_key; lists = Array.make (max blocks 0) [] })
+
+let create_keyed ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
+    ?(now = fun () -> 0) () =
+  make ~policy ~blocks ~emit ~now Keys
+
 let on_materialize t ~block ~step = t.policy.Policy.on_materialize ~block ~step
 let on_ready t ~block ~time = t.policy.Policy.on_ready ~block ~time
 
@@ -29,79 +46,54 @@ let on_execute t ~block ~step ~time =
   t.policy.Policy.on_execute ~block ~step ~time
 
 let rearm t ~block ~step = t.policy.Policy.rearm ~block ~step
-let due t ~step = t.policy.Policy.due ~step
+let due t ~step = t.policy.Policy.due ~step ~into:t.due_buf
+let due_block t i = t.due_buf.(i)
 let victim t ~exclude = t.policy.Policy.victim ~exclude
 
-let record_site t ~target ~site =
-  if Memsim.Remember.record t.keys ~target ~site:(t.site_key site) then begin
-    t.sites.(target) <- site :: t.sites.(target);
-    true
-  end
-  else false
+let record_site (type s) (t : s t) ~target ~(site : s) =
+  match t.sites with
+  | Keys -> Memsim.Remember.record t.keys ~target ~site
+  | Payloads p ->
+    Memsim.Remember.record t.keys ~target ~site:(p.key site)
+    && begin
+         p.lists.(target) <- site :: p.lists.(target);
+         true
+       end
 
-let site_count t ~target = Memsim.Remember.cardinal t.keys ~target
-let total_sites t = Memsim.Remember.total_sites t.keys
-
-(* Closure-free variants of [forget_sites]/[release] for the engine's
-   hot loop, where the payload IS the key ([site_key] is the identity
-   on block ids) and every site patches back. Remember sets hold no
-   duplicates, so at most one payload matches. *)
-let rec remove_payload t key = function
+let rec remove_payload key k = function
   | [] -> []
-  | s :: tl -> if t.site_key s = key then tl else s :: remove_payload t key tl
+  | s :: tl -> if key s = k then tl else s :: remove_payload key k tl
 
-let forget_key t ~target ~key =
+let forget_key (type s) (t : s t) ~target ~key =
   if Memsim.Remember.remove_site t.keys ~target ~site:key then begin
-    t.sites.(target) <- remove_payload t key t.sites.(target);
+    (match t.sites with
+    | Keys -> ()
+    | Payloads p ->
+      p.lists.(target) <- remove_payload p.key key p.lists.(target));
     1
   end
   else 0
 
-let release_count t ~block =
-  t.sites.(block) <- [];
+let release_count (type s) (t : s t) ~block =
+  (match t.sites with Keys -> () | Payloads p -> p.lists.(block) <- []);
   let n = Memsim.Remember.flush t.keys ~target:block in
   t.policy.Policy.on_release ~block;
   n
 
-let forget_sites t ~target ~where =
-  (* Fast path: most targets have no recorded sites at any moment, and
-     the engine probes every successor of a dying block. *)
-  match t.sites.(target) with
-  | [] -> 0
-  | sites ->
-    let removed = ref 0 in
-    t.sites.(target) <-
-      List.filter
-        (fun s ->
-          if where s then begin
-            ignore
-              (Memsim.Remember.remove_site t.keys ~target ~site:(t.site_key s));
-            incr removed;
-            false
-          end
-          else true)
-        sites;
-    !removed
-
-let release t ~block ~patch_back =
-  match t.sites.(block) with
-  | [] ->
-    ignore (Memsim.Remember.flush t.keys ~target:block);
-    t.policy.Policy.on_release ~block;
-    0
-  | l ->
-    let sites = List.rev l in
-    t.sites.(block) <- [];
-    ignore (Memsim.Remember.flush t.keys ~target:block);
-    t.policy.Policy.on_release ~block;
-    List.fold_left (fun n s -> if patch_back s then n + 1 else n) 0 sites
+let release (type s) (t : s t) ~block ~(patch_back : s -> bool) =
+  let n = ref 0 in
+  let patch s = if patch_back s then incr n in
+  (match t.sites with
+  | Keys -> Memsim.Remember.iter t.keys ~target:block patch
+  | Payloads p ->
+    let sites = List.rev p.lists.(block) in
+    p.lists.(block) <- [];
+    List.iter patch sites);
+  ignore (Memsim.Remember.flush t.keys ~target:block);
+  t.policy.Policy.on_release ~block;
+  !n
 
 let discard ?(wasted = false) t ~block ~patch_back =
   let patched_back = release t ~block ~patch_back in
   t.emit (Sim.Events.Discard { block; at = t.now (); patched_back; wasted });
-  patched_back
-
-let evict t ~block ~patch_back =
-  let patched_back = release t ~block ~patch_back in
-  t.emit (Sim.Events.Evict { block; at = t.now () });
   patched_back

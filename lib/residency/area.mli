@@ -5,13 +5,12 @@
     An area couples a retention {!Policy.t} (when copies die) with the
     remember-set bookkeeping every host needs (which branch sites were
     patched to point at each copy, paper §5) and with {!Sim.Events}
-    emission for the discard/evict vocabulary.
+    emission for the discard vocabulary.
 
     The area is generic in the {e site} representation: the timing
-    model records the branching block's id ([int]), the executable
-    runtime records concrete patched slots ([copy * slot]). [site_key]
-    must injectively map a site to an [int] — the area uses it to
-    deduplicate repeated patches of the same site. *)
+    model records the branching block's id ([int], its own key — see
+    {!create_keyed}), the executable runtime records concrete patched
+    slots ([copy * slot], deduplicated through [site_key]). *)
 
 type 'site t
 
@@ -23,10 +22,21 @@ val create :
   site_key:('site -> int) ->
   unit ->
   'site t
-(** [emit]/[now] are used only by {!discard} and {!evict} (hosts that
-    emit their own events use {!release} instead). *)
+(** [site_key] must injectively map a site to an [int] — the area uses
+    it to deduplicate repeated patches of the same site; the sites
+    themselves are kept beside their keys for {!release}. [emit]/[now]
+    are used only by {!discard} (hosts that emit their own events use
+    {!release} instead). *)
 
-val policy : 'site t -> Policy.t
+val create_keyed :
+  policy:Policy.t ->
+  blocks:int ->
+  ?emit:(Sim.Events.t -> unit) ->
+  ?now:(unit -> int) ->
+  unit ->
+  int t
+(** An area whose sites are their own keys: only the deduplicated keys
+    are stored, and recording or forgetting a site allocates nothing. *)
 
 (** {1 Retention hooks} — thin delegates to the policy; see
     {!Policy.t} for semantics. *)
@@ -35,7 +45,16 @@ val on_materialize : 'site t -> block:int -> step:int -> unit
 val on_ready : 'site t -> block:int -> time:int -> unit
 val on_execute : 'site t -> block:int -> step:int -> time:int -> unit
 val rearm : 'site t -> block:int -> step:int -> unit
-val due : 'site t -> step:int -> int list
+
+val due : 'site t -> step:int -> int
+(** The policy's due set for [step], handed off without allocation:
+    returns how many blocks are due; {!due_block} reads them, in
+    ascending order. The set stays readable until the next [due]
+    call — releasing or rearming the due blocks does not disturb it. *)
+
+val due_block : 'site t -> int -> int
+(** [due_block t i] is the [i]-th block (from 0) of the last {!due}. *)
+
 val victim : 'site t -> exclude:(int -> bool) -> int option
 
 (** {1 Remember sets} *)
@@ -45,18 +64,11 @@ val record_site : 'site t -> target:int -> site:'site -> bool
     Returns [true] if the site was new ([false] = already recorded, no
     patch was needed). *)
 
-val site_count : 'site t -> target:int -> int
-val total_sites : 'site t -> int
-
-val forget_sites : 'site t -> target:int -> where:('site -> bool) -> int
-(** Drops recorded sites matching [where] without patching them back —
-    used when the {e site's own} copy disappears and its patched branch
-    goes with it. Returns how many were dropped. *)
-
 val forget_key : 'site t -> target:int -> key:int -> int
-(** [forget_sites] specialised to "the site whose [site_key] is [key]":
-    returns 1 if such a site was recorded (and is now dropped), else 0.
-    Closure-free, for per-step callers. *)
+(** Drops the recorded site whose key is [key] without patching it
+    back — used when the {e site's own} copy disappears and its patched
+    branch goes with it. Returns 1 if such a site was recorded (and is
+    now dropped), else 0. *)
 
 (** {1 Copy death} *)
 
@@ -76,6 +88,3 @@ val release_count : 'site t -> block:int -> int
 val discard :
   ?wasted:bool -> 'site t -> block:int -> patch_back:('site -> bool) -> int
 (** {!release}, then emits [Discard] stamped with [now ()]. *)
-
-val evict : 'site t -> block:int -> patch_back:('site -> bool) -> int
-(** {!release}, then emits [Evict] stamped with [now ()]. *)

@@ -26,7 +26,7 @@ type t = {
   on_ready : block:int -> time:int -> unit;
   on_execute : block:int -> step:int -> time:int -> unit;
   rearm : block:int -> step:int -> unit;
-  due : step:int -> int list;
+  due : step:int -> into:int array -> int;
   victim : exclude:(int -> bool) -> int option;
   on_release : block:int -> unit;
   describe : unit -> string;
@@ -48,7 +48,7 @@ let kedge_lru ~name ?k_of ~blocks ~k ~describe () =
         Memsim.Kedge.track kedge ~block ~step;
         Memsim.Lru.touch lru block ~time);
     rearm = (fun ~block ~step -> Memsim.Kedge.track kedge ~block ~step);
-    due = (fun ~step -> Memsim.Kedge.due kedge ~step);
+    due = (fun ~step ~into -> Memsim.Kedge.due_into kedge ~step ~into);
     victim = (fun ~exclude -> Memsim.Lru.victim lru ~exclude ());
     on_release =
       (fun ~block ->
@@ -90,68 +90,60 @@ let loop_aware ~weight ctx =
 (* ------------------------------------------------------------------ *)
 (* Clock: second-chance approximation of the k-edge/LRU pair with O(1)
    state per block.  Each resident copy has a reference bit, set on
-   execution, and a timer re-armed every [k] edges.  When the timer
-   fires with the bit set, the copy gets a second chance (bit cleared,
-   timer re-armed); with the bit clear it is reported due.  Budget
-   victims come from a clock-hand sweep that clears bits as it
-   passes. *)
+   execution, and a timer re-armed every [k] edges — a k-edge counter,
+   so the timers are a [Memsim.Kedge] whose tracked set is exactly the
+   set of copies in the area.  When the timer fires with the bit set,
+   the copy gets a second chance (bit cleared, timer re-armed); with
+   the bit clear it is reported due.  Budget victims come from a
+   clock-hand sweep that clears bits as it passes. *)
+
+(* Second chance over the fired timers [into.(0 .. n-1)], compacting
+   the copies that are really due to the front. Every fired timer is
+   re-armed — also when its copy is reported due: the host may spare
+   it (branch target, §5) and the timer must stay alive for the
+   surviving copy. *)
+let rec second_chance timers refbit ~step (into : int array) n i j =
+  if i = n then j
+  else begin
+    let b = into.(i) in
+    Memsim.Kedge.track timers ~block:b ~step;
+    if refbit.(b) then begin
+      refbit.(b) <- false;
+      second_chance timers refbit ~step into n (i + 1) j
+    end
+    else begin
+      into.(j) <- b;
+      second_chance timers refbit ~step into n (i + 1) (j + 1)
+    end
+  end
 
 let clock ctx =
   if ctx.k < 1 then invalid_arg "Residency.Policy: clock k must be >= 1";
   let blocks = ctx.blocks and k = ctx.k in
-  let in_area = Array.make blocks false in
+  let timers = Memsim.Kedge.create ~blocks ~k () in
   let refbit = Array.make blocks false in
-  let armed = Array.make blocks (-1) in
-  let due_at : (int, int list) Hashtbl.t = Hashtbl.create 64 in
   let hand = ref 0 in
-  let arm b ~step =
-    armed.(b) <- step;
-    if k <= max_int - step then begin
-      let fire = step + k in
-      let l = Option.value ~default:[] (Hashtbl.find_opt due_at fire) in
-      Hashtbl.replace due_at fire (b :: l)
-    end
-  in
+  let arm ~block ~step = Memsim.Kedge.track timers ~block ~step in
   {
     name = "clock";
-    on_materialize =
-      (fun ~block ~step ->
-        in_area.(block) <- true;
-        arm block ~step);
+    on_materialize = arm;
     on_ready = (fun ~block:_ ~time:_ -> ());
     (* The bit is set by execution only, never by materialization, so
        the engine's materialize-then-execute and the runtime's
        execute-then-trap orders leave identical state. *)
     on_execute = (fun ~block ~step:_ ~time:_ -> refbit.(block) <- true);
-    rearm = (fun ~block ~step -> arm block ~step);
+    rearm = arm;
     due =
-      (fun ~step ->
-        match Hashtbl.find_opt due_at step with
-        | None -> []
-        | Some queued ->
-          Hashtbl.remove due_at step;
-          List.sort_uniq compare queued
-          |> List.filter_map (fun b ->
-                 if not (in_area.(b) && armed.(b) + k = step) then None
-                 else if refbit.(b) then begin
-                   refbit.(b) <- false;
-                   arm b ~step;
-                   None
-                 end
-                 else begin
-                   (* Re-arm even when reporting the block due: the host
-                      may spare it (branch target, §5) and the timer
-                      must stay alive for the surviving copy. *)
-                   arm b ~step;
-                   Some b
-                 end));
+      (fun ~step ~into ->
+        let n = Memsim.Kedge.due_into timers ~step ~into in
+        second_chance timers refbit ~step into n 0 0);
     victim =
       (fun ~exclude ->
         let rec sweep i remaining =
           if remaining = 0 then None
           else begin
             let b = i mod blocks in
-            if in_area.(b) && not (exclude b) then
+            if Memsim.Kedge.tracked timers ~block:b && not (exclude b) then
               if refbit.(b) then begin
                 refbit.(b) <- false;
                 sweep (b + 1) (remaining - 1)
@@ -166,9 +158,8 @@ let clock ctx =
         sweep !hand (2 * blocks));
     on_release =
       (fun ~block ->
-        in_area.(block) <- false;
-        refbit.(block) <- false;
-        armed.(block) <- -1);
+        Memsim.Kedge.untrack timers ~block;
+        refbit.(block) <- false);
     describe = (fun () -> Printf.sprintf "clock (second chance), period=%d" k);
   }
 

@@ -61,11 +61,12 @@ type t = {
   rearm : block:int -> step:int -> unit;
       (** The host spared a copy the policy reported due (branch
           target, or still in flight): restart its retention window. *)
-  due : step:int -> int list;
+  due : step:int -> into:int array -> int;
       (** Copies due for deletion after the edge traversal that made
-          the step counter reach [step]. Sorted, each block at most
-          once per window; the host may spare any of them (then it
-          must [rearm]). *)
+          the step counter reach [step]: written to [into.(0 .. n-1)],
+          sorted, each block at most once per window, and [n]
+          returned. [into] has room for every block. The host may
+          spare any of them (then it must [rearm]). *)
   victim : exclude:(int -> bool) -> int option;
       (** A resident copy to evict for budget room, or [None]. *)
   on_release : block:int -> unit;

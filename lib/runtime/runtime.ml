@@ -411,18 +411,14 @@ let block_of_home st home =
   | Some b -> b
   | None -> raise (Runtime_bug (Printf.sprintf "no block at home %d" home))
 
-let rec delete_due st keep = function
-  | [] -> ()
-  | d :: tl ->
-    (if d <> keep then
-       match st.by_block.(d) with
-       | Some c -> delete_copy st c
-       | None -> ());
-    delete_due st keep tl
-
 let on_edge st ~target_block =
   st.edges <- st.edges + 1;
-  delete_due st target_block (Residency.Area.due st.area ~step:st.edges);
+  (* k-edge deletions, sparing the branch target (§5) *)
+  for i = 0 to Residency.Area.due st.area ~step:st.edges - 1 do
+    let d = Residency.Area.due_block st.area i in
+    if d <> target_block then
+      match st.by_block.(d) with Some c -> delete_copy st c | None -> ()
+  done;
   Residency.Area.on_execute st.area ~block:target_block ~step:st.edges
     ~time:(at st);
   emit_room st;
