@@ -86,8 +86,35 @@ let view ?(line_size = default_line_size) (sc : Scenario.t) =
   in
   { graph; info; trace; step_cycles; map }
 
+(* A policy's inputs are stated in blocks; the engine numbers lines. The
+   profile predictor is rebuilt from the line trace, and each pinned
+   block pins the lines it spans. *)
+let line_policy v (policy : Policy.t) =
+  let strategy =
+    match policy.strategy with
+    | Policy.Pre_single { lookahead; predictor = Predictor.By_profile _ } ->
+      Policy.Pre_single
+        {
+          lookahead;
+          predictor = Predictor.By_profile (Cfg.Profile.of_trace v.graph v.trace);
+        }
+    | s -> s
+  in
+  let retention =
+    match policy.retention with
+    | Residency.Policy.Pin_hot { pinned } ->
+      Residency.Policy.Pin_hot
+        {
+          pinned =
+            List.concat_map (fun b -> Array.to_list v.map.of_block.(b)) pinned;
+        }
+    | r -> r
+  in
+  { policy with strategy; retention }
+
 let run ?config ?profile ?sink ?registry ?line_size (sc : Scenario.t) policy =
   let v = view ?line_size sc in
+  let policy = line_policy v policy in
   let config =
     match config with
     | Some c -> c

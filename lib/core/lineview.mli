@@ -59,4 +59,7 @@ val run :
   Metrics.t
 (** Runs the policy engine at line granularity. Config resolution as
     in {!Scenario.run}: explicit [config] wins, else the scenario
-    codec's rates under [profile]. *)
+    codec's rates under [profile]. The policy's block-space inputs are
+    carried over to lines: a [By_profile] predictor predicts from a
+    profile of the line trace (its own profile is ignored), and a
+    [Pin_hot] set pins every line its blocks span. *)

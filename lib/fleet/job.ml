@@ -37,8 +37,10 @@ let make ?(codec = "code") ?(strategy = On_demand) ?(mode = Discard) ?budget
    v2: device profile joined the spec.
    v3: line_size joined the spec (line-granular residency runs).
    v4: scenario may be a corpus spec (gen:/multi:), canonicalized at
-   parse time — the same shape always renders the same key. *)
-let spec_version = 4
+   parse time — the same shape always renders the same key.
+   v5: a line-granular job's profile predictor predicts from the line
+   trace (it used block-profile probabilities under line ids). *)
+let spec_version = 5
 
 let strategy_to_string = function
   | On_demand -> "on-demand"

@@ -1045,12 +1045,115 @@ let test_general_path_fixture () =
         fixture_expected.(i) d)
     (List.combine fixture_cases got)
 
+(* The engine's pre-single pick reads per-run tables; Predictor.choose
+   is the reference it must agree with, for every predictor, over random
+   graphs, lookaheads, last-taken histories and compressed sets. *)
+let prop_pick_matches_choose =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 2 12 in
+      let* edges =
+        list_size (int_range 0 30)
+          (pair (int_range 0 (blocks - 1)) (int_range 0 (blocks - 1)))
+      in
+      let* lookahead = int_range 1 4 in
+      let* seed = int_range 0 100_000 in
+      return (blocks, edges, lookahead, seed))
+  in
+  QCheck.Test.make ~count:300 ~name:"table-driven pick = Predictor.choose"
+    (QCheck.make gen) (fun (blocks, edges, lookahead, seed) ->
+      let g = Cfg.Graph.synthetic blocks (List.sort_uniq compare edges) in
+      let rng = Random.State.make [| seed |] in
+      let trace =
+        Trace.Synthetic.markov ~seed g ~length:(1 + Random.State.int rng 80)
+      in
+      let frontiers = Cfg.Dist.frontiers g ~k:lookahead in
+      List.for_all
+        (fun predictor ->
+          let plan = Core.Predictor.plan predictor g frontiers in
+          let state = Core.Predictor.create_state ~blocks in
+          List.for_all
+            (fun _ ->
+              Core.Predictor.note_edge state ~src:(Random.State.int rng blocks)
+                ~dst:(Random.State.int rng blocks);
+              let packed = Array.init blocks (fun _ -> Random.State.bool rng) in
+              let compressed c = packed.(c) in
+              let from = Random.State.int rng blocks in
+              let candidates =
+                List.filter_map
+                  (fun (c, _) -> if compressed c then Some c else None)
+                  (Cfg.Dist.within g ~from ~k:lookahead)
+              in
+              let expected =
+                Core.Predictor.choose predictor state g ~from ~k:lookahead
+                  ~candidates
+              in
+              Core.Predictor.pick plan state ~from ~compressed
+              = Option.value ~default:(-1) expected)
+            (List.init 12 Fun.id))
+        Core.Predictor.
+          [ First_successor; Last_taken; By_profile (Cfg.Profile.of_trace g trace) ])
+
+(* Memsim.Kedge against a list model of its contract, under any call
+   order: tracks at arbitrary (also decreasing) steps, per-block k,
+   untracks, and due queries at nondecreasing steps. *)
+let prop_kedge_model =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 1 6 in
+      let* ks = array_size (return blocks) (int_range 1 5) in
+      let* ops =
+        list_size (int_range 0 80)
+          (oneof
+             [
+               map2 (fun b s -> `Track (b, s)) (int_range 0 (blocks - 1)) (int_range 0 40);
+               map (fun b -> `Untrack b) (int_range 0 (blocks - 1));
+               map (fun d -> `Due d) (int_range 0 3);
+             ])
+      in
+      return (blocks, ks, ops))
+  in
+  QCheck.Test.make ~count:500 ~name:"kedge = list model" (QCheck.make gen)
+    (fun (blocks, ks, ops) ->
+      let t = Memsim.Kedge.create ~k_of:(fun b -> ks.(b)) ~blocks ~k:1 () in
+      let base = Array.make blocks (-1) and pending = ref [] and step = ref 0 in
+      List.for_all
+        (function
+          | `Track (b, s) ->
+            Memsim.Kedge.track t ~block:b ~step:s;
+            base.(b) <- s;
+            pending := (s + ks.(b), b) :: !pending;
+            true
+          | `Untrack b ->
+            Memsim.Kedge.untrack t ~block:b;
+            base.(b) <- -1;
+            true
+          | `Due d ->
+            step := !step + d;
+            let s = !step in
+            let fired, rest = List.partition (fun (d, _) -> d <= s) !pending in
+            pending := rest;
+            let expected =
+              List.sort_uniq compare
+                (List.filter_map
+                   (fun (d, b) ->
+                     if d = s && base.(b) >= 0 && base.(b) + ks.(b) = s then Some b
+                     else None)
+                   fired)
+            in
+            Memsim.Kedge.due t ~step:s = expected)
+        ops)
+
 let () =
   Alcotest.run ~and_exit:false "core-fixture"
     [
       ( "general-path",
-        [ Alcotest.test_case "design-space fixture" `Quick test_general_path_fixture ]
-      );
+        [
+          Alcotest.test_case "design-space fixture" `Quick
+            test_general_path_fixture;
+          qcheck prop_pick_matches_choose;
+          qcheck prop_kedge_model;
+        ] );
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -57,29 +57,29 @@ let test_key_stable () =
 let key_fixture =
   let open Fleet.Job in
   [
-    (job (), "v4-0084269e8251ddbfcdf7e0f643390d5c");
-    (job ~scenario:"crc32" ~codec:"lzss" ~k:4 (), "v4-60c98de3bdc4da8659b5f8409c1d9ac4");
-    (job ~strategy:(Pre_all { lookahead = 2 }) (), "v4-d2972ff074cc548f506b9d529f8519d7");
+    (job (), "v5-eeddd93ffa1c81c8c6caddc38d1c3610");
+    (job ~scenario:"crc32" ~codec:"lzss" ~k:4 (), "v5-d9d0a13d859e934ccae592ffd61f3ea0");
+    (job ~strategy:(Pre_all { lookahead = 2 }) (), "v5-987d525b1044ba1ce109fd28d15d129c");
     ( job ~strategy:(Pre_single { lookahead = 2; predictor = "profile" }) (),
-      "v4-02886f76db4b2dc1b475537b6db7fb68" );
+      "v5-292a6aa62d2096c15931d41be4d04b35" );
     ( job ~strategy:(Pre_single { lookahead = 3; predictor = "last-taken" }) (),
-      "v4-72fa8121791fdbdedd6ef461fae4404a" );
+      "v5-ae5cb87982b6c87b01fe93041c223e61" );
     ( job ~strategy:(Pre_single { lookahead = 1; predictor = "first" }) (),
-      "v4-83635ae3e9dd30e5b586f60ac1acfe39" );
-    (job ~mode:Recompress (), "v4-240e1c58361aee5bf4bf663d5a3a60d1");
-    (job ~budget:512 (), "v4-0cf58ae65a8858b9166c6d012a6710f1");
-    (job ~retention:Clock (), "v4-6fd9c18b62357226f4e2e497b801dbef");
-    (job ~retention:(Loop_aware { weight = 1 }) (), "v4-5d4adefcdc0e8d65ad3534819e43b78f");
-    (job ~retention:(Loop_aware { weight = 2 }) (), "v4-f986b56536763146224d32b0b0423a42");
-    (job ~retention:(Pin_hot { fraction = 0.5 }) (), "v4-4e7cb1c28bd0fea4a2a393470ff83147");
-    (job ~profile:"cortex-m-flash" (), "v4-dc5d0d8b3e9fbb4c2b5fc4cf184718f1");
-    (job ~profile:"sram-heavy" (), "v4-2e373be850ddee2e921e4930a00b8795");
-    (job ~codec:"bdi-32" ~line_size:32 (), "v4-0dfb3f1119e64d8a8a74919520a58079");
+      "v5-dd438631ac2a4ed30a6e54097a21ed1d" );
+    (job ~mode:Recompress (), "v5-15c3f39674297bc88460346fcf94b9ea");
+    (job ~budget:512 (), "v5-0ac3eb322d8174f89dc83dbfa63d387c");
+    (job ~retention:Clock (), "v5-3cade2a4e6c9fab11d23fd816cc1e3dd");
+    (job ~retention:(Loop_aware { weight = 1 }) (), "v5-1636337e7ed52759c89b3dcb8c9d3c70");
+    (job ~retention:(Loop_aware { weight = 2 }) (), "v5-37b2d32e9c19deb1eeaec0f092b0f300");
+    (job ~retention:(Pin_hot { fraction = 0.5 }) (), "v5-1a9f125dc7435684aa1655d45ec98487");
+    (job ~profile:"cortex-m-flash" (), "v5-0041d1d1dc0b3fac140c6499cf17df75");
+    (job ~profile:"sram-heavy" (), "v5-03c754220485d69a4cc24862cd584126");
+    (job ~codec:"bdi-32" ~line_size:32 (), "v5-9d461a761e718cc3dad7078e6878125c");
     ( job ~k:2
         ~scenario:
           "gen:seed=7,depth=2,fanout=3,blocks=geo:12,calls=1,skew=0.9,cold=8,rounds=8"
         (),
-      "v4-fd54dd668a16bc320200de8e7bde3b3f" );
+      "v5-126f66c4cd81294eed6615d7ce069699" );
   ]
 
 let test_key_fixture () =
@@ -148,6 +148,53 @@ let test_line_size_in_spec () =
     line.Core.Metrics.exec_cycles;
   checkb "line run really decompressed" true
     (line.Core.Metrics.demand_decompressions > 0)
+
+(* Pin-hot pins blocks; a line-granular run pins the lines they span,
+   and none of those lines ever leaves the area. *)
+let test_line_pin_hot () =
+  let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "fir") in
+  let v = Core.Lineview.view ~line_size:32 sc in
+  let pinned_blocks =
+    Cfg.Profile.hot_blocks (Core.Scenario.profile sc) ~fraction:0.5
+  in
+  let pinned = Array.make v.map.Residency.Linemap.nlines false in
+  List.iter
+    (fun b -> Array.iter (fun l -> pinned.(l) <- true) v.map.of_block.(b))
+    pinned_blocks;
+  checkb "some line is pinned" true (Array.exists Fun.id pinned);
+  let col = Sim.Events.collector () in
+  let m =
+    Fleet.Job.execute ~sink:(Sim.Events.collecting col) sc
+      (job ~k:2 ~line_size:32 ~retention:(Pin_hot { fraction = 0.5 }) ())
+  in
+  checkb "other lines are discarded" true (m.Core.Metrics.discards > 0);
+  List.iter
+    (function
+      | Sim.Events.Discard { block; _ } | Evict { block; _ } ->
+        checkb (Printf.sprintf "line %d is not pinned" block) false
+          pinned.(block)
+      | _ -> ())
+    (Sim.Events.collected col)
+
+(* A line-granular profile predictor predicts from the line trace. *)
+let test_line_profile_predictor () =
+  let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "fir") in
+  let v = Core.Lineview.view ~line_size:32 sc in
+  let direct =
+    Core.Engine.run
+      ~config:(Core.Config.of_codec sc.codec)
+      ~step_cycles:v.step_cycles ~graph:v.graph ~info:v.info ~trace:v.trace
+      (Core.Policy.pre_single ~k:4 ~lookahead:2
+         ~predictor:(Core.Predictor.By_profile (Cfg.Profile.of_trace v.graph v.trace)))
+  in
+  let m =
+    Fleet.Job.execute sc
+      (job ~k:4 ~line_size:32
+         ~strategy:(Pre_single { lookahead = 2; predictor = "profile" })
+         ())
+  in
+  checkb "same metrics as a line-trace profile" true (m = direct);
+  checkb "it prefetched" true (m.Core.Metrics.prefetch_decompressions > 0)
 
 let test_key_filesystem_safe () =
   String.iter
@@ -640,6 +687,10 @@ let () =
           Alcotest.test_case "key charset" `Quick test_key_filesystem_safe;
           Alcotest.test_case "line size in the spec" `Quick
             test_line_size_in_spec;
+          Alcotest.test_case "line pin-hot keeps pinned lines" `Quick
+            test_line_pin_hot;
+          Alcotest.test_case "line profile predictor" `Quick
+            test_line_profile_predictor;
         ] );
       ( "pool",
         [

@@ -792,12 +792,7 @@ let spec_gen =
         Fleet.Job.[ Kedge; Loop_aware { weight }; Clock; Pin_hot { fraction } ]
     in
     let* profile = oneofl Sim.Cost.profile_names in
-    (* pin-hot pins block ids, which a line-granular run rejects *)
-    let* line_size =
-      match retention with
-      | Pin_hot _ -> return None
-      | _ -> oneofl [ None; Some 16; Some 32 ]
-    in
+    let* line_size = oneofl [ None; Some 16; Some 32 ] in
     return
       (Fleet.Job.make ~codec ~strategy ~mode ?budget ~retention ~profile
          ?line_size ~scenario ~k ()))
