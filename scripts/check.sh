@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: dune-file formatting, full build (library + CLI +
-# examples + bench), the complete test suite, a bench smoke run
+# examples + bench), the complete test suite, the end-to-end
+# benchmark's smoke run, a bench smoke run
 # (the streaming event-bus check, which has a built-in failure
 # condition), a fleet sweep smoke (parallel run against a cold
 # cache, then the same sweep warm — the second run must be served
@@ -14,6 +15,14 @@ cd "$(dirname "$0")/.."
 dune build @fmt
 dune build @all
 dune runtest
+
+# End-to-end benchmark smoke: every workload for about a second, plain
+# and traced, with its output checks — design-space metrics
+# consistency and pass-to-pass determinism, every served key equal to
+# a direct Fleet.Job.execute, kernel checksums — and the metric names
+# against BENCHMARK.json. Exits non-zero if any check fails.
+dune exec e2ebench/main.exe -- --smoke
+
 dune exec bench/main.exe -- --smoke
 
 # Codec-throughput smoke: the bench smoke must have written a
