@@ -296,10 +296,13 @@ let delete_copy st ~eviction b =
   Sim.Clock.push_back st.comp ~now:(now st)
     ~cycles:(patched_back * st.patch_cyc);
   (* Branches inside [b] vanish with it: drop them from the remember
-     sets of their targets. *)
+     sets of their targets. Only a resident copy has a remember set
+     (sites are recorded on arrival and flushed on release). *)
   let succs = st.succ_arr.(b) in
   for i = 0 to Array.length succs - 1 do
-    ignore (Residency.Area.forget_key st.area ~target:succs.(i) ~key:b)
+    let t = succs.(i) in
+    if st.stat.(t) land 3 = tag_resident then
+      ignore (Residency.Area.forget_key st.area ~target:t ~key:b)
   done;
   (match st.policy.Policy.mode with
   | Policy.Discard ->
