@@ -94,9 +94,8 @@ type state = {
   pred_state : Predictor.state;
   compressed : int -> bool;  (* [stat] reads as Compressed *)
   spare : int array;
-      (* the (up to three) blocks the current [make_room] must not
-         evict, read by [spared] *)
-  spared : int -> bool;
+      (* the three blocks the current [make_room] must not evict *)
+  spared : int -> bool;  (* [spare] or not Resident: no victim *)
   clock : Sim.Clock.t;
   dec : Sim.Clock.resource;  (* decompression thread *)
   comp : Sim.Clock.resource;  (* compression thread *)
@@ -209,7 +208,8 @@ let rec occ_pop occ ~upto =
   let f = occ.future in
   if (not (Memsim.Pairheap.is_empty f)) && Memsim.Pairheap.min_fst f <= upto
   then begin
-    let time = Memsim.Pairheap.min_fst f and delta = Memsim.Pairheap.min_snd f in
+    let time = Memsim.Pairheap.min_fst f in
+    let delta = Memsim.Pairheap.min_snd f in
     Memsim.Pairheap.pop f;
     occ_feed occ ~time ~delta;
     occ_pop occ ~upto
@@ -251,9 +251,11 @@ let memory_stats st =
    apply recompression frees whose time has passed. *)
 let rec promote st q =
   if head_time q <= now st then begin
-    let ready_at = Memsim.Pairheap.min_fst q and b = Memsim.Pairheap.min_snd q in
+    let ready_at = Memsim.Pairheap.min_fst q in
+    let b = Memsim.Pairheap.min_snd q in
     Memsim.Pairheap.pop q;
-    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at then begin
+    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at
+    then begin
       st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
       Residency.Area.on_ready st.area ~block:b ~time:ready_at
     end;
@@ -341,16 +343,16 @@ let rec evict_until st cap bytes =
     | None -> false
 
 (* Ensures [bytes] fit under the budget, evicting LRU residents other
-   than [a], [b] and [c]. Returns false if the space cannot be
+   than the three spared blocks. Returns false if the space cannot be
    freed. *)
-let make_room st ~a ~b ~c bytes =
+let make_room st ~spare1 ~spare2 ~spare3 bytes =
   match st.policy.Policy.budget with
   | None -> true
   | Some cap ->
     settle st;
-    st.spare.(0) <- a;
-    st.spare.(1) <- b;
-    st.spare.(2) <- c;
+    st.spare.(0) <- spare1;
+    st.spare.(1) <- spare2;
+    st.spare.(2) <- spare3;
     evict_until st cap bytes
 
 (* Allocates space for a decompressed copy of [b]. *)
@@ -359,7 +361,7 @@ let allocate st b =
   (match st.policy.Policy.budget with
   | None -> ()
   | Some _ ->
-    let ok = make_room st ~a:b ~b ~c:b u in
+    let ok = make_room st ~spare1:b ~spare2:b ~spare3:b u in
     if not ok then st.budget_overflows <- st.budget_overflows + 1);
   st.live_bytes <- st.live_bytes + u;
   mem_event st ~time:(now st) ~delta:u
@@ -475,7 +477,7 @@ let execute st ~step ~cycles b =
    edge from [b] to [next]. *)
 let issue_prefetch st ~step ~b ~next c =
   if st.stat.(c) land 3 = tag_compressed then
-    if make_room st ~a:b ~b:next ~c (st.u_size.(c)) then begin
+    if make_room st ~spare1:b ~spare2:next ~spare3:c st.u_size.(c) then begin
       st.live_bytes <- st.live_bytes + st.u_size.(c);
       mem_event st ~time:(now st) ~delta:(st.u_size.(c));
       let ready_at =
@@ -815,7 +817,10 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
           Single
             (Predictor.plan predictor graph
                (Cfg.Dist.frontiers graph ~k:lookahead)));
-      ev = Packed.create ();
+      (* 256 slots keep each plane within the minor heap's largest
+         block (Max_young_wosize): a run's chunk dies young instead of
+         costing a major-heap allocation per run *)
+      ev = Packed.create ~capacity:256 ();
       deliver;
       stat;
       aux = Array.make n 0;

@@ -123,17 +123,16 @@ let plan predictor g frontiers =
   }
 
 (* [best_by_profile]'s k rounds of max-product relaxation, over frontier
-   slots instead of hashtables. Every block a positive-probability walk
-   of at most k edges reaches is in the frontier, so slot [m] only ever
-   stands for [from] itself (when its frontier does not hold it). Same
-   products, same maxima: the floats are bit-identical. *)
+   slots instead of hashtables: same products, same maxima, so the
+   floats are bit-identical. Every block a walk of at most k edges
+   reaches is in the frontier, so only the walks' origin [from] may
+   lack a slot; it gets the extra slot [m]. *)
 let reach_row plan profile ~from fr =
   let m = Array.length fr and slot_of = plan.slot_of in
   Array.iteri (fun i c -> slot_of.(c) <- i) fr;
-  let idx b = if slot_of.(b) >= 0 then slot_of.(b) else if b = from then m else -1 in
   let cur = Array.make (m + 1) 0.0 and nxt = Array.make (m + 1) 0.0 in
   let best = Array.make m 0.0 in
-  cur.(idx from) <- 1.0;
+  cur.(if slot_of.(from) >= 0 then slot_of.(from) else m) <- 1.0;
   for _ = 1 to Cfg.Dist.horizon plan.frontiers do
     Array.fill nxt 0 (m + 1) 0.0;
     for j = 0 to m do
@@ -143,8 +142,8 @@ let reach_row plan profile ~from fr =
         Array.iter
           (fun s ->
             let p' = p *. Cfg.Profile.edge_probability profile ~src:b ~dst:s in
-            let i = idx s in
-            if i >= 0 && p' > 0.0 && p' > nxt.(i) then nxt.(i) <- p')
+            let i = slot_of.(s) in
+            if p' > 0.0 && p' > nxt.(i) then nxt.(i) <- p')
           plan.succ.(b)
       end
     done;
@@ -207,8 +206,8 @@ let pick plan state ~from ~compressed =
   else
     match plan.predictor with
     | By_profile profile ->
-      fr.(best_slot fr (reach plan profile ~from fr) compressed (nearest + 1)
-            nearest)
+      let row = reach plan profile ~from fr in
+      fr.(best_slot fr row compressed (nearest + 1) nearest)
     | First_successor | Last_taken ->
       let last =
         match plan.predictor with Last_taken -> state.last | _ -> [||]

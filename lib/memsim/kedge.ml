@@ -1,9 +1,15 @@
-(* One FIFO ring of (due step, block) entries per distinct per-block k:
-   hosts track at nondecreasing steps, so entries sharing a k arrive in
-   due order and each ring stays sorted — a push is a store at the
-   tail, a pop a move of the head. A push that would break its ring's
-   order (a host tracking at an earlier step than before) goes to a
-   heap instead, so any call order stays correct. *)
+(* Pending due entries are (due step, block) pairs, never updated in
+   place: a re-track just queues a new entry, and [due] drops stale
+   ones (an entry is live only while its block's current [base + k]
+   still lands on the entry's step).
+
+   They queue in one FIFO ring per distinct per-block k. Hosts track at
+   nondecreasing steps, so the entries sharing a k arrive in due order
+   and each ring stays sorted: a push is a store at the tail, a pop a
+   move of the head. An entry that would break its ring's order (a
+   caller tracking at an earlier step than before) goes to a heap
+   instead, so any call order stays correct. *)
+
 type ring = {
   kval : int;
   mutable rdue : int array;  (* capacity: a power of two *)
@@ -32,20 +38,26 @@ let create ?k_of ~blocks ~k () =
         if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1"
         else kb
   in
-  { k; k_of; base = Array.make blocks (-1); rings = [||]; late = Pairheap.create () }
+  let base = Array.make blocks (-1) in
+  { k; k_of; base; rings = [||]; late = Pairheap.create () }
 
 let k t = t.k
 let k_for t ~block = t.k_of block
 
-let new_ring kval =
-  { kval; rdue = Array.make 16 0; rblk = Array.make 16 0; head = 0; len = 0 }
-
 let rec ring_for t kb i =
   if i < Array.length t.rings then
-    let r = Array.unsafe_get t.rings i in
+    let r = t.rings.(i) in
     if r.kval = kb then r else ring_for t kb (i + 1)
   else begin
-    let r = new_ring kb in
+    let r =
+      {
+        kval = kb;
+        rdue = Array.make 16 0;
+        rblk = Array.make 16 0;
+        head = 0;
+        len = 0;
+      }
+    in
     t.rings <- Array.append t.rings [| r |];
     r
   end
@@ -64,13 +76,11 @@ let grow r =
 
 let push t kb due block =
   let r = ring_for t kb 0 in
-  let mask = Array.length r.rdue - 1 in
-  if r.len > 0 && r.rdue.((r.head + r.len - 1) land mask) > due then
-    Pairheap.push t.late due block
+  let last = (r.head + r.len - 1) land (Array.length r.rdue - 1) in
+  if r.len > 0 && r.rdue.(last) > due then Pairheap.push t.late due block
   else begin
     if r.len = Array.length r.rdue then grow r;
-    let mask = Array.length r.rdue - 1 in
-    let j = (r.head + r.len) land mask in
+    let j = (r.head + r.len) land (Array.length r.rdue - 1) in
     r.rdue.(j) <- due;
     r.rblk.(j) <- block;
     r.len <- r.len + 1
@@ -89,6 +99,9 @@ let counter t ~block ~step =
   let base = t.base.(block) in
   if base < 0 then None else Some (step - base)
 
+(* Adds [b] to the sorted, duplicate-free prefix [into.(0 .. n-1)] and
+   returns its new length. Due sets are a handful of blocks, so
+   inserting in place beats collecting and sorting. *)
 let rec position (into : int array) n b i =
   if i < n && into.(i) < b then position into n b (i + 1) else i
 
@@ -107,9 +120,14 @@ let insert_unique into n b =
     n + 1
   end
 
-let[@inline] live t step d b =
+(* An entry popped at [step] is due if it falls on [step] and its block
+   was not reset (or untracked) since it was queued; entries below
+   [step] are stale by the same test. *)
+let add_if_due t step into n d b =
   let base = t.base.(b) in
-  d = step && base >= 0 && base + t.k_of b = step
+  if d = step && base >= 0 && base + t.k_of b = step then
+    insert_unique into n b
+  else n
 
 let rec drain_ring t r step into n =
   if r.len = 0 || r.rdue.(r.head) > step then n
@@ -117,8 +135,12 @@ let rec drain_ring t r step into n =
     let d = r.rdue.(r.head) and b = r.rblk.(r.head) in
     r.head <- (r.head + 1) land (Array.length r.rdue - 1);
     r.len <- r.len - 1;
-    drain_ring t r step into (if live t step d b then insert_unique into n b else n)
+    drain_ring t r step into (add_if_due t step into n d b)
   end
+
+let rec drain_rings t step into n i =
+  if i = Array.length t.rings then n
+  else drain_rings t step into (drain_ring t t.rings.(i) step into n) (i + 1)
 
 let rec drain_late t step into n =
   let h = t.late in
@@ -126,14 +148,11 @@ let rec drain_late t step into n =
   else begin
     let d = Pairheap.min_fst h and b = Pairheap.min_snd h in
     Pairheap.pop h;
-    drain_late t step into (if live t step d b then insert_unique into n b else n)
+    drain_late t step into (add_if_due t step into n d b)
   end
 
-let rec drain_rings t step into n i =
-  if i = Array.length t.rings then n
-  else drain_rings t step into (drain_ring t t.rings.(i) step into n) (i + 1)
-
-let due_into t ~step ~into = drain_late t step into (drain_rings t step into 0 0)
+let due_into t ~step ~into =
+  drain_late t step into (drain_rings t step into 0 0)
 
 let due t ~step =
   let into = Array.make (Array.length t.base) 0 in

@@ -14,7 +14,9 @@ let create ~blocks =
   { sites = Array.make blocks [||]; counts = Array.make blocks 0 }
 
 let rec index (a : int array) n x i =
-  if i >= n then -1 else if Array.unsafe_get a i = x then i else index a n x (i + 1)
+  if i >= n then -1
+  else if Array.unsafe_get a i = x then i
+  else index a n x (i + 1)
 
 let record t ~target ~site =
   let a = t.sites.(target) and n = t.counts.(target) in
@@ -35,7 +37,8 @@ let record t ~target ~site =
   end
 
 let sites t ~target =
-  List.sort compare (Array.to_list (Array.sub t.sites.(target) 0 t.counts.(target)))
+  let live = Array.sub t.sites.(target) 0 t.counts.(target) in
+  List.sort compare (Array.to_list live)
 
 let iter t ~target f =
   let a = t.sites.(target) in
