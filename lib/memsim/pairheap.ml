@@ -10,7 +10,6 @@ type t = {
 
 let create () = { fst = Array.make 16 0; snd = Array.make 16 0; size = 0 }
 let is_empty t = t.size = 0
-let length t = t.size
 let min_fst t = t.fst.(0)
 let min_snd t = t.snd.(0)
 

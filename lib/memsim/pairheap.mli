@@ -12,7 +12,6 @@ type t
 
 val create : unit -> t
 val is_empty : t -> bool
-val length : t -> int
 
 val min_fst : t -> int
 (** First component of the least pair. Meaningless on an empty heap. *)

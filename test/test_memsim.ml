@@ -247,6 +247,32 @@ let test_layout_snapshot () =
     in
     has 0)
 
+(* Interleaved pushes and pops come out in the order a sorted list of
+   the same pairs gives. *)
+let prop_pairheap_order =
+  QCheck.Test.make ~count:300 ~name:"pair heap pops in lexicographic order"
+    QCheck.(
+      list_of_size Gen.(0 -- 80)
+        (option (pair (int_range 0 20) (int_range (-5) 5))))
+    (fun ops ->
+      let h = Memsim.Pairheap.create () and model = ref [] in
+      List.for_all
+        (function
+          | Some (a, b) ->
+            Memsim.Pairheap.push h a b;
+            model := List.sort compare ((a, b) :: !model);
+            true
+          | None -> (
+            match !model with
+            | [] -> Memsim.Pairheap.is_empty h
+            | (a, b) :: rest ->
+              let top = (Memsim.Pairheap.min_fst h, Memsim.Pairheap.min_snd h) in
+              Memsim.Pairheap.pop h;
+              model := rest;
+              top = (a, b)))
+        ops
+      && Memsim.Pairheap.is_empty h = (!model = []))
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -263,6 +289,7 @@ let () =
           qcheck prop_heap_invariants;
         ] );
       ("remember", [ Alcotest.test_case "sets" `Quick test_remember ]);
+      ("pairheap", [ qcheck prop_pairheap_order ]);
       ( "accounting",
         [
           Alcotest.test_case "integrals" `Quick test_accounting;
