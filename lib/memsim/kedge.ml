@@ -1,29 +1,13 @@
-(* Pending due entries are (due step, block) pairs, never updated in
-   place: a re-track just queues a new entry, and [due] drops stale
-   ones (an entry is live only while its block's current [base + k]
-   still lands on the entry's step).
-
-   They queue in one FIFO ring per distinct per-block k. Hosts track at
-   nondecreasing steps, so the entries sharing a k arrive in due order
-   and each ring stays sorted: a push is a store at the tail, a pop a
-   move of the head. An entry that would break its ring's order (a
-   caller tracking at an earlier step than before) goes to a heap
-   instead, so any call order stays correct. *)
-
-type ring = {
-  kval : int;
-  mutable rdue : int array;  (* capacity: a power of two *)
-  mutable rblk : int array;
-  mutable head : int;
-  mutable len : int;
-}
+(* Pending due entries are (due step, block) pairs in one heap, never
+   updated in place: a re-track just pushes a new entry, and [due]
+   drops stale ones (an entry is live only while its block's current
+   [base + k] still lands on the entry's step). *)
 
 type t = {
   k : int;
   k_of : int -> int;
   base : int array;  (* step of last reset; -1 = untracked *)
-  mutable rings : ring array;
-  late : Pairheap.t;  (* out-of-order entries *)
+  heap : Pairheap.t;
 }
 
 let create ?k_of ~blocks ~k () =
@@ -38,59 +22,16 @@ let create ?k_of ~blocks ~k () =
         if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1"
         else kb
   in
-  let base = Array.make blocks (-1) in
-  { k; k_of; base; rings = [||]; late = Pairheap.create () }
+  { k; k_of; base = Array.make blocks (-1); heap = Pairheap.create () }
 
 let k t = t.k
 let k_for t ~block = t.k_of block
-
-let rec ring_for t kb i =
-  if i < Array.length t.rings then
-    let r = t.rings.(i) in
-    if r.kval = kb then r else ring_for t kb (i + 1)
-  else begin
-    let r =
-      {
-        kval = kb;
-        rdue = Array.make 16 0;
-        rblk = Array.make 16 0;
-        head = 0;
-        len = 0;
-      }
-    in
-    t.rings <- Array.append t.rings [| r |];
-    r
-  end
-
-let grow r =
-  let cap = Array.length r.rdue in
-  let rdue = Array.make (2 * cap) 0 and rblk = Array.make (2 * cap) 0 in
-  for i = 0 to r.len - 1 do
-    let j = (r.head + i) land (cap - 1) in
-    rdue.(i) <- r.rdue.(j);
-    rblk.(i) <- r.rblk.(j)
-  done;
-  r.rdue <- rdue;
-  r.rblk <- rblk;
-  r.head <- 0
-
-let push t kb due block =
-  let r = ring_for t kb 0 in
-  let last = (r.head + r.len - 1) land (Array.length r.rdue - 1) in
-  if r.len > 0 && r.rdue.(last) > due then Pairheap.push t.late due block
-  else begin
-    if r.len = Array.length r.rdue then grow r;
-    let j = (r.head + r.len) land (Array.length r.rdue - 1) in
-    r.rdue.(j) <- due;
-    r.rblk.(j) <- block;
-    r.len <- r.len + 1
-  end
 
 let track t ~block ~step =
   t.base.(block) <- step;
   let kb = t.k_of block in
   (* Guard against overflow for "never compress" style huge k. *)
-  if kb <= max_int - step then push t kb (step + kb) block
+  if kb <= max_int - step then Pairheap.push t.heap (step + kb) block
 
 let untrack t ~block = t.base.(block) <- -1
 let tracked t ~block = t.base.(block) >= 0
@@ -99,60 +40,31 @@ let counter t ~block ~step =
   let base = t.base.(block) in
   if base < 0 then None else Some (step - base)
 
-(* Adds [b] to the sorted, duplicate-free prefix [into.(0 .. n-1)] and
-   returns its new length. Due sets are a handful of blocks, so
-   inserting in place beats collecting and sorting. *)
-let rec position (into : int array) n b i =
-  if i < n && into.(i) < b then position into n b (i + 1) else i
-
-let rec shift_up (into : int array) i j =
-  if j > i then begin
-    into.(j) <- into.(j - 1);
-    shift_up into i (j - 1)
-  end
-
-let insert_unique into n b =
-  let i = position into n b 0 in
-  if i < n && into.(i) = b then n
-  else begin
-    shift_up into i n;
-    into.(i) <- b;
-    n + 1
-  end
-
-(* An entry popped at [step] is due if it falls on [step] and its block
-   was not reset (or untracked) since it was queued; entries below
-   [step] are stale by the same test. *)
-let add_if_due t step into n d b =
-  let base = t.base.(b) in
-  if d = step && base >= 0 && base + t.k_of b = step then
-    insert_unique into n b
-  else n
-
-let rec drain_ring t r step into n =
-  if r.len = 0 || r.rdue.(r.head) > step then n
-  else begin
-    let d = r.rdue.(r.head) and b = r.rblk.(r.head) in
-    r.head <- (r.head + 1) land (Array.length r.rdue - 1);
-    r.len <- r.len - 1;
-    drain_ring t r step into (add_if_due t step into n d b)
-  end
-
-let rec drain_rings t step into n i =
-  if i = Array.length t.rings then n
-  else drain_rings t step into (drain_ring t t.rings.(i) step into n) (i + 1)
-
-let rec drain_late t step into n =
-  let h = t.late in
+(* Pops every entry at or below [step]. One due at [step] counts if its
+   block was not reset (or untracked) since it was queued; entries
+   below [step] are stale by the same test. The heap hands a step's
+   entries over in ascending block order, so [into] comes out sorted
+   and a duplicate (a block re-tracked at the same step) is always
+   next to its twin. *)
+let rec collect t step into n =
+  let h = t.heap in
   if Pairheap.is_empty h || Pairheap.min_fst h > step then n
   else begin
     let d = Pairheap.min_fst h and b = Pairheap.min_snd h in
     Pairheap.pop h;
-    drain_late t step into (add_if_due t step into n d b)
+    let base = t.base.(b) in
+    if
+      d = step && base >= 0
+      && base + t.k_of b = step
+      && not (n > 0 && into.(n - 1) = b)
+    then begin
+      into.(n) <- b;
+      collect t step into (n + 1)
+    end
+    else collect t step into n
   end
 
-let due_into t ~step ~into =
-  drain_late t step into (drain_rings t step into 0 0)
+let due_into t ~step ~into = collect t step into 0
 
 let due t ~step =
   let into = Array.make (Array.length t.base) 0 in

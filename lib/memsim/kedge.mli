@@ -6,8 +6,9 @@
 
     Steps are global edge-traversal counts (position in the trace).
     The implementation keeps, per block, the step of its last reset and
-    FIFO rings of pending due steps (one per distinct k) — a few int stores per event
-    instead of touching every resident counter on every branch.
+    one heap of pending due steps — O(log n) int stores per event,
+    whatever the per-block k values, instead of touching every resident
+    counter on every branch.
 
     Steps passed to {!due} must be nondecreasing across calls on one
     instance (every driver walks its trace forward); entries that fall
