@@ -19,6 +19,7 @@ type t = {
   blocks : block array;
   succs : (int * edge_kind) list array;
   preds : (int * edge_kind) list array;
+  succ_table : int array array;  (* [succs]' ids, as arrays *)
   entry : int;
 }
 
@@ -44,7 +45,8 @@ let make ?(entry = 0) blocks edges =
   (* Keep deterministic order: as given. *)
   Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-  { blocks; succs; preds; entry }
+  let succ_table = Array.map (fun l -> Array.of_list (List.map fst l)) succs in
+  { blocks; succs; preds; succ_table; entry }
 
 let synthetic ?(block_bytes = 64) ?sizes n edges =
   if n <= 0 then invalid_arg "Cfg.Graph.synthetic: n must be positive";
@@ -78,6 +80,7 @@ let succs t i = t.succs.(i)
 let preds t i = t.preds.(i)
 let succ_ids t i = List.map fst t.succs.(i)
 let pred_ids t i = List.map fst t.preds.(i)
+let succ_table t = t.succ_table
 
 let edges t =
   let acc = ref [] in

@@ -48,6 +48,11 @@ val preds : t -> int -> (int * edge_kind) list
 val succ_ids : t -> int -> int list
 val pred_ids : t -> int -> int list
 
+val succ_table : t -> int array array
+(** [succ_table g].(b) holds [succ_ids g b] as an array. Built once
+    with the graph and shared by every caller: read it, never write
+    it. *)
+
 val edges : t -> (int * int * edge_kind) list
 (** All edges, ordered by source block id. *)
 

@@ -6,7 +6,7 @@
 
 type t = {
   blocks : int array;
-  succ : int array array;  (* [Graph.succ_ids], as arrays *)
+  succ : int array array;  (* [Graph.succ_table] *)
   counts : int array array;  (* traversals per successor slot *)
   out_total : int array;
 }
@@ -16,7 +16,7 @@ let rec slot (a : int array) d i =
 
 let of_trace g trace =
   let n = Graph.num_blocks g in
-  let succ = Array.init n (fun b -> Array.of_list (Graph.succ_ids g b)) in
+  let succ = Graph.succ_table g in
   let counts = Array.map (fun s -> Array.make (Array.length s) 0) succ in
   let blocks = Array.make n 0 in
   let out_total = Array.make n 0 in

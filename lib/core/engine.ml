@@ -124,7 +124,7 @@ type state = {
   demand_nj : int array;
   prefetch_nj : int array;
   recompress_nj : int array;
-  succ_arr : int array array;  (* successor ids, precomputed *)
+  succ_arr : int array array;  (* [Cfg.Graph.succ_table] *)
   ret_sites : int array array;  (* per target: return-only pred sites *)
   exc_cyc : int;
   exc_nj : int;
@@ -886,8 +886,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
                ~uncompressed_bytes:i.uncompressed_bytes)
               .Sim.Cost.energy_nj)
           info;
-      succ_arr =
-        Array.init n (fun i -> Array.of_list (Cfg.Graph.succ_ids graph i));
+      succ_arr = Cfg.Graph.succ_table graph;
       ret_sites =
         (let ret = Array.make n [] and other = Array.make n [] in
          List.iter

@@ -117,7 +117,7 @@ let plan predictor g frontiers =
   {
     predictor;
     frontiers;
-    succ = Array.init n (fun b -> Array.of_list (Cfg.Graph.succ_ids g b));
+    succ = Cfg.Graph.succ_table g;
     reach = Array.make n None;
     slot_of = Array.make n (-1);
   }
