@@ -6,7 +6,7 @@
 
     Steps are global edge-traversal counts (position in the trace).
     The implementation keeps, per block, the step of its last reset and
-    one heap of pending due steps — O(log n) int stores per event,
+    a timing wheel of pending due steps — a few int stores per event,
     whatever the per-block k values, instead of touching every resident
     counter on every branch.
 

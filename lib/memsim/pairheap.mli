@@ -3,8 +3,8 @@
     pairs are interchangeable, so the pop order of a set of pairs is
     fully determined — the same order a sorted list of them gives.
 
-    The simulators' time-ordered queues (in-flight decompressions,
-    pending frees, future occupancy deltas, k-edge due steps) use it:
+    The timing engine's time-ordered queues (in-flight
+    decompressions, pending frees, future occupancy deltas) use it:
     a push or pop is O(log n) int stores, and nothing is allocated
     once the backing arrays have grown to the queue's high-water mark. *)
 

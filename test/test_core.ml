@@ -1095,20 +1095,21 @@ let prop_pick_matches_choose =
           [ First_successor; Last_taken; By_profile (Cfg.Profile.of_trace g trace) ])
 
 (* Memsim.Kedge against a list model of its contract, under any call
-   order: tracks at arbitrary (also decreasing) steps, per-block k,
-   untracks, and due queries at nondecreasing steps. *)
+   order: tracks at arbitrary (also decreasing) steps, per-block k
+   (also past the timing wheel's size), untracks, and due queries at
+   nondecreasing, sometimes skipped, steps. *)
 let prop_kedge_model =
   let gen =
     QCheck.Gen.(
       let* blocks = int_range 1 6 in
-      let* ks = array_size (return blocks) (int_range 1 5) in
+      let* ks = array_size (return blocks) (int_range 1 20) in
       let* ops =
         list_size (int_range 0 80)
           (oneof
              [
                map2 (fun b s -> `Track (b, s)) (int_range 0 (blocks - 1)) (int_range 0 40);
                map (fun b -> `Untrack b) (int_range 0 (blocks - 1));
-               map (fun d -> `Due d) (int_range 0 3);
+               map (fun d -> `Due d) (int_range 0 9);
              ])
       in
       return (blocks, ks, ops))
