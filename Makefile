@@ -8,12 +8,11 @@ build:
 test:
 	dune runtest
 
-# Everything a reviewer should run before merging: the full build
-# (library, CLI, examples, bench — compilation errors anywhere fail
-# here) and the whole test suite.
+# Everything to run before merging: scripts/check.sh
+# (full build, the whole test suite, then the end-to-end benchmark,
+# bench, service and determinism smokes).
 check:
-	dune build @all
-	dune runtest
+	sh scripts/check.sh
 
 bench:
 	dune exec bench/main.exe

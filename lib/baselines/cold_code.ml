@@ -53,42 +53,24 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
     Sim.Cost.Acc.charge acc src v;
     total := !total + v.Sim.Cost.cycles
   in
-  (* The reserved buffer is a one-slot residency area with an inline
-     retention policy: the occupant is always the eviction victim, and
-     nothing ever ages out on its own. *)
+  (* The reserved buffer holds one cold block; a miss replaces it. *)
   let occupant = ref (-1) in
-  let buffer_policy =
-    {
-      Residency.Policy.name = "cold-buffer";
-      on_materialize = (fun ~block ~step:_ -> occupant := block);
-      on_ready = (fun ~block:_ ~time:_ -> ());
-      on_execute = (fun ~block:_ ~step:_ ~time:_ -> ());
-      rearm = (fun ~block:_ ~step:_ -> ());
-      due = (fun ~step:_ ~into:_ -> 0);
-      victim =
-        (fun ~exclude ->
-          if !occupant >= 0 && not (exclude !occupant) then Some !occupant
-          else None);
-      on_release = (fun ~block -> if !occupant = block then occupant := -1);
-      describe = (fun () -> "one-block cold buffer, replaced on entry");
-    }
-  in
-  let area =
-    Residency.Area.create_keyed ~policy:buffer_policy ~blocks:n ~emit
-      ~now:(fun () -> !total)
-      ()
-  in
-  Array.iteri
-    (fun step b ->
+  Array.iter
+    (fun b ->
       charge Sim.Cost.Exec
         (Sim.Cost.exec_charge costs
            ~cycles:sc.info.(b).Core.Engine.exec_cycles);
       emit (Sim.Events.Exec { block = b; at = !total });
       if (not hot.(b)) && !occupant <> b then begin
-        (match Residency.Area.victim area ~exclude:(fun _ -> false) with
-        | Some v ->
-          ignore (Residency.Area.discard area ~block:v ~patch_back:(fun _ -> true))
-        | None -> ());
+        if !occupant >= 0 then
+          emit
+            (Sim.Events.Discard
+               {
+                 block = !occupant;
+                 at = !total;
+                 patched_back = 0;
+                 wasted = false;
+               });
         incr decompressions;
         emit (Sim.Events.Exception { block = b; at = !total });
         charge Sim.Cost.Exception (Sim.Cost.exception_charge costs);
@@ -98,7 +80,7 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
             ~uncompressed_bytes:sc.info.(b).Core.Engine.uncompressed_bytes
         in
         charge Sim.Cost.Demand_dec dec_charge;
-        Residency.Area.on_materialize area ~block:b ~step;
+        occupant := b;
         emit
           (Sim.Events.Demand_decompress
              { block = b; at = !total; cycles = dec_charge.Sim.Cost.cycles })

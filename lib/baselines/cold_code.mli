@@ -32,10 +32,7 @@ val run :
   result
 (** [hot_fraction] (default 0.95) is the fraction of dynamic block
     visits the hot set must cover, per the scenario's own profile.
-    The reserved buffer is driven as a one-slot {!Residency.Area}
-    with an inline replace-on-entry policy, so its lifecycle speaks
-    the same vocabulary as the engine's. [sink] streams the replay as
-    {!Sim.Events}: an [Exec] per trace step, an [Exception] +
-    [Demand_decompress] pair per buffer miss, and a [Discard] when a
-    miss replaces the previous occupant, timestamped in accumulated
-    cycles. The sink is not closed. *)
+    [sink] streams the replay as {!Sim.Events}: an [Exec] per trace
+    step, an [Exception] + [Demand_decompress] pair per buffer miss,
+    and a [Discard] when a miss replaces the previous occupant,
+    timestamped in accumulated cycles. The sink is not closed. *)

@@ -799,7 +799,6 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
         graph = Some graph;
         budget = policy.Policy.budget;
         size_of = Some (fun b -> info.(b).uncompressed_bytes);
-        totals = Some (fun () -> Sim.Cost.Acc.dimension_totals acc);
       }
   in
   let costs = config.Config.costs in

@@ -87,8 +87,9 @@ let view ?(line_size = default_line_size) (sc : Scenario.t) =
   { graph; info; trace; step_cycles; map }
 
 (* A policy's inputs are stated in blocks; the engine numbers lines. The
-   profile predictor is rebuilt from the line trace, and each pinned
-   block pins the lines it spans. *)
+   profile predictor is rebuilt from the line trace, each pinned block
+   pins the lines it spans, and each line keeps its copy as long as the
+   longest-lived block spanning it would (the max of their adaptive k). *)
 let line_policy v (policy : Policy.t) =
   let strategy =
     match policy.strategy with
@@ -110,7 +111,19 @@ let line_policy v (policy : Policy.t) =
         }
     | r -> r
   in
-  { policy with strategy; retention }
+  let adaptive_k =
+    Option.map
+      (fun k_of ->
+        let k = Array.make v.map.nlines 1 in
+        Array.iteri
+          (fun b lines ->
+            let kb = k_of b in
+            Array.iter (fun l -> k.(l) <- max k.(l) kb) lines)
+          v.map.of_block;
+        Array.get k)
+      policy.adaptive_k
+  in
+  { policy with strategy; retention; adaptive_k }
 
 let run ?config ?profile ?sink ?registry ?line_size (sc : Scenario.t) policy =
   let v = view ?line_size sc in

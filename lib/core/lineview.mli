@@ -61,5 +61,7 @@ val run :
     in {!Scenario.run}: explicit [config] wins, else the scenario
     codec's rates under [profile]. The policy's block-space inputs are
     carried over to lines: a [By_profile] predictor predicts from a
-    profile of the line trace (its own profile is ignored), and a
-    [Pin_hot] set pins every line its blocks span. *)
+    profile of the line trace (its own profile is ignored), a
+    [Pin_hot] set pins every line its blocks span, and an
+    [adaptive_k] gives each line the largest k of the blocks spanning
+    it. *)

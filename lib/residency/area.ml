@@ -39,16 +39,16 @@ let create_keyed ~policy ~blocks ?(emit = fun (_ : Sim.Events.t) -> ())
     ?(now = fun () -> 0) () =
   make ~policy ~blocks ~emit ~now Keys
 
-let on_materialize t ~block ~step = t.policy.Policy.on_materialize ~block ~step
-let on_ready t ~block ~time = t.policy.Policy.on_ready ~block ~time
+let on_materialize t ~block ~step = Policy.on_materialize t.policy ~block ~step
+let on_ready t ~block ~time = Policy.on_ready t.policy ~block ~time
 
 let on_execute t ~block ~step ~time =
-  t.policy.Policy.on_execute ~block ~step ~time
+  Policy.on_execute t.policy ~block ~step ~time
 
-let rearm t ~block ~step = t.policy.Policy.rearm ~block ~step
-let due t ~step = t.policy.Policy.due ~step ~into:t.due_buf
+let rearm t ~block ~step = Policy.rearm t.policy ~block ~step
+let due t ~step = Policy.due t.policy ~step ~into:t.due_buf
 let due_block t i = t.due_buf.(i)
-let victim t ~exclude = t.policy.Policy.victim ~exclude
+let victim t ~exclude = Policy.victim t.policy ~exclude
 
 let record_site (type s) (t : s t) ~target ~(site : s) =
   match t.sites with
@@ -77,7 +77,7 @@ let forget_key (type s) (t : s t) ~target ~key =
 let release_count (type s) (t : s t) ~block =
   (match t.sites with Keys -> () | Payloads p -> p.lists.(block) <- []);
   let n = Memsim.Remember.flush t.keys ~target:block in
-  t.policy.Policy.on_release ~block;
+  Policy.on_release t.policy ~block;
   n
 
 let release (type s) (t : s t) ~block ~(patch_back : s -> bool) =
@@ -90,7 +90,7 @@ let release (type s) (t : s t) ~block ~(patch_back : s -> bool) =
     p.lists.(block) <- [];
     List.iter patch sites);
   ignore (Memsim.Remember.flush t.keys ~target:block);
-  t.policy.Policy.on_release ~block;
+  Policy.on_release t.policy ~block;
   !n
 
 let discard ?(wasted = false) t ~block ~patch_back =

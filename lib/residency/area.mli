@@ -1,6 +1,5 @@
 (** The decompressed-copy area manager: one copy-lifecycle engine
-    shared by the timing model, the executable runtime and the
-    baselines.
+    shared by the timing model and the executable runtime.
 
     An area couples a retention {!Policy.t} (when copies die) with the
     remember-set bookkeeping every host needs (which branch sites were
@@ -38,8 +37,8 @@ val create_keyed :
 (** An area whose sites are their own keys: only the deduplicated keys
     are stored, and recording or forgetting a site allocates nothing. *)
 
-(** {1 Retention hooks} — thin delegates to the policy; see
-    {!Policy.t} for semantics. *)
+(** {1 Retention hooks} — direct calls into the policy; see
+    {!Policy} for semantics. *)
 
 val on_materialize : 'site t -> block:int -> step:int -> unit
 val on_ready : 'site t -> block:int -> time:int -> unit

@@ -17,53 +17,39 @@ type ctx = {
   graph : Cfg.Graph.t option;
   budget : int option;
   size_of : (int -> int) option;
-  totals : (unit -> (string * int) list) option;
 }
 
-type t = {
-  name : string;
-  on_materialize : block:int -> step:int -> unit;
-  on_ready : block:int -> time:int -> unit;
-  on_execute : block:int -> step:int -> time:int -> unit;
-  rearm : block:int -> step:int -> unit;
-  due : step:int -> into:int array -> int;
-  victim : exclude:(int -> bool) -> int option;
-  on_release : block:int -> unit;
-  describe : unit -> string;
+(* k-edge counters + LRU victims: the paper's own retention scheme.
+   [Kedge] and [Loop_aware] differ only in the counters' per-block k. *)
+type kedge_lru = { kedge : Memsim.Kedge.t; lru : Memsim.Lru.t }
+
+(* Clock: second-chance approximation of the k-edge/LRU pair with O(1)
+   state per block.  Each resident copy has a reference bit, set on
+   execution, and a timer re-armed every [k] edges — a k-edge counter,
+   so the timers are a [Memsim.Kedge] whose tracked set is exactly the
+   set of copies in the area.  When the timer fires with the bit set,
+   the copy gets a second chance (bit cleared, timer re-armed); with
+   the bit clear it is reported due.  Budget victims come from a
+   clock-hand sweep that clears bits as it passes. *)
+type clock = {
+  timers : Memsim.Kedge.t;
+  refbit : bool array;
+  mutable hand : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* k-edge counters + LRU victims: the paper's own retention scheme,
-   shared by [Kedge], [Loop_aware] and (as fallback) [Pin_hot]. *)
+(* Pin-hot ([Pinned]): the pinned blocks are exempt from all retention
+   bookkeeping — never due, never a victim — and everything else runs
+   plain k-edge/LRU. *)
+type t =
+  | Kedge_lru of kedge_lru
+  | Clock_bits of clock
+  | Pinned of { pin : bool array; inner : kedge_lru }
 
-let kedge_lru ~name ?k_of ~blocks ~k ~describe () =
-  let kedge = Memsim.Kedge.create ?k_of ~blocks ~k () in
-  let lru = Memsim.Lru.create () in
+let kedge_lru ?k_of ctx =
   {
-    name;
-    on_materialize = (fun ~block ~step -> Memsim.Kedge.track kedge ~block ~step);
-    on_ready = (fun ~block ~time -> Memsim.Lru.touch lru block ~time);
-    on_execute =
-      (fun ~block ~step ~time ->
-        Memsim.Kedge.track kedge ~block ~step;
-        Memsim.Lru.touch lru block ~time);
-    rearm = (fun ~block ~step -> Memsim.Kedge.track kedge ~block ~step);
-    due = (fun ~step ~into -> Memsim.Kedge.due_into kedge ~step ~into);
-    victim = (fun ~exclude -> Memsim.Lru.victim lru ~exclude ());
-    on_release =
-      (fun ~block ->
-        Memsim.Kedge.untrack kedge ~block;
-        Memsim.Lru.remove lru block);
-    describe;
+    kedge = Memsim.Kedge.create ?k_of ~blocks:ctx.blocks ~k:ctx.k ();
+    lru = Memsim.Lru.create ();
   }
-
-let base_k ctx block =
-  match ctx.k_of with None -> ctx.k | Some f -> f block
-
-let kedge ctx =
-  kedge_lru ~name:"kedge" ?k_of:ctx.k_of ~blocks:ctx.blocks ~k:ctx.k
-    ~describe:(fun () -> Printf.sprintf "k-edge/LRU, k=%d" ctx.k)
-    ()
 
 let loop_aware ~weight ctx =
   if weight < 1 then
@@ -78,95 +64,18 @@ let loop_aware ~weight ctx =
   let k_of b =
     let d = if b >= 0 && b < Array.length depth then depth.(b) else 0 in
     let scale = 1 + (weight * d) in
-    let base = base_k ctx b in
+    let base = match ctx.k_of with None -> ctx.k | Some f -> f b in
     if base >= max_int / scale then max_int else base * scale
   in
-  kedge_lru ~name:"loop-aware" ~k_of ~blocks:ctx.blocks ~k:ctx.k
-    ~describe:(fun () ->
-      Printf.sprintf "loop-aware k-edge, k=%d scaled by (1 + %d*depth)" ctx.k
-        weight)
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* Clock: second-chance approximation of the k-edge/LRU pair with O(1)
-   state per block.  Each resident copy has a reference bit, set on
-   execution, and a timer re-armed every [k] edges — a k-edge counter,
-   so the timers are a [Memsim.Kedge] whose tracked set is exactly the
-   set of copies in the area.  When the timer fires with the bit set,
-   the copy gets a second chance (bit cleared, timer re-armed); with
-   the bit clear it is reported due.  Budget victims come from a
-   clock-hand sweep that clears bits as it passes. *)
-
-(* Second chance over the fired timers [into.(0 .. n-1)], compacting
-   the copies that are really due to the front. Every fired timer is
-   re-armed — also when its copy is reported due: the host may spare
-   it (branch target, §5) and the timer must stay alive for the
-   surviving copy. *)
-let rec second_chance timers refbit ~step (into : int array) n i j =
-  if i = n then j
-  else begin
-    let b = into.(i) in
-    Memsim.Kedge.track timers ~block:b ~step;
-    if refbit.(b) then begin
-      refbit.(b) <- false;
-      second_chance timers refbit ~step into n (i + 1) j
-    end
-    else begin
-      into.(j) <- b;
-      second_chance timers refbit ~step into n (i + 1) (j + 1)
-    end
-  end
+  kedge_lru ~k_of ctx
 
 let clock ctx =
   if ctx.k < 1 then invalid_arg "Residency.Policy: clock k must be >= 1";
-  let blocks = ctx.blocks and k = ctx.k in
-  let timers = Memsim.Kedge.create ~blocks ~k () in
-  let refbit = Array.make blocks false in
-  let hand = ref 0 in
-  let arm ~block ~step = Memsim.Kedge.track timers ~block ~step in
   {
-    name = "clock";
-    on_materialize = arm;
-    on_ready = (fun ~block:_ ~time:_ -> ());
-    (* The bit is set by execution only, never by materialization, so
-       the engine's materialize-then-execute and the runtime's
-       execute-then-trap orders leave identical state. *)
-    on_execute = (fun ~block ~step:_ ~time:_ -> refbit.(block) <- true);
-    rearm = arm;
-    due =
-      (fun ~step ~into ->
-        let n = Memsim.Kedge.due_into timers ~step ~into in
-        second_chance timers refbit ~step into n 0 0);
-    victim =
-      (fun ~exclude ->
-        let rec sweep i remaining =
-          if remaining = 0 then None
-          else begin
-            let b = i mod blocks in
-            if Memsim.Kedge.tracked timers ~block:b && not (exclude b) then
-              if refbit.(b) then begin
-                refbit.(b) <- false;
-                sweep (b + 1) (remaining - 1)
-              end
-              else begin
-                hand := b + 1;
-                Some b
-              end
-            else sweep (b + 1) (remaining - 1)
-          end
-        in
-        sweep !hand (2 * blocks));
-    on_release =
-      (fun ~block ->
-        Memsim.Kedge.untrack timers ~block;
-        refbit.(block) <- false);
-    describe = (fun () -> Printf.sprintf "clock (second chance), period=%d" k);
+    timers = Memsim.Kedge.create ~blocks:ctx.blocks ~k:ctx.k ();
+    refbit = Array.make ctx.blocks false;
+    hand = 0;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Pin-hot: a profile-driven pinned set that is exempt from all
-   retention bookkeeping — never due, never a victim — on top of the
-   plain k-edge/LRU scheme for everything else. *)
 
 let pin_hot ~pinned ctx =
   List.iter
@@ -186,28 +95,109 @@ let pin_hot ~pinned ctx =
   | _ -> ());
   let pin = Array.make ctx.blocks false in
   List.iter (fun b -> pin.(b) <- true) distinct;
-  let inner = kedge ctx in
-  {
-    inner with
-    name = "pin-hot";
-    on_materialize =
-      (fun ~block ~step -> if not pin.(block) then inner.on_materialize ~block ~step);
-    on_ready = (fun ~block ~time -> if not pin.(block) then inner.on_ready ~block ~time);
-    on_execute =
-      (fun ~block ~step ~time ->
-        if not pin.(block) then inner.on_execute ~block ~step ~time);
-    rearm = (fun ~block ~step -> if not pin.(block) then inner.rearm ~block ~step);
-    victim = (fun ~exclude -> inner.victim ~exclude:(fun b -> pin.(b) || exclude b));
-    describe =
-      (fun () ->
-        Printf.sprintf "pin-hot (%d pinned) over k-edge, k=%d"
-          (List.length distinct) ctx.k);
-  }
+  Pinned { pin; inner = kedge_lru ?k_of:ctx.k_of ctx }
 
 let instantiate spec ctx =
   if ctx.blocks < 1 then invalid_arg "Residency.Policy: blocks must be >= 1";
   match spec with
-  | Kedge -> kedge ctx
-  | Loop_aware { weight } -> loop_aware ~weight ctx
-  | Clock -> clock ctx
+  | Kedge -> Kedge_lru (kedge_lru ?k_of:ctx.k_of ctx)
+  | Loop_aware { weight } -> Kedge_lru (loop_aware ~weight ctx)
+  | Clock -> Clock_bits (clock ctx)
   | Pin_hot { pinned } -> pin_hot ~pinned ctx
+
+(* ------------------------------------------------------------------ *)
+(* The retention hooks. *)
+
+let on_materialize t ~block ~step =
+  match t with
+  | Kedge_lru s -> Memsim.Kedge.track s.kedge ~block ~step
+  | Clock_bits c -> Memsim.Kedge.track c.timers ~block ~step
+  | Pinned { pin; inner } ->
+    if not pin.(block) then Memsim.Kedge.track inner.kedge ~block ~step
+
+let rearm = on_materialize
+
+let on_ready t ~block ~time =
+  match t with
+  | Kedge_lru s -> Memsim.Lru.touch s.lru block ~time
+  | Clock_bits _ -> ()
+  | Pinned { pin; inner } ->
+    if not pin.(block) then Memsim.Lru.touch inner.lru block ~time
+
+let execute s ~block ~step ~time =
+  Memsim.Kedge.track s.kedge ~block ~step;
+  Memsim.Lru.touch s.lru block ~time
+
+let on_execute t ~block ~step ~time =
+  match t with
+  | Kedge_lru s -> execute s ~block ~step ~time
+  (* The bit is set by execution only, never by materialization, so
+     the engine's materialize-then-execute and the runtime's
+     execute-then-trap orders leave identical state. *)
+  | Clock_bits c -> c.refbit.(block) <- true
+  | Pinned { pin; inner } ->
+    if not pin.(block) then execute inner ~block ~step ~time
+
+(* Second chance over the fired timers [into.(0 .. n-1)], compacting
+   the copies that are really due to the front. Every fired timer is
+   re-armed — also when its copy is reported due: the host may spare
+   it (branch target, §5) and the timer must stay alive for the
+   surviving copy. *)
+let rec second_chance c ~step (into : int array) n i j =
+  if i = n then j
+  else begin
+    let b = into.(i) in
+    Memsim.Kedge.track c.timers ~block:b ~step;
+    if c.refbit.(b) then begin
+      c.refbit.(b) <- false;
+      second_chance c ~step into n (i + 1) j
+    end
+    else begin
+      into.(j) <- b;
+      second_chance c ~step into n (i + 1) (j + 1)
+    end
+  end
+
+let due t ~step ~into =
+  match t with
+  | Kedge_lru s | Pinned { inner = s; _ } ->
+    Memsim.Kedge.due_into s.kedge ~step ~into
+  | Clock_bits c ->
+    let n = Memsim.Kedge.due_into c.timers ~step ~into in
+    second_chance c ~step into n 0 0
+
+let sweep c ~exclude =
+  let blocks = Array.length c.refbit in
+  let rec go i remaining =
+    if remaining = 0 then None
+    else begin
+      let b = i mod blocks in
+      if Memsim.Kedge.tracked c.timers ~block:b && not (exclude b) then
+        if c.refbit.(b) then begin
+          c.refbit.(b) <- false;
+          go (b + 1) (remaining - 1)
+        end
+        else begin
+          c.hand <- b + 1;
+          Some b
+        end
+      else go (b + 1) (remaining - 1)
+    end
+  in
+  go c.hand (2 * blocks)
+
+let victim t ~exclude =
+  match t with
+  | Kedge_lru s -> Memsim.Lru.victim s.lru ~exclude ()
+  | Clock_bits c -> sweep c ~exclude
+  | Pinned { pin; inner } ->
+    Memsim.Lru.victim inner.lru ~exclude:(fun b -> pin.(b) || exclude b) ()
+
+let on_release t ~block =
+  match t with
+  | Kedge_lru s | Pinned { inner = s; _ } ->
+    Memsim.Kedge.untrack s.kedge ~block;
+    Memsim.Lru.remove s.lru block
+  | Clock_bits c ->
+    Memsim.Kedge.untrack c.timers ~block;
+    c.refbit.(block) <- false

@@ -5,13 +5,14 @@
     and which copy to sacrifice when a decompression would overflow the
     memory budget. The paper hard-codes one answer — k-edge counters
     with LRU victims (§3, §5, §2) — this interface makes it pluggable
-    so the timing model ({!Core.Engine}), the executable runtime
-    ({!Runtime}) and the baselines all share one implementation.
+    so the timing model ({!Core.Engine}) and the executable runtime
+    ({!Runtime}) share one implementation.
 
-    A policy is a record of callbacks over block ids; it owns whatever
-    state it needs (counters, bits, heaps) and is driven by an
-    {!Area.t}, which adds the remember-set bookkeeping and event
-    emission common to every policy. *)
+    An instantiated policy is data — the state one spec needs
+    (counters, bits, a pinned set) — and the hooks below are plain
+    functions over it. An {!Area.t} drives them and adds the
+    remember-set bookkeeping and event emission common to every
+    policy. *)
 
 type spec =
   | Kedge  (** The paper's scheme: k-edge counters, LRU budget victims. *)
@@ -39,59 +40,49 @@ type ctx = {
   budget : int option;  (** Decompressed-area byte budget, if any. *)
   size_of : (int -> int) option;
       (** Uncompressed block size, for budget validation. *)
-  totals : (unit -> (string * int) list) option;
-      (** Live per-dimension cost totals of the host run, as
-          [(dimension name, amount)] pairs (see {!Sim.Cost.Acc}
-          [dimension_totals]) — lets a policy observe how much each
-          cost dimension has accumulated so far without this library
-          depending on the cost vocabulary. *)
 }
 (** Everything a [spec] may need to build its runtime state. *)
 
-type t = {
-  name : string;
-  on_materialize : block:int -> step:int -> unit;
-      (** A copy of [block] starts existing (demand decompression or
-          prefetch issue) at edge-step [step]. *)
-  on_ready : block:int -> time:int -> unit;
-      (** The copy became executable at cycle [time] (prefetch
-          completion, or immediately for demand decompression). *)
-  on_execute : block:int -> step:int -> time:int -> unit;
-      (** The block executed at edge-step [step], cycle [time]. *)
-  rearm : block:int -> step:int -> unit;
-      (** The host spared a copy the policy reported due (branch
-          target, or still in flight): restart its retention window. *)
-  due : step:int -> into:int array -> int;
-      (** Copies due for deletion after the edge traversal that made
-          the step counter reach [step]: written to [into.(0 .. n-1)],
-          sorted, each block at most once per window, and [n]
-          returned. [into] has room for every block. The host may
-          spare any of them (then it must [rearm]). *)
-  victim : exclude:(int -> bool) -> int option;
-      (** A resident copy to evict for budget room, or [None]. *)
-  on_release : block:int -> unit;
-      (** The copy is gone (deleted, evicted or flushed): drop all
-          policy state for [block]. *)
-  describe : unit -> string;
-}
-(** An instantiated policy. All callbacks are total over
-    [0 .. blocks-1]; calling them for blocks without a live copy is
-    allowed and must be harmless. *)
+type t
+(** An instantiated policy. Single-use and stateful: instantiate a
+    fresh one per run. *)
 
 val instantiate : spec -> ctx -> t
-(** Builds the policy state for one simulation run. A [t] is single-use
-    and stateful — instantiate a fresh one per run.
+(** Builds the policy state for one simulation run.
     @raise Invalid_argument on nonsensical parameters: [k < 1],
     [blocks < 1], loop-aware without a graph or [weight < 1], pinned
     ids out of range, or a pinned set that alone exceeds the budget. *)
 
-val kedge_lru :
-  name:string ->
-  ?k_of:(int -> int) ->
-  blocks:int ->
-  k:int ->
-  describe:(unit -> string) ->
-  unit ->
-  t
-(** The k-edge/LRU building block, exposed so custom policies (e.g. the
-    baselines') can wrap or embed it. *)
+(** {1 Retention hooks}
+
+    All hooks are total over [0 .. blocks-1]; calling them for blocks
+    without a live copy is allowed and harmless. *)
+
+val on_materialize : t -> block:int -> step:int -> unit
+(** A copy of [block] starts existing (demand decompression or
+    prefetch issue) at edge-step [step]. *)
+
+val on_ready : t -> block:int -> time:int -> unit
+(** The copy became executable at cycle [time] (prefetch completion,
+    or immediately for demand decompression). *)
+
+val on_execute : t -> block:int -> step:int -> time:int -> unit
+(** The block executed at edge-step [step], cycle [time]. *)
+
+val rearm : t -> block:int -> step:int -> unit
+(** The host spared a copy the policy reported due (branch target, or
+    still in flight): restart its retention window. *)
+
+val due : t -> step:int -> into:int array -> int
+(** Copies due for deletion after the edge traversal that made the
+    step counter reach [step]: written to [into.(0 .. n-1)], sorted,
+    each block at most once per window, and [n] returned. [into] has
+    room for every block. The host may spare any of them (then it must
+    {!rearm}). *)
+
+val victim : t -> exclude:(int -> bool) -> int option
+(** A resident copy to evict for budget room, or [None]. *)
+
+val on_release : t -> block:int -> unit
+(** The copy is gone (deleted, evicted or flushed): drop all policy
+    state for [block]. *)

@@ -593,7 +593,6 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
              budget = None;
              size_of =
                Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
-             totals = Some (fun () -> Sim.Cost.Acc.dimension_totals acc);
            })
       ~blocks:n ~emit
       ~now:(fun () -> Eris.Machine.instr_count machine)

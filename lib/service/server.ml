@@ -93,7 +93,6 @@ type t = {
   (* fast-path state *)
   health_ok : health_template;
   health_draining : health_template;
-  mutable stats_cache : (int * Bytes.t) option;
   (* scenario memo: the warm state a resident server exists for;
      resolution happens on worker threads, hence the mutex *)
   scen_mutex : Mutex.t;
@@ -260,7 +259,6 @@ let create ?telemetry:tele ?lifecycle:life config =
     wake_buf = Bytes.create 256;
     health_ok = template "ok";
     health_draining = template "draining";
-    stats_cache = None;
     scen_mutex = Mutex.create ();
     scenarios = Hashtbl.create 16;
   }
@@ -501,24 +499,16 @@ let append_response t conn line =
 let stats_prefix = "{\"uptime_s\":"
 
 let stats_fast t =
-  let v = Telemetry.version t.tele in
-  let body =
-    match t.stats_cache with
-    | Some (v', body) when v' = v -> body
-    | _ ->
-      let rendered = Json.to_string (Telemetry.stats_json t.tele) in
-      let b = Buffer.create (String.length rendered + 40) in
-      Buffer.add_string b stats_prefix;
-      Buffer.add_string b (String.make uptime_pad_width ' ');
-      if String.length rendered > 2 then begin
-        Buffer.add_char b ',';
-        Buffer.add_substring b rendered 1 (String.length rendered - 1)
-      end
-      else Buffer.add_char b '}';
-      let body = Buffer.to_bytes b in
-      t.stats_cache <- Some (v, body);
-      body
-  in
+  let rendered = Json.to_string (Telemetry.stats_json t.tele) in
+  let b = Buffer.create (String.length rendered + 40) in
+  Buffer.add_string b stats_prefix;
+  Buffer.add_string b (String.make uptime_pad_width ' ');
+  if String.length rendered > 2 then begin
+    Buffer.add_char b ',';
+    Buffer.add_substring b rendered 1 (String.length rendered - 1)
+  end
+  else Buffer.add_char b '}';
+  let body = Buffer.to_bytes b in
   patch_uptime body (String.length stats_prefix)
     (Unix.gettimeofday () -. t.started_at);
   body

@@ -3,9 +3,6 @@ type t = {
   mutex : Mutex.t;
   mutable ops_seen : string list;  (* registration order *)
   mutable reject_codes : string list;
-  (* bumped on every mutation, so the server can cache its rendered
-     stats payload and rebuild only when something changed *)
-  mutable version : int;
   (* preregistered cells for the zero-alloc fast path: bumping these
      allocates no label lists and no hashtable probes *)
   fast_health_count : Sim.Metrics.counter;
@@ -37,7 +34,6 @@ let create ?registry () =
     mutex = Mutex.create ();
     ops_seen = [ "health"; "stats" ];
     reject_codes = [];
-    version = 0;
     fast_health_count = ok_counter_of registry ~op:"health";
     fast_health_latency = latency_of registry ~op:"health";
     fast_stats_count = ok_counter_of registry ~op:"stats";
@@ -50,12 +46,10 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let version t = locked t (fun () -> t.version)
 let latency t ~op = latency_of t.registry ~op
 
 let record t ~op ~ok ~elapsed_ms =
   locked t (fun () ->
-      t.version <- t.version + 1;
       if not (List.mem op t.ops_seen) then t.ops_seen <- t.ops_seen @ [ op ];
       let status = if ok then "ok" else "error" in
       Sim.Metrics.incr
@@ -67,7 +61,6 @@ let record t ~op ~ok ~elapsed_ms =
 
 let record_fast t op =
   locked t (fun () ->
-      t.version <- t.version + 1;
       let count, lat =
         match op with
         | `Health -> (t.fast_health_count, t.fast_health_latency)
@@ -78,7 +71,6 @@ let record_fast t op =
 
 let reject t ~code =
   locked t (fun () ->
-      t.version <- t.version + 1;
       if not (List.mem code t.reject_codes) then
         t.reject_codes <- t.reject_codes @ [ code ];
       Sim.Metrics.incr
@@ -88,7 +80,6 @@ let reject t ~code =
 
 let connection t event =
   locked t (fun () ->
-      t.version <- t.version + 1;
       let name =
         match event with
         | `Opened -> "service_connections_opened"
@@ -99,14 +90,12 @@ let connection t event =
 
 let queue_depth t depth =
   locked t (fun () ->
-      t.version <- t.version + 1;
       Sim.Metrics.set
         (Sim.Metrics.counter t.registry "service_queue_depth")
         depth)
 
 let absorb_fleet t other =
   locked t (fun () ->
-      t.version <- t.version + 1;
       List.iter
         (fun name ->
           let v = Sim.Metrics.value (Sim.Metrics.counter other name) in

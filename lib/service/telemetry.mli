@@ -32,11 +32,6 @@ val record_fast : t -> [ `Health | `Stats ] -> unit
     and observes a 0 ms latency — these requests are answered within
     one loop iteration, under the histogram's finest bucket. *)
 
-val version : t -> int
-(** Monotonic mutation counter: any [record]/[reject]/[connection]/
-    [queue_depth]/[absorb_fleet] call bumps it, so a cached rendering
-    of {!stats_json} is valid exactly while [version] is unchanged. *)
-
 val reject : t -> code:string -> unit
 (** One rejected request ([service_rejections_total{code}]). *)
 

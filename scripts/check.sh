@@ -9,7 +9,7 @@
 # smoke (real daemon on a Unix socket: serve, call — sequential and
 # pipelined — counters move, SIGTERM drains to exit 0) plus a
 # bench-serve load-generator smoke.
-# `make check` runs the same build + tests.
+# `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
 dune build @fmt

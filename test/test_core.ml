@@ -603,6 +603,24 @@ let test_lineview_line_codec () =
   checkb "compressed area positive" true
     (m.Core.Metrics.compressed_area_bytes > 0)
 
+let test_lineview_adaptive_k_per_line () =
+  (* adaptive_k is stated per block: each line must take the k of the
+     blocks spanning it, never read a line id as a block id — so a k of
+     8 for every block (and a wrong answer for any id past the block
+     count) must run exactly like the uniform k = 8 *)
+  let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "fir") in
+  let nblocks = Cfg.Graph.num_blocks sc.Core.Scenario.graph in
+  let uniform =
+    Core.Lineview.run ~line_size:4 sc (Core.Policy.make ~compress_k:8 ())
+  in
+  let adaptive =
+    Core.Lineview.run ~line_size:4 sc
+      (Core.Policy.make ~compress_k:8
+         ~adaptive_k:(fun b -> if b < nblocks then 8 else 1)
+         ())
+  in
+  checkb "per-block k of 8 matches uniform k = 8" true (adaptive = uniform)
+
 let test_lineview_validation () =
   let sc = Workloads.Common.scenario (Workloads.Suite.find_exn "fir") in
   Alcotest.check_raises "line_size below 4"
@@ -681,6 +699,8 @@ let () =
           Alcotest.test_case "view shape" `Quick test_lineview_view_shape;
           Alcotest.test_case "line codec scenario" `Quick
             test_lineview_line_codec;
+          Alcotest.test_case "adaptive k per line" `Quick
+            test_lineview_adaptive_k_per_line;
           Alcotest.test_case "validation" `Quick test_lineview_validation;
         ] );
     ]

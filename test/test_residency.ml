@@ -8,13 +8,13 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let check_blocks = Alcotest.check Alcotest.(list int)
 
-let ctx ?k_of ?graph ?budget ?size_of ?totals ~blocks ~k () =
-  { Residency.Policy.blocks; k; k_of; graph; budget; size_of; totals }
+let ctx ?k_of ?graph ?budget ?size_of ~blocks ~k () =
+  { Residency.Policy.blocks; k; k_of; graph; budget; size_of }
 
 (* A policy's due set for [step], as a list. *)
-let due (p : Residency.Policy.t) ~step =
+let due p ~step =
   let into = Array.make 4096 0 in
-  List.init (p.Residency.Policy.due ~step ~into) (Array.get into)
+  List.init (Residency.Policy.due p ~step ~into) (Array.get into)
 
 (* ------------------------------------------------------------------ *)
 (* Clock: second-chance semantics. *)
@@ -24,8 +24,8 @@ let clock ~blocks ~k =
 
 let test_clock_second_chance () =
   let p = clock ~blocks:3 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  Residency.Policy.on_materialize p ~block:0 ~step:0;
+  Residency.Policy.on_execute p ~block:0 ~step:0 ~time:0;
   check_blocks "nothing queued before the period" []
     (due p ~step:1);
   (* First firing: the reference bit is set, so the copy gets a second
@@ -38,11 +38,11 @@ let test_clock_second_chance () =
 
 let test_clock_execution_renews () =
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  Residency.Policy.on_materialize p ~block:0 ~step:0;
+  Residency.Policy.on_execute p ~block:0 ~step:0 ~time:0;
   check_blocks "second chance" [] (due p ~step:2);
   (* Executed again inside the period: another second chance. *)
-  p.Residency.Policy.on_execute ~block:0 ~step:3 ~time:3;
+  Residency.Policy.on_execute p ~block:0 ~step:3 ~time:3;
   check_blocks "renewed by execution" [] (due p ~step:4);
   check_blocks "but only once per period" [ 0 ]
     (due p ~step:6)
@@ -51,8 +51,8 @@ let test_clock_spared_block_keeps_ticking () =
   (* §5 spares a due block when it is the branch target; the clock
      timer must stay alive for the surviving copy. *)
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  Residency.Policy.on_materialize p ~block:0 ~step:0;
+  Residency.Policy.on_execute p ~block:0 ~step:0 ~time:0;
   check_blocks "second chance" [] (due p ~step:2);
   check_blocks "due" [ 0 ] (due p ~step:4);
   (* The host spared it (no release).  The timer re-armed itself. *)
@@ -61,32 +61,32 @@ let test_clock_spared_block_keeps_ticking () =
 
 let test_clock_release_cancels () =
   let p = clock ~blocks:2 ~k:2 in
-  p.Residency.Policy.on_materialize ~block:0 ~step:0;
+  Residency.Policy.on_materialize p ~block:0 ~step:0;
   check_blocks "unexecuted copy due after one period" [ 0 ]
     (due p ~step:2);
-  p.Residency.Policy.on_release ~block:0;
+  Residency.Policy.on_release p ~block:0;
   check_blocks "released copy never reported" []
     (due p ~step:4)
 
 let test_clock_victim_sweep () =
   let p = clock ~blocks:3 ~k:4 in
   List.iter
-    (fun b -> p.Residency.Policy.on_materialize ~block:b ~step:0)
+    (fun b -> Residency.Policy.on_materialize p ~block:b ~step:0)
     [ 0; 1; 2 ];
-  p.Residency.Policy.on_execute ~block:0 ~step:0 ~time:0;
+  Residency.Policy.on_execute p ~block:0 ~step:0 ~time:0;
   (* Block 0 has its bit set: the hand clears it and passes on, so the
      first victim is block 1 (bit clear). *)
   checki "hand skips the referenced copy"
     1
-    (Option.get (p.Residency.Policy.victim ~exclude:(fun _ -> false)));
-  p.Residency.Policy.on_release ~block:1;
+    (Option.get (Residency.Policy.victim p ~exclude:(fun _ -> false)));
+  Residency.Policy.on_release p ~block:1;
   (* Block 0's bit was cleared by the sweep: second-chance spent. *)
   checki "second sweep takes the formerly referenced copy" 0
-    (Option.get (p.Residency.Policy.victim ~exclude:(fun b -> b = 2)));
-  p.Residency.Policy.on_release ~block:0;
-  p.Residency.Policy.on_release ~block:2;
+    (Option.get (Residency.Policy.victim p ~exclude:(fun b -> b = 2)));
+  Residency.Policy.on_release p ~block:0;
+  Residency.Policy.on_release p ~block:2;
   checkb "no resident copies, no victim" true
-    (p.Residency.Policy.victim ~exclude:(fun _ -> false) = None)
+    (Residency.Policy.victim p ~exclude:(fun _ -> false) = None)
 
 (* ------------------------------------------------------------------ *)
 (* Loop-aware: a deeper-nested block outlives a shallower one at the
@@ -120,8 +120,8 @@ let test_loop_aware_depth_scales_k () =
       (Residency.Policy.Loop_aware { weight = 1 })
       (ctx ~blocks:(Cfg.Graph.num_blocks graph) ~k ~graph ())
   in
-  p.Residency.Policy.on_execute ~block:!deep ~step:0 ~time:0;
-  p.Residency.Policy.on_execute ~block:!shallow ~step:0 ~time:0;
+  Residency.Policy.on_execute p ~block:!deep ~step:0 ~time:0;
+  Residency.Policy.on_execute p ~block:!shallow ~step:0 ~time:0;
   let due_step b =
     let found = ref (-1) in
     for step = 1 to k * (1 + Array.length depth) do
@@ -162,17 +162,17 @@ let test_pin_hot_never_due_never_victim () =
   in
   List.iter
     (fun b ->
-      p.Residency.Policy.on_materialize ~block:b ~step:0;
-      p.Residency.Policy.on_ready ~block:b ~time:b;
-      p.Residency.Policy.on_execute ~block:b ~step:0 ~time:b)
+      Residency.Policy.on_materialize p ~block:b ~step:0;
+      Residency.Policy.on_ready p ~block:b ~time:b;
+      Residency.Policy.on_execute p ~block:b ~step:0 ~time:b)
     [ 0; 1; 2; 3 ];
   check_blocks "only unpinned blocks ever come due" [ 2; 3 ]
     (List.sort compare (due p ~step:1));
   let rec drain acc =
-    match p.Residency.Policy.victim ~exclude:(fun _ -> false) with
+    match Residency.Policy.victim p ~exclude:(fun _ -> false) with
     | None -> List.rev acc
     | Some b ->
-      p.Residency.Policy.on_release ~block:b;
+      Residency.Policy.on_release p ~block:b;
       drain (b :: acc)
   in
   let victims = drain [] in
@@ -251,7 +251,13 @@ let agreement_tests =
                   Alcotest.check (Alcotest.list discard)
                     "same discard/patch-back sequence in both simulators"
                     model real))
-            [ Residency.Policy.Kedge; Residency.Policy.Clock ])
+            [
+              Residency.Policy.Kedge;
+              Residency.Policy.Clock;
+              Residency.Policy.Loop_aware { weight = 2 };
+              (* pins below fir's block count, the smallest here *)
+              Residency.Policy.Pin_hot { pinned = [ 0; 2 ] };
+            ])
         [ 2; 8 ])
     [ "fir"; "crc32"; "dct" ]
 

@@ -384,6 +384,24 @@ let test_server_round_trip () =
           checkb "fleet counters absorbed" true
             (int_member "fleet_jobs_completed" fleet >= 5)))
 
+let test_server_fast_stats_counts () =
+  (* id-less stats replies take the fast path, which renders the
+     counters first and records the request after: each reply sees
+     every stats request before it *)
+  with_server (fun path _server ->
+      let c = connect path in
+      Fun.protect
+        ~finally:(fun () -> close c)
+        (fun () ->
+          let stats_count () =
+            let st = ok_payload (rpc c {|{"op":"stats"}|}) in
+            let ops = Option.get (Json.member "ops" st) in
+            int_member "count" (Option.get (Json.member "stats" ops))
+          in
+          let n = stats_count () in
+          checki "the next stats reply counts the previous one" (n + 1)
+            (stats_count ())))
+
 let test_server_errors_keep_connection () =
   with_server ~max_request_bytes:1024 (fun path _server ->
       let c = connect path in
@@ -951,6 +969,8 @@ let () =
         [
           Alcotest.test_case "round trip every op" `Quick
             test_server_round_trip;
+          Alcotest.test_case "fast-path stats counts move" `Quick
+            test_server_fast_stats_counts;
           Alcotest.test_case "errors keep the connection" `Quick
             test_server_errors_keep_connection;
           Alcotest.test_case "setting error messages" `Quick
