@@ -10,12 +10,12 @@ test:
 
 # Everything to run before merging: scripts/check.sh
 # (full build, the whole test suite, then the end-to-end benchmark,
-# bench, service and determinism smokes).
+# service and determinism smokes).
 check:
 	sh scripts/check.sh
 
 bench:
-	dune exec bench/main.exe
+	dune exec e2ebench/main.exe -- --smoke
 
 clean:
 	dune clean

@@ -1526,9 +1526,9 @@ let cache_cmd =
 (* ccomp compress                                                      *)
 
 (* Per-codec wall-clock throughput and ratio over assembled workload
-   images, through the same Compress.Stats.throughput measurement the
-   bench harness uses — the CLI answer to "how fast is decompression
-   on this machine", next to the simulator's cycle-cost model. *)
+   images, through Compress.Stats.throughput — the CLI answer to "how
+   fast is decompression on this machine", next to the simulator's
+   cycle-cost model. *)
 (* `ccomp compress --list`: the registry contents, so --codec takers
    and the unknown-codec error have a discoverable source of truth. *)
 let compress_list () =
@@ -1645,7 +1645,7 @@ let compress_cmd =
   in
   let doc =
     "Measure per-codec compress/decompress throughput and ratio on \
-     workload images (same measurement code as the bench harness)."
+     workload images."
   in
   Cmd.v (Cmd.info "compress" ~doc)
     Term.(const compress_report $ list_only $ workloads $ min_time)

@@ -29,7 +29,7 @@ val throughput : ?min_time_s:float -> Codec.t -> bytes list -> throughput
     (empty blocks are skipped) until at least [min_time_s] seconds
     (default 0.05) have elapsed per direction. Both rates are in MiB/s
     of {e uncompressed} bytes — the unit that matters for a
-    decompress-on-fetch execution path. Used by the bench codec phase
-    and [ccomp compress]. Always runs at least one pass and clamps the
-    elapsed time away from zero, so the rates are finite even with
-    [min_time_s = 0.] on a clock too coarse to see the run. *)
+    decompress-on-fetch execution path. Used by [ccomp compress].
+    Always runs at least one pass and clamps the elapsed time away
+    from zero, so the rates are finite even with [min_time_s = 0.] on
+    a clock too coarse to see the run. *)

@@ -3,5 +3,3 @@
     built-in codec plus the shared-model Huffman variants. *)
 
 val run : unit -> Report.Table.t
-
-val codecs_for : Core.Scenario.t -> Compress.Codec.t list

@@ -115,5 +115,3 @@ let find key =
   List.find_opt
     (fun e -> String.lowercase_ascii e.id = k || e.slug = k)
     all
-
-let run_all () = List.map (fun e -> (e, e.runner ())) all

@@ -14,5 +14,3 @@ val all : entry list
 
 val find : string -> entry option
 (** By id (case-insensitive) or slug. *)
-
-val run_all : unit -> (entry * Report.Table.t) list

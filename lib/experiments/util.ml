@@ -26,7 +26,7 @@ let run sc policy = Core.Scenario.run sc policy
 
 (* ------------------------------------------------------------------ *)
 (* Fleet plumbing: every sweeping experiment funnels its runs through
-   here, so one configuration call (from ccomp/bench/tests) turns the
+   here, so one configuration call (from ccomp and the tests) turns the
    whole table-regeneration pass parallel and/or cached. Default is
    sequential and uncached — byte-identical to the pre-fleet code. *)
 

@@ -52,14 +52,16 @@ type conn = {
 }
 
 (* A finished heavy request, handed from its worker thread back to
-   the loop (which owns admission, telemetry ordering and the write
-   buffers). *)
+   the loop (which owns admission, telemetry and the write buffers).
+   [c_fleet] is the request's own fleet registry, absorbed into the
+   server's telemetry on the loop. *)
 type completion = {
   c_serial : int;
   c_op : string;
   c_t0 : float;
   c_ok : bool;
   c_line : string;
+  c_fleet : Sim.Metrics.t;
   c_thread : Thread.t;
 }
 
@@ -90,7 +92,7 @@ type t = {
   wake_rd : Unix.file_descr;
   wake_wr : Unix.file_descr;
   wake_buf : Bytes.t;
-  (* fast-path state *)
+  (* health fast-path state *)
   health_ok : health_template;
   health_draining : health_template;
   (* scenario memo: the warm state a resident server exists for;
@@ -99,7 +101,6 @@ type t = {
   scenarios : (string * string, Core.Scenario.t) Hashtbl.t;
 }
 
-let telemetry t = t.tele
 let lifecycle t = t.life
 let endpoints t = List.map (fun l -> l.descr) t.listeners
 
@@ -204,7 +205,7 @@ let build_health_template ~status ~pool_jobs ~queue_capacity ~cache_dir =
   Buffer.add_char b '}';
   { t_bytes = Buffer.to_bytes b; o_uptime; o_in_flight; o_conns }
 
-let create ?telemetry:tele ?lifecycle:life config =
+let create ?lifecycle:life config =
   if config.socket_path = None && config.tcp_port = None then
     invalid_arg "Service.Server.create: no endpoint (need a socket or a port)";
   if config.jobs < 1 then
@@ -216,7 +217,6 @@ let create ?telemetry:tele ?lifecycle:life config =
   if config.max_buffer_bytes < 16 * 1024 then
     invalid_arg "Service.Server.create: max_buffer_bytes must be >= 16384";
   let life = match life with Some l -> l | None -> Lifecycle.create () in
-  let tele = match tele with Some t -> t | None -> Telemetry.create () in
   (* Even without Lifecycle.install_signal_handlers (tests, bench):
      never let a disappearing client kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -247,7 +247,7 @@ let create ?telemetry:tele ?lifecycle:life config =
       Admission.create
         ~capacity:(config.jobs + config.queue)
         ~max_conns:config.max_conns ();
-    tele;
+    tele = Telemetry.create ();
     life;
     started_at = Unix.gettimeofday ();
     conns = Hashtbl.create 64;
@@ -327,18 +327,13 @@ let effective req_v cfg_v =
   | Some r, None -> Some r
   | None, c -> c
 
-let run_jobs t (env : Wire.envelope) jobs =
-  let registry = Sim.Metrics.create () in
-  let outcomes =
-    Fleet.Sweep.run ~pool:t.pool ?cache:t.config.cache ~registry
-      ?fuel:(effective env.fuel t.config.fuel)
-      ?timeout_ms:(effective env.timeout_ms t.config.timeout_ms)
-      ~cancel:(fun () -> Lifecycle.cancel_requested t.life)
-      ~resolve:(fun ~scenario ~codec -> resolve_scenario t ~scenario ~codec)
-      jobs
-  in
-  Telemetry.absorb_fleet t.tele registry;
-  outcomes
+let run_jobs t ~registry (env : Wire.envelope) jobs =
+  Fleet.Sweep.run ~pool:t.pool ?cache:t.config.cache ~registry
+    ?fuel:(effective env.fuel t.config.fuel)
+    ?timeout_ms:(effective env.timeout_ms t.config.timeout_ms)
+    ~cancel:(fun () -> Lifecycle.cancel_requested t.life)
+    ~resolve:(fun ~scenario ~codec -> resolve_scenario t ~scenario ~codec)
+    jobs
 
 let block_bytes (sc : Core.Scenario.t) =
   Array.to_list
@@ -421,11 +416,12 @@ let op_name : Wire.request -> string = function
   | Wire.Compress _ -> "compress"
 
 (* Executes one admitted heavy request (on a worker thread, not the
-   loop). Returns whether it succeeded and the response line. *)
-let dispatch_heavy t (env : Wire.envelope) =
+   loop), counting its fleet work into [registry]. Returns whether it
+   succeeded and the response line. *)
+let dispatch_heavy t ~registry (env : Wire.envelope) =
   match env.request with
   | Wire.Sim job -> (
-    match run_jobs t env [ job ] with
+    match run_jobs t ~registry env [ job ] with
     | [ outcome ] -> (
       match outcome.Fleet.Sweep.result with
       | Ok _ -> (true, Wire.ok_line ~id:env.id (Wire.outcome_to_json outcome))
@@ -436,7 +432,7 @@ let dispatch_heavy t (env : Wire.envelope) =
     | _ ->
       (false, Wire.error_line ~id:env.id (Wire.err Wire.internal "lost the job")))
   | Wire.Sweep jobs ->
-    let outcomes = run_jobs t env jobs in
+    let outcomes = run_jobs t ~registry env jobs in
     let failed =
       List.length
         (List.filter
@@ -492,50 +488,25 @@ let append_response t conn line =
     if Iobuf.length conn.wbuf > t.config.max_buffer_bytes then shed_conn t conn
   end
 
-(* The zero-alloc fast path: the response is template bytes with
+(* The zero-alloc health path: the response is template bytes with
    numeric fields patched in place, and the id (when present) is the
    raw request span echoed byte for byte. *)
-
-let stats_prefix = "{\"uptime_s\":"
-
-let stats_fast t =
-  let rendered = Json.to_string (Telemetry.stats_json t.tele) in
-  let b = Buffer.create (String.length rendered + 40) in
-  Buffer.add_string b stats_prefix;
-  Buffer.add_string b (String.make uptime_pad_width ' ');
-  if String.length rendered > 2 then begin
-    Buffer.add_char b ',';
-    Buffer.add_substring b rendered 1 (String.length rendered - 1)
-  end
-  else Buffer.add_char b '}';
-  let body = Buffer.to_bytes b in
-  patch_uptime body (String.length stats_prefix)
-    (Unix.gettimeofday () -. t.started_at);
-  body
-
-let answer_fast t conn fop id_span buf =
+let answer_health t conn id_span buf =
   Iobuf.add_string conn.wbuf "{\"id\":";
   (match id_span with
   | Some (pos, len) -> Iobuf.add_subbytes conn.wbuf buf pos len
   | None -> Iobuf.add_string conn.wbuf "null");
   Iobuf.add_string conn.wbuf ",\"ok\":";
-  (match fop with
-  | Wire.Fast_health ->
-    let tpl =
-      if Lifecycle.draining t.life then t.health_draining else t.health_ok
-    in
-    patch_uptime tpl.t_bytes tpl.o_uptime
-      (Unix.gettimeofday () -. t.started_at);
-    patch_int tpl.t_bytes tpl.o_in_flight int_pad_width
-      (Admission.in_flight t.admission);
-    patch_int tpl.t_bytes tpl.o_conns int_pad_width
-      (Admission.connections t.admission);
-    Iobuf.add_subbytes conn.wbuf tpl.t_bytes 0 (Bytes.length tpl.t_bytes);
-    Telemetry.record_fast t.tele `Health
-  | Wire.Fast_stats ->
-    let body = stats_fast t in
-    Iobuf.add_subbytes conn.wbuf body 0 (Bytes.length body);
-    Telemetry.record_fast t.tele `Stats);
+  let tpl =
+    if Lifecycle.draining t.life then t.health_draining else t.health_ok
+  in
+  patch_uptime tpl.t_bytes tpl.o_uptime (Unix.gettimeofday () -. t.started_at);
+  patch_int tpl.t_bytes tpl.o_in_flight int_pad_width
+    (Admission.in_flight t.admission);
+  patch_int tpl.t_bytes tpl.o_conns int_pad_width
+    (Admission.connections t.admission);
+  Iobuf.add_subbytes conn.wbuf tpl.t_bytes 0 (Bytes.length tpl.t_bytes);
+  Telemetry.record_health t.tele;
   Iobuf.add_string conn.wbuf "}\n";
   if Iobuf.length conn.wbuf > t.config.max_buffer_bytes then shed_conn t conn
 
@@ -547,8 +518,9 @@ let spawn_heavy t conn (env : Wire.envelope) ~op ~t0 =
   match
     Thread.create
       (fun () ->
+        let c_fleet = Sim.Metrics.create () in
         let c_ok, c_line =
-          match dispatch_heavy t env with
+          match dispatch_heavy t ~registry:c_fleet env with
           | result -> result
           | exception e ->
             ( false,
@@ -563,6 +535,7 @@ let spawn_heavy t conn (env : Wire.envelope) ~op ~t0 =
             c_t0 = t0;
             c_ok;
             c_line;
+            c_fleet;
             c_thread = Thread.self ();
           }
           t.completions;
@@ -644,7 +617,7 @@ let handle_line t conn buf pos len =
   else begin
     Lifecycle.touch t.life;
     match Wire.scan_fast buf ~pos ~len with
-    | Some (fop, id_span) -> answer_fast t conn fop id_span buf
+    | Some id_span -> answer_health t conn id_span buf
     | None -> process_slow t conn (Bytes.sub_string buf pos len)
   end
 
@@ -749,6 +722,7 @@ let deliver t comp =
   let elapsed_ms = (Unix.gettimeofday () -. comp.c_t0) *. 1000.0 in
   Admission.release t.admission ~elapsed_ms;
   Telemetry.queue_depth t.tele (Admission.in_flight t.admission);
+  Telemetry.absorb_fleet t.tele comp.c_fleet;
   Telemetry.record t.tele ~op:comp.c_op ~ok:comp.c_ok ~elapsed_ms;
   (* the worker already enqueued and is exiting; reclaim it *)
   (try Thread.join comp.c_thread with Sys_error _ -> ());

@@ -3,11 +3,11 @@
     A single-threaded event loop multiplexes every connection over
     nonblocking sockets and [Unix.select]: one readiness pass reads
     whatever arrived, carves complete JSONL requests out of per-
-    connection buffers ({!Iobuf}), answers [health]/[stats] inline
-    from preformatted bytes ({!Wire.scan_fast}), and hands heavy
-    requests to worker threads that run them on the shared
-    {!Fleet.Pool} — completions funnel back over a self-pipe and are
-    written out by the loop. Concurrent clients share the worker
+    connection buffers ({!Iobuf}), answers [health] inline from
+    preformatted bytes ({!Wire.scan_fast}) and [stats] inline through
+    the full parser, and hands heavy requests to worker threads that
+    run them on the shared {!Fleet.Pool} — completions funnel back
+    over a self-pipe and are written out by the loop. Concurrent clients share the worker
     domains, the scenario memo and the content-addressed result cache
     instead of each paying cold-start cost, which is the whole point
     of serving from warm state.
@@ -26,8 +26,8 @@
 
     Per-request guards reuse the fleet's budget machinery
     ([timeout_ms]/[fuel] from the request, capped by the server
-    defaults); admission control is {!Admission} (loop-owned);
-    shutdown is {!Lifecycle}'s drain contract. *)
+    defaults); admission control is {!Admission} and observability
+    is {!Telemetry}, both loop-owned; shutdown is {!Lifecycle}'s drain contract. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain endpoint *)
@@ -60,8 +60,7 @@ val default_config : config
 
 type t
 
-val create :
-  ?telemetry:Telemetry.t -> ?lifecycle:Lifecycle.t -> config -> t
+val create : ?lifecycle:Lifecycle.t -> config -> t
 (** Binds and listens on every configured endpoint and spawns the
     worker pool. A stale Unix socket file (left by a crashed server)
     is unlinked and rebound; a path that exists but is not a socket
@@ -75,7 +74,6 @@ val create :
 val endpoints : t -> string list
 (** Human-readable bound endpoints, e.g. ["unix:/tmp/ccomp.sock"]. *)
 
-val telemetry : t -> Telemetry.t
 val lifecycle : t -> Lifecycle.t
 
 val run : t -> unit

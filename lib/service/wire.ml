@@ -226,13 +226,9 @@ let parse_request line =
 (* ------------------------------------------------------------------ *)
 (* Fast-path scanner                                                   *)
 
-type fast_op =
-  | Fast_health
-  | Fast_stats
-
 exception Bail
 
-(* Recognizes exactly the hot read-only requests —
+(* Recognizes exactly the [health] request —
    [{"op":"health"}]-shaped lines whose only members are [op], a
    scalar [id] and [v] equal to 1 — without allocating. Anything
    else (escapes, duplicate members, extra fields, nested ids, other
@@ -319,7 +315,7 @@ let scan_fast buf ~pos ~len =
   try
     ws ();
     expect '{';
-    let op = ref None and id = ref None and v_seen = ref false in
+    let op_seen = ref false and id = ref None and v_seen = ref false in
     let rec members () =
       ws ();
       let k = quoted () in
@@ -327,11 +323,8 @@ let scan_fast buf ~pos ~len =
       expect ':';
       ws ();
       if key_is "op" k then begin
-        if !op <> None then raise Bail;
-        let v0, vlen = quoted () in
-        if key_is "health" (v0, vlen) then op := Some Fast_health
-        else if key_is "stats" (v0, vlen) then op := Some Fast_stats
-        else raise Bail
+        if !op_seen || not (key_is "health" (quoted ())) then raise Bail;
+        op_seen := true
       end
       else if key_is "id" k then begin
         if !id <> None then raise Bail;
@@ -360,7 +353,8 @@ let scan_fast buf ~pos ~len =
     | _ -> members ());
     ws ();
     if !i <> stop then raise Bail;
-    match !op with Some o -> Some (o, !id) | None -> raise Bail
+    if not !op_seen then raise Bail;
+    Some !id
   with Bail -> None
 
 (* ------------------------------------------------------------------ *)

@@ -96,20 +96,16 @@ val parse_request : string -> (envelope, Json.t * error) result
 
 (** {1 Fast-path scanner} *)
 
-type fast_op =
-  | Fast_health
-  | Fast_stats
-
-val scan_fast :
-  Bytes.t -> pos:int -> len:int -> (fast_op * (int * int) option) option
-(** [scan_fast buf ~pos ~len] recognizes the hot read-only requests
-    without allocating: a line that is exactly a JSON object whose
-    members are [op] ("health" or "stats"), optionally a scalar [id]
-    (returned as a byte span into [buf], quotes included for
-    strings), and optionally [v] equal to 1 — no escapes, no
-    duplicates, nothing else. Any other shape returns [None] and must
-    go through {!parse_request}; by construction the two paths agree
-    on every line the scanner accepts. *)
+val scan_fast : Bytes.t -> pos:int -> len:int -> (int * int) option option
+(** [scan_fast buf ~pos ~len] recognizes a [health] request without
+    allocating: a line that is exactly a JSON object whose members are
+    [op] equal to "health", optionally a scalar [id], and optionally
+    [v] equal to 1 — no escapes, no duplicates, nothing else. It
+    returns [Some id_span], where [id_span] is the id as a byte span
+    into [buf] (quotes included for strings), or [None] when the
+    request had no id. Any other shape returns [None] and must go
+    through {!parse_request}; by construction the two paths agree on
+    every line the scanner accepts. *)
 
 (** {1 Responses} *)
 

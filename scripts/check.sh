@@ -1,14 +1,13 @@
 #!/bin/sh
 # Tier-1 gate: dune-file formatting, full build (library + CLI +
-# examples + bench), the complete test suite, the end-to-end
-# benchmark's smoke run, a bench smoke run
-# (the streaming event-bus check, which has a built-in failure
-# condition), a fleet sweep smoke (parallel run against a cold
-# cache, then the same sweep warm — the second run must be served
-# entirely from cache and print identical tables), and a service
-# smoke (real daemon on a Unix socket: serve, call — sequential and
-# pipelined — counters move, SIGTERM drains to exit 0) plus a
-# bench-serve load-generator smoke.
+# examples + the end-to-end benchmark), the complete test suite, the
+# end-to-end benchmark's smoke run, a bench-serve load-generator
+# smoke, generator, trace and experiment determinism smokes, a fleet
+# sweep smoke (parallel run against a cold cache, then the same sweep
+# warm — the second run must be served entirely from cache and print
+# identical tables), and a service smoke (real daemon on a Unix
+# socket: serve, call — sequential and pipelined — counters move,
+# SIGTERM drains to exit 0).
 # `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
@@ -22,59 +21,6 @@ dune runtest
 # a direct Fleet.Job.execute, kernel checksums — and the metric names
 # against BENCHMARK.json. Exits non-zero if any check fails.
 dune exec e2ebench/main.exe -- --smoke
-
-dune exec bench/main.exe -- --smoke
-
-# Codec-throughput smoke: the bench smoke must have written a
-# comp-MBps and dec-MBps entry for every registry codec, so a codec
-# silently dropping out of the measured set fails here.
-for codec in null rle huffman lzss lzw mtf-rle \
-  bdi-16 bdi-32 bdi-64 cpack-16 cpack-32 cpack-64; do
-  for dir in comp dec; do
-    grep -q "\"codec/$codec/$dir-MBps\"" BENCH.json || {
-      echo "check: FAIL — BENCH.json is missing codec/$codec/$dir-MBps" >&2
-      exit 1
-    }
-  done
-done
-
-# Energy-accounting smoke: the bench smoke must have priced the probe
-# run under every device profile, so a profile silently dropping out
-# of the cost vocabulary fails here.
-for profile in paper-2005 cortex-m-flash sram-heavy; do
-  grep -q "\"energy/$profile/" BENCH.json || {
-    echo "check: FAIL — BENCH.json is missing energy/$profile/* keys" >&2
-    exit 1
-  }
-done
-
-# Trace-codec smoke: the bench smoke must have measured the binary
-# trace format's encode/decode throughput, so the format silently
-# dropping out of the measured set fails here.
-for key in trace/encode-MBps trace/decode-MBps trace/lzss-encode-MBps \
-  trace/lzss-decode-MBps streaming-100M/events-per-s; do
-  grep -q "\"$key\"" BENCH.json || {
-    echo "check: FAIL — BENCH.json is missing $key" >&2
-    exit 1
-  }
-done
-
-# Corpus smoke: the bench smoke must have measured the generator's
-# batch throughput.
-grep -q '"corpus/gen-programs-per-s"' BENCH.json || {
-  echo "check: FAIL — BENCH.json is missing corpus/gen-programs-per-s" >&2
-  exit 1
-}
-
-# Service-load smoke: the bench smoke must have measured the event
-# loop under pipelined concurrent load, so the serve path silently
-# dropping out of the measured set fails here.
-for key in service/req-per-s service/p50-ms service/p99-ms; do
-  grep -q "\"$key\"" BENCH.json || {
-    echo "check: FAIL — BENCH.json is missing $key" >&2
-    exit 1
-  }
-done
 
 # bench-serve smoke: the standalone load generator must run clean
 # (exit 0 means zero protocol errors) and report a throughput figure.
