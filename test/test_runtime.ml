@@ -188,6 +188,174 @@ let test_runtime_engine_agreement () =
   checkb "magnitudes agree at k=1" true (close e1 r1);
   checkb "magnitudes agree at k=16" true (close e16 r16)
 
+(* ------------------------------------------------------------------ *)
+(* Runtime fixture: the MD5 of every run's stats, final data memory and
+   full event stream, over the suite kernels plus one generated program
+   from each of the four design-space shape families (fixed seeds),
+   under k in {2, 8} x {k-edge, clock} retention x {block, 32-byte
+   line} granularity. Any change to what the runtime executes, counts
+   or reports, or to the order it reports it in, moves a digest. *)
+
+let fixture_specs =
+  [
+    "gen:seed=2,depth=4,fanout=2,blocks=geo:14,calls=0,skew=0.95,cold=8,rounds=25";
+    "gen:seed=2,depth=1,fanout=6,blocks=bim:4-40,calls=0,skew=0.7,cold=12,rounds=100";
+    "gen:seed=2,depth=2,fanout=2,blocks=geo:10,calls=4,skew=0.85,cold=6,rounds=65";
+    "gen:seed=2,depth=1,fanout=1,blocks=uni:8-24,calls=1,skew=0.55,cold=24,rounds=79";
+  ]
+
+let fixture_programs =
+  lazy
+    (List.map
+       (fun w ->
+         (w.Workloads.Common.name, Eris.Asm.assemble_exn w.Workloads.Common.source))
+       Workloads.Suite.all
+    @ List.map
+        (fun s -> (s, Corpus.Gen.program (Corpus.Spec.of_string_exn s)))
+        fixture_specs)
+
+let fixture_configs =
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun retention ->
+          List.map (fun line_size -> (k, retention, line_size)) [ None; Some 32 ])
+        [ Residency.Policy.Kedge; Clock ])
+    [ 2; 8 ]
+
+(* The event stream is hashed in 64 KiB pieces, each folded into the
+   running digest, so a long run never holds its whole JSON text. *)
+let fixture_run (k, retention, line_size) prog =
+  let d = ref (Digest.string "") and buf = Buffer.create 65536 in
+  let fold () =
+    d := Digest.string (!d ^ Buffer.contents buf);
+    Buffer.clear buf
+  in
+  let sink =
+    Sim.Events.callback (fun e ->
+        Buffer.add_string buf (Sim.Events.to_json e);
+        Buffer.add_char buf '\n';
+        if Buffer.length buf >= 65536 then fold ())
+  in
+  let result = Runtime.run ~k ~retention ?line_size ~sink prog in
+  fold ();
+  let outcome =
+    match result with
+    | Ok (m, stats) ->
+      let mem = Buffer.create 65536 in
+      for w = 0 to (65536 / 4) - 1 do
+        Buffer.add_int32_le mem (Int32.of_int (Eris.Machine.read_word m (4 * w)))
+      done;
+      Marshal.to_string stats [] ^ Digest.string (Buffer.contents mem)
+    | Error (Runtime.Out_of_fuel stats) -> "fuel" ^ Marshal.to_string stats []
+    | Error (Runtime.Machine_fault { pc; message; stats }) ->
+      Printf.sprintf "fault %d %s" pc message ^ Marshal.to_string stats []
+  in
+  Digest.to_hex (Digest.string (outcome ^ !d))
+
+let fixture_expected =
+  [|
+    "a37d04a645aeaa40bc47e32d178f8649"; "733a140721f1c6b16514f28b5fdf3596";
+    "ee97c64ee70fad396988acf1897a8a7f"; "ab2b0e59757bac859a1355b234e8df47";
+    "6db4d6f1b836e4d65bb3bce4220dcf1b"; "c953c3751ff4d77be31a99391058190d";
+    "8fae16140c94ad1bc0767cc767462a1b"; "541b1aee6d865b833e0d794377935ed5";
+    "8653652feb872f050e060215e8f2d0c3"; "acbe91b85a18338ad6c033813daffa1d";
+    "ad330ab1b6fbacd4d98f5fd010e318b2"; "7572e6d2b29eac4414c05a51cf4916aa";
+    "9e409c7cc21becabaaa2b2ff39ded63b"; "cad6b4561c6e4af9c272f956bc66ccb7";
+    "06da3ece722e30340ca44debaae13e34"; "4a8e66fd1d806be9c8af6f9e26a1c669";
+    "b7655252186c05b40703813a6b826ff9"; "d84b6121ba6e6f722ad5593eb295dcdc";
+    "9a269bd37ec9bcd6e413ead136beb749"; "3221fd6d625146084dd24b97fd6a70cd";
+    "5ab1d25710cb5aab166dde867b9aefed"; "4863ada25a7513033a39fc228ee4b241";
+    "f79a21c3f828a3e1db288124de1cf910"; "58059341f6b38f8991d36fed99f40291";
+    "f54e25242a5dd52c477d4e6bf5f30f0c"; "6235418c861a7fb411952e3c95dfe980";
+    "68f9d3725692b1f9a50b540cdbab766b"; "07971ce191cc838a9263364fd0722b9f";
+    "486822f758a8dccc93605f742f630426"; "a7974b639d92247ca5c9336fa44b31c9";
+    "500813ce970f345675d8078eef43b731"; "ee13995108477de69ec02e096406456b";
+    "6aec9dc1f4f0b07aba7b879dc4ec0524"; "cf48ded5d18685e84ff651d4e31f643c";
+    "6bb7aa4ac497d3824d5166c4c4891629"; "a27f0bfb2a123ee785b8247c21e66b83";
+    "71f1f7c2cf2dbcdd35e7f4317e03094a"; "d928801869d4ca77f88dc145b98628de";
+    "e10b26bed6d5d93afb0fed34e29d522f"; "cf3a477796ec3a646e72460d13ee8b11";
+    "5e1eb2b04005ff7c27e1c2feb1d38204"; "165c81c67c5134cbe2d6d1291b6380ee";
+    "a00367decfc644518baa305b81c77c84"; "dbc45e08bcf23b05b6280b45df5cb71e";
+    "105c89f9e4eeefe41d19ad8df0ee0e6f"; "003968bae735f3fddc92239f36eebb71";
+    "58fabc6b32d84aad5babd906c0a86fd8"; "7e8659382f2c0fed191d802280e30a30";
+    "64bba9cb4a117c9b02f3df3ecee7ca75"; "a1f30fbdd92bf33f57dc635fc10c31a8";
+    "e558e8fac00da20ec634d05e76c7c0bb"; "d298fafa8116c503f6f3783302cf31d2";
+    "23096133a0f4c4ce5abb67d2177ee5b6"; "24743ae752ee9e6293b19827ac965a7c";
+    "146549e97b8b5e88715c163467ba8024"; "dc9072ad3fc7dbe3558811a1f76458a7";
+    "452baffe89f1f2692a3ca016aa93d2ac"; "b57b6b9883764e4d50e1ddb10f02a327";
+    "3181e062944a567c0cd39b5436ab56d3"; "16427bc15b464968aea1ccc7a6da766a";
+    "ddb3f6a38e5f165c81454e084b29b07e"; "c45a19664c0b4befc5feb2b1263e1fe6";
+    "4c8a657d66041a4e08716ae5ea8b52cd"; "21d6360c493fdd7975c8294aaed17b4c";
+    "bd3b2034d95be9b0a9eb6b995ab7a7ad"; "1630d0edd928fbc270b80069e69a4863";
+    "0ec39986d84960f73e2ccc0c979c76d1"; "c97aad2dfe5f580cd8ac19a40a0b9546";
+    "27e0883fa951187c978e6fa3eca7694c"; "efc0d3dbf23c6975dd8275f715e135a1";
+    "3f042ef978f5f3eee9cf468643533245"; "ef02e65661f389df71bcf84584964dc4";
+    "4fd0892d040e0a89f7f911cb1efa5083"; "5963e14b9aaa2d2709bb8eb8ed4ca229";
+    "cbaa336966c8245b2a3a54451c4d2d72"; "51302b1f48cbf331da5d7466add4db3a";
+    "bc3f8bb299849da594cbc2e3e20ebc1d"; "72151e75a8e0b22c6ebc8b6340ec9e9b";
+    "69c4a5e84738b9009c1b4466d05d05e1"; "dcba10063b14be27ba69791dbf7c77c1";
+    "9b64cfe3f487a0e717f3fac321c98bd0"; "88b3ec8f9a7ae136e3932dc5e117e5b0";
+    "12a4ae948f7383c783e622ff1a93a459"; "0166c66381ad9e3669f107d390b044a6";
+    "0fbf0415e7353e0b7261bd037ed59083"; "fc58547fcf322caa4ff829915c81e622";
+    "5bf27f60ef383db1a30db27cf268a8bb"; "c0abea88e58df66a287552966a034c5f";
+    "82802d18488a2c6125b8237b8d12e89a"; "c439f9de9d8ffea354107236ef9ca991";
+    "e427465bb0f1ee8e09e5e98c5eb7146b"; "a9ea8be85a9321063b579111d6f50eee";
+    "a762ec8424045bfcaaabb020b8ec7cd2"; "7ecbdb35a521a76ea777bb1eef7d06aa";
+    "dffde1674b257316a89b0438f6f56d30"; "f021f5e2d5abb759bc326cbe6910dabf";
+    "8787f369155abc993ab8ccb26abe0dcf"; "a876a18d36773e144853292c67914a21";
+    "2ca88f272ed16a1ea4e79bc33aca00c2"; "044cf8ca34d34b2728322e6f9dc32dd9";
+    "2a8ba315fe72f27733c73c43a9b1801b"; "794dcf59f1932917ba93884a9d4afde6";
+    "7b038706706395697eeef3e7a7a37980"; "10c914a77235af610cacf74f9bbf857f";
+    "d42ebd6432e0b06c9a11d70c0b7b1796"; "ebe088d80a8287b3592eefb583643f0e";
+    "3b8c035d1fee5ecdfb0976e007480f8c"; "b006e53054b937fc8a902366e76b490f";
+    "bf72c4e22e93264c13bba7294cd4509f"; "09e59b157d225d113d1b74fbfa1d1a30";
+    "4f256af73b3e73572502acb7d9460e6e"; "69ee34012ebf702aa7eccd343a1bfe9f";
+    "c96a7338ff91074a052bf6f74f2be43c"; "c15ed886597af767e929dab987fb7801";
+    "eaf9e097b150d871780d0654ca2a1b1a"; "25999b5a54f9b5e530e4ddc2d837b2b1";
+    "1936918e0bd9ba06a2f2a0b4821e8201"; "5009b2d696eea08b138a3230c84cee3c";
+    "96484e8a75681b54742b850af1b84c80"; "15541fecc4f266e8ec7e9d3751783fd5";
+    "2a0c0489d05f4f9272854f501a795b73"; "27569267164abecd5970cde5e22ce84a";
+    "b4f45d3183646d317f4853eb385f7b56"; "c72c3e4368b2465f014bc78a1fa3eea4";
+    "31be31abdd13d7a47d862a1f358e0522"; "b0918c85d8938225ff450da309a9fdfa";
+    "2fbbeef97a9692f1f2f6efc63efb42c2"; "449b38906bbdaaa694ce5261eca5ddf0";
+    "be031a306e11580e67a4bbd6fc8d7d94"; "0d919f4a979ad54f2a55377b9b2e2d50";
+    "47a0a07ebee5e655270fa301c3ae22ba"; "473e8f9fb1b663a07012a349d9bab3cd";
+    "695f7021276c68b02177ecf380799ca0"; "ea61cf902c7f52bdc3ffd01970368745";
+    "2d0582b213601346b903e04ece056ac2"; "9076377c81e79216abb9b583ae79fed4";
+    "5d9163a3b13465a37e7270a5a368654e"; "8466b7b6c06ff493459f6ea67facdbc4";
+    "142bb7ea9f85d87daf6aa6af76414f5d"; "b627136789149f1b4abb1c45630d7957";
+    "a4538b3f450a016109adcc6aaef3fb8e"; "006d1dcaeeeb7fd0ed67840eb6cd2f43";
+    "b69433adcf4b860493b3a592ebb9ed14"; "ff63863cc578be714113fd6df45e52ed";
+    "d07cf6256ee48a04ebdf96cbd189cf08"; "24423473205c293b3dc2b399f149836a";
+    "2175e5d6b0e39a23482fa2d75e69c5b2"; "960bbb7b4aead43090f42950f966c06f";
+    "277b6a3646a1b93fa7fe2e56bed4a2fd"; "d20b8c4649901c6649c574af75728b89";
+    "45d70d92ed9e1a117e742d43eaa6e666"; "45c2ea05d0c84665d949b7036e4fa3e6";
+    "52f9ed0dd824d5af3c2c38926e1d639c"; "20ee88366d4dcb1354b3335694f0e768";
+    "450d673048178f69540038b2c971e0d9"; "1f330da79a831e16909ffc45a7bd3efb";
+    "bed27a03b1d821a33451d0884bc143ac"; "8dd0f03f99aff05084f922aaa29a1e62";
+    "7a659219dc79f6f16809191b08240432"; "bda308660010024e3198cd036491cda8";
+  |]
+
+let test_fixture () =
+  let got =
+    List.concat_map
+      (fun config ->
+        List.map
+          (fun (name, prog) -> (config, name, fixture_run config prog))
+          (Lazy.force fixture_programs))
+      fixture_configs
+  in
+  checki "cases" (Array.length fixture_expected) (List.length got);
+  List.iteri
+    (fun i ((k, retention, line_size), name, d) ->
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "case %d: %s k=%d %s %s" i name k
+           (Residency.Policy.spec_name retention)
+           (match line_size with None -> "block" | Some l -> Printf.sprintf "line%d" l))
+        fixture_expected.(i) d)
+    got
+
 let () =
   Alcotest.run "runtime"
     [
@@ -214,4 +382,5 @@ let () =
           Alcotest.test_case "line codec" `Quick test_line_mode_line_codec;
           Alcotest.test_case "validation" `Quick test_line_mode_validation;
         ] );
+      ("fixture", [ Alcotest.test_case "160 runs" `Quick test_fixture ]);
     ]
