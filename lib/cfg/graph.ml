@@ -21,6 +21,9 @@ type t = {
   preds : (int * edge_kind) list array;
   succ_table : int array array;  (* [succs]' ids, as arrays *)
   entry : int;
+  sorted : bool;
+      (* blocks in strictly increasing address order, as when built
+         from a program: address lookups binary-search *)
 }
 
 let make ?(entry = 0) blocks edges =
@@ -46,7 +49,11 @@ let make ?(entry = 0) blocks edges =
   Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
   let succ_table = Array.map (fun l -> Array.of_list (List.map fst l)) succs in
-  { blocks; succs; preds; succ_table; entry }
+  let sorted =
+    let rec ok i = i >= n - 1 || (blocks.(i).addr < blocks.(i + 1).addr && ok (i + 1)) in
+    ok 0
+  in
+  { blocks; succs; preds; succ_table; entry; sorted }
 
 let synthetic ?(block_bytes = 64) ?sizes n edges =
   if n <= 0 then invalid_arg "Cfg.Graph.synthetic: n must be positive";
@@ -92,9 +99,6 @@ let edges t =
 let num_edges t = Array.fold_left (fun n l -> n + List.length l) 0 t.succs
 
 let block_at_addr t addr =
-  (* Blocks are in increasing address order when built from a program;
-     fall back to a linear scan otherwise. *)
-  let n = Array.length t.blocks in
   let rec bsearch lo hi =
     if lo > hi then None
     else
@@ -104,13 +108,7 @@ let block_at_addr t addr =
       else if addr >= b.addr + b.byte_size then bsearch (mid + 1) hi
       else Some mid
   in
-  let sorted =
-    let rec ok i =
-      i >= n - 1 || (t.blocks.(i).addr < t.blocks.(i + 1).addr && ok (i + 1))
-    in
-    ok 0
-  in
-  if sorted then bsearch 0 (n - 1)
+  if t.sorted then bsearch 0 (Array.length t.blocks - 1)
   else
     let found = ref None in
     Array.iter

@@ -45,7 +45,11 @@ type slot =
 
 type layout = {
   slots : slot array;
-  home_offs : int array;  (* length = slots + 1; last = block size *)
+  first_slot : int array;
+      (* per home word of the block, the first slot carrying it (for a
+         branch pair the skip-branch, for a call sequence the lui): the
+         trap handler's entry point. The synthetic fall-through slot,
+         whose home offset is the block size, is never an entry. *)
 }
 
 exception Runtime_bug of string
@@ -90,13 +94,12 @@ let layout_of_block (b : Cfg.Graph.block) decoded =
   if needs_fallthrough decoded.(Array.length decoded - 1) then
     add (Jump (b.addr + b.byte_size)) b.byte_size;
   let pairs = Array.of_list (List.rev !rev) in
-  {
-    slots = Array.map fst pairs;
-    home_offs =
-      Array.init
-        (Array.length pairs + 1)
-        (fun i -> if i < Array.length pairs then snd pairs.(i) else b.byte_size);
-  }
+  let first_slot = Array.make (b.byte_size / 4) (-1) in
+  for i = Array.length pairs - 1 downto 0 do
+    let off = snd pairs.(i) in
+    if off < b.byte_size then first_slot.(off / 4) <- i
+  done;
+  { slots = Array.map fst pairs; first_slot }
 
 (* The instruction a slot holds when (re)targeted at its home address. *)
 let materialize layout ~base idx =
@@ -127,6 +130,10 @@ type linestate = {
   lmap : Residency.Linemap.t;
   line_z : bytes array;  (* per-line compressed streams *)
   line_refs : int array;  (* live copies referencing each line *)
+  line_bytes : bytes array;
+      (* a resident line's decompressed bytes, kept while it has
+         references and dropped (to [Bytes.empty]) when the last one
+         goes *)
 }
 
 type state = {
@@ -149,15 +156,23 @@ type state = {
       (* copy lifecycle: the retention policy plus the paper's remember
          sets, for real — per target block, the patched jump sites
          (copy, slot) currently pointing at its copy *)
-  by_block : copy option array;
-  mutable copies : copy array;  (* current epoch, base-ordered *)
+  home_block : int array;  (* block of each home word *)
+  by_block : copy array;  (* live copy per block, or [no_copy] *)
+  mutable copies : copy array;
+      (* every copy made this epoch, dead ones included, base-ordered *)
   mutable ncopies : int;
+  mutable current : copy;
+      (* the copy the last lookup found: nearly every instruction
+         executes in the copy its predecessor did *)
   copy_base : int;
   copy_limit : int;
   mutable copy_ptr : int;
   mutable live_bytes : int;
   mutable peak_bytes : int;
-  mutable last_site : (copy * int) option;
+  mutable site_copy : copy;
+  mutable site_idx : int;
+      (* the last transfer's jump slot in [site_copy], the site a trap
+         patches; -1 for none *)
   mutable traps : int;
   mutable decompressions : int;
   mutable patches : int;
@@ -184,37 +199,46 @@ let emit_drain st =
     Sim.Events.Packed.clear st.ev
   end
 
-(* Greatest current-epoch copy with base <= pc. *)
-let copy_at st pc =
-  let lo = ref 0 and hi = ref (st.ncopies - 1) in
-  let found = ref None in
+(* The sentinel for "no copy": never live, so never executable. *)
+let no_copy = { block = -1; base = -1; instrs = [||]; live = false }
+
+let holds c pc = c.live && pc >= c.base && pc < c.base + copy_bytes c
+
+(* Index of the greatest current-epoch copy with base <= pc, or -1. *)
+let copy_index st pc =
+  let lo = ref 0 and hi = ref (st.ncopies - 1) and found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     if st.copies.(mid).base <= pc then begin
-      found := Some st.copies.(mid);
+      found := mid;
       lo := mid + 1
     end
     else hi := mid - 1
   done;
   !found
 
-let exec_slot st pc =
-  match copy_at st pc with
-  | Some c
-    when c.live && pc >= c.base && pc < c.base + copy_bytes c && pc mod 4 = 0
-    ->
-    Some (c, (pc - c.base) / 4)
-  | Some _ | None -> None
+(* The live copy whose slot [pc] addresses, or [no_copy]. Copies of one
+   epoch are disjoint, so a live copy holding [pc] is the one a search
+   would find; the cached one is checked first. *)
+let exec_copy st pc =
+  if pc land 3 <> 0 then no_copy
+  else if holds st.current pc then st.current
+  else
+    let i = copy_index st pc in
+    if i >= 0 && holds st.copies.(i) pc then begin
+      st.current <- st.copies.(i);
+      st.current
+    end
+    else no_copy
 
 (* With home return addresses and deletion-time un-patching, every
    valid pc outside a live copy is a home address. *)
-let home_of st pc =
-  if pc >= 0 && pc < image_size st && pc mod 4 = 0 then Some pc else None
+let is_home st pc = pc >= 0 && pc < image_size st && pc land 3 = 0
 
 (* ------------------------------------------------------------------ *)
 (* Patching and the remember sets                                      *)
 
-let patch_site st (c, idx) ~target_block ~target_addr =
+let patch_site st c idx ~target_block ~target_addr =
   if c.live then begin
     match st.layouts.(c.block).slots.(idx) with
     | Jump _ ->
@@ -258,7 +282,9 @@ let line_release st block_id =
   | None -> ()
   | Some ls ->
     Array.iter
-      (fun l -> ls.line_refs.(l) <- ls.line_refs.(l) - 1)
+      (fun l ->
+        ls.line_refs.(l) <- ls.line_refs.(l) - 1;
+        if ls.line_refs.(l) = 0 then ls.line_bytes.(l) <- Bytes.empty)
       ls.lmap.Residency.Linemap.of_block.(block_id)
 
 let line_acquire st block_id =
@@ -274,7 +300,7 @@ let delete_copy st c =
     (Residency.Area.discard st.area ~block:c.block
        ~patch_back:(unpatch_site st ~target:c.block));
   c.live <- false;
-  st.by_block.(c.block) <- None;
+  st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
   c.instrs <- [||];
   line_release st c.block;
@@ -286,19 +312,18 @@ let delete_copy st c =
 let flush st =
   let retired = ref 0 in
   Array.iteri
-    (fun b copy ->
+    (fun b c ->
       ignore
         (Residency.Area.release st.area ~block:b
            ~patch_back:(unpatch_site st ~target:b));
-      match copy with
-      | Some c ->
+      if c.live then begin
         c.live <- false;
         c.instrs <- [||];
-        st.by_block.(b) <- None;
+        st.by_block.(b) <- no_copy;
         line_release st b;
         st.deletions <- st.deletions + 1;
         incr retired
-      | None -> ())
+      end)
     st.by_block;
   st.copies <- [||];
   st.ncopies <- 0;
@@ -311,46 +336,59 @@ let flush st =
 (* ------------------------------------------------------------------ *)
 (* Copy creation (the real decompression path)                         *)
 
-(* Decompress a block through its cache lines: every line no live
-   copy covers is really decompressed and charged; already-resident
-   lines are read back for free, like cache hits. Returns the block
-   bytes (assembled from the decompressed lines, so the codec is
-   exercised for real) and the cycles charged. *)
-let decompress_block_lines st ls (b : Cfg.Graph.block) block_id =
-  let buf = Bytes.create b.byte_size in
+(* A decompression is trusted only if it reproduces the image bytes at
+   [addr] exactly; anything else is a codec bug. *)
+let check_image st bytes ~addr =
+  let image = st.prog.Eris.Program.image in
+  for i = 0 to Bytes.length bytes - 1 do
+    if Bytes.get bytes i <> Bytes.get image (addr + i) then
+      raise
+        (Runtime_bug
+           (Printf.sprintf "decompressed bytes differ from the image at %d"
+              (addr + i)))
+  done
+
+(* Decompress a block through its cache lines: every line no live copy
+   covers is really decompressed, checked and charged; a resident line
+   keeps its bytes and is read back for free, like a cache hit. A line
+   can hold references but no bytes when a flush released it after a
+   trap had decompressed it; it is decompressed again, uncharged.
+   Returns the cycles charged. *)
+let decompress_block_lines st ls block_id =
   let cycles = ref 0 in
   Array.iter
     (fun l ->
-      let addr = ls.lmap.Residency.Linemap.addr.(l) in
       let len = ls.lmap.Residency.Linemap.len.(l) in
-      let lbytes = st.codec.Compress.Codec.decompress ls.line_z.(l) in
-      if Bytes.length lbytes <> len then
-        raise (Runtime_bug "line decompressed size mismatch");
-      if ls.line_refs.(l) = 0 then begin
-        st.decompressions <- st.decompressions + 1;
-        let charge =
-          Sim.Cost.demand_dec_charge st.cost
-            ~compressed_bytes:(Bytes.length ls.line_z.(l))
-            ~uncompressed_bytes:len
-        in
-        cycles := !cycles + charge.Sim.Cost.cycles;
-        Sim.Cost.Acc.charge st.acc Sim.Cost.Demand_dec charge
-      end;
-      let lo = max addr b.addr
-      and hi = min (addr + len) (b.addr + b.byte_size) in
-      Bytes.blit lbytes (lo - addr) buf (lo - b.addr) (hi - lo))
+      if ls.line_refs.(l) = 0 || Bytes.length ls.line_bytes.(l) <> len then begin
+        let lbytes = st.codec.Compress.Codec.decompress ls.line_z.(l) in
+        if Bytes.length lbytes <> len then
+          raise (Runtime_bug "line decompressed size mismatch");
+        check_image st lbytes ~addr:ls.lmap.Residency.Linemap.addr.(l);
+        ls.line_bytes.(l) <- lbytes;
+        if ls.line_refs.(l) = 0 then begin
+          st.decompressions <- st.decompressions + 1;
+          let charge =
+            Sim.Cost.demand_dec_charge st.cost
+              ~compressed_bytes:(Bytes.length ls.line_z.(l))
+              ~uncompressed_bytes:len
+          in
+          cycles := !cycles + charge.Sim.Cost.cycles;
+          Sim.Cost.Acc.charge st.acc Sim.Cost.Demand_dec charge
+        end
+      end)
     ls.lmap.Residency.Linemap.of_block.(block_id);
-  (buf, !cycles)
+  !cycles
 
 let make_copy st block_id =
   let b = Cfg.Graph.block st.graph block_id in
-  (* Really decompress and decode; any codec bug surfaces here. *)
-  let bytes, dec_cycles =
+  (* Really decompress and check; any codec bug surfaces here. *)
+  let dec_cycles =
     match st.lines with
     | None ->
       let bytes = st.codec.Compress.Codec.decompress st.compressed.(block_id) in
       if Bytes.length bytes <> b.byte_size then
         raise (Runtime_bug "decompressed size mismatch");
+      check_image st bytes ~addr:b.addr;
       st.decompressions <- st.decompressions + 1;
       let charge =
         Sim.Cost.demand_dec_charge st.cost
@@ -358,19 +396,9 @@ let make_copy st block_id =
           ~uncompressed_bytes:b.byte_size
       in
       Sim.Cost.Acc.charge st.acc Sim.Cost.Demand_dec charge;
-      (bytes, charge.Sim.Cost.cycles)
-    | Some ls ->
-      let bytes, cycles = decompress_block_lines st ls b block_id in
-      if Bytes.length bytes <> b.byte_size then
-        raise (Runtime_bug "decompressed size mismatch");
-      (bytes, cycles)
+      charge.Sim.Cost.cycles
+    | Some ls -> decompress_block_lines st ls block_id
   in
-  (match Eris.Encoding.decode_program bytes with
-  | Ok decoded ->
-    (* cross-check against the layout built at startup *)
-    if Array.length decoded <> b.n_instrs then
-      raise (Runtime_bug "decode after decompress: wrong instruction count")
-  | Error msg -> raise (Runtime_bug ("decode after decompress: " ^ msg)));
   emit_room st;
   Sim.Events.Packed.push_demand st.ev ~at:(at st) ~block:block_id
     ~cycles:dec_cycles;
@@ -379,13 +407,14 @@ let make_copy st block_id =
   (* guard word between copies keeps one-past-the-end unambiguous *)
   if st.copy_ptr + (4 * slots) + 4 > st.copy_limit then flush st;
   let base = st.copy_ptr in
-  let instrs = Array.init slots (fun i -> materialize layout ~base i) in
-  Array.iter
-    (fun i ->
-      match Eris.Types.validate i with
-      | Ok () -> ()
-      | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg)))
-    instrs;
+  let instrs = Array.make slots Eris.Types.Halt in
+  for i = 0 to slots - 1 do
+    let instr = materialize layout ~base i in
+    (match Eris.Types.validate instr with
+    | Ok () -> ()
+    | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg)));
+    instrs.(i) <- instr
+  done;
   let c = { block = block_id; base; instrs; live = true } in
   st.copy_ptr <- st.copy_ptr + (4 * slots) + 4;
   if st.ncopies = Array.length st.copies then begin
@@ -395,7 +424,7 @@ let make_copy st block_id =
   end;
   st.copies.(st.ncopies) <- c;
   st.ncopies <- st.ncopies + 1;
-  st.by_block.(block_id) <- Some c;
+  st.by_block.(block_id) <- c;
   line_acquire st block_id;
   st.live_bytes <- st.live_bytes + (4 * slots);
   if st.live_bytes > st.peak_bytes then st.peak_bytes <- st.live_bytes;
@@ -407,17 +436,16 @@ let make_copy st block_id =
 (* Edge bookkeeping (the k-edge algorithm, for real)                   *)
 
 let block_of_home st home =
-  match Cfg.Graph.block_at_addr st.graph home with
-  | Some b -> b
-  | None -> raise (Runtime_bug (Printf.sprintf "no block at home %d" home))
+  let b = st.home_block.(home / 4) in
+  if b < 0 then raise (Runtime_bug (Printf.sprintf "no block at home %d" home));
+  b
 
 let on_edge st ~target_block =
   st.edges <- st.edges + 1;
   (* k-edge deletions, sparing the branch target (§5) *)
   for i = 0 to Residency.Area.due st.area ~step:st.edges - 1 do
     let d = Residency.Area.due_block st.area i in
-    if d <> target_block then
-      match st.by_block.(d) with Some c -> delete_copy st c | None -> ()
+    if d <> target_block && st.by_block.(d).live then delete_copy st st.by_block.(d)
   done;
   Residency.Area.on_execute st.area ~block:target_block ~step:st.edges
     ~time:(at st);
@@ -428,44 +456,30 @@ let on_edge st ~target_block =
 (* The trap handler (§5's memory-protection exception)                 *)
 
 let handle_trap st pc =
-  match home_of st pc with
-  | None ->
+  if not (is_home st pc) then
     raise
-      (Eris.Machine.Fault { pc; message = "wild pc outside image and copies" })
-  | Some home ->
-    st.traps <- st.traps + 1;
-    Sim.Cost.Acc.charge st.acc Sim.Cost.Exception
-      (Sim.Cost.exception_charge st.cost);
-    let block = block_of_home st home in
-    emit_room st;
-    Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
-    let c =
-      match st.by_block.(block) with
-      | Some c -> c
-      | None -> make_copy st block
-    in
-    let home_base = (Cfg.Graph.block st.graph block).addr in
-    let off = home - home_base in
-    let layout = st.layouts.(block) in
-    (* first slot carrying this home offset (for a branch pair, the
-       skip-branch; for a call sequence, the lui) *)
-    let slot =
-      let rec find i =
-        if i >= Array.length layout.slots then
-          raise
-            (Runtime_bug
-               (Printf.sprintf "no slot for home offset %d in block %d" off
-                  block))
-        else if layout.home_offs.(i) = off then i
-        else find (i + 1)
-      in
-      find 0
-    in
-    let target = c.base + (4 * slot) in
-    (match st.last_site with
-    | Some site -> patch_site st site ~target_block:block ~target_addr:target
-    | None -> ());
-    Eris.Machine.set_pc st.machine target
+      (Eris.Machine.Fault { pc; message = "wild pc outside image and copies" });
+  st.traps <- st.traps + 1;
+  Sim.Cost.Acc.charge st.acc Sim.Cost.Exception
+    (Sim.Cost.exception_charge st.cost);
+  let block = block_of_home st pc in
+  emit_room st;
+  Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
+  let c =
+    if st.by_block.(block).live then st.by_block.(block)
+    else make_copy st block
+  in
+  let off = pc - (Cfg.Graph.block st.graph block).addr in
+  let slot = st.layouts.(block).first_slot.(off / 4) in
+  if slot < 0 then
+    raise
+      (Runtime_bug
+         (Printf.sprintf "no slot for home offset %d in block %d" off block));
+  let target = c.base + (4 * slot) in
+  if st.site_idx >= 0 then
+    patch_site st st.site_copy st.site_idx ~target_block:block
+      ~target_addr:target;
+  Eris.Machine.set_pc st.machine target
 
 (* ------------------------------------------------------------------ *)
 (* Main loop                                                           *)
@@ -576,8 +590,14 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
           lmap;
           line_z;
           line_refs = Array.make lmap.Residency.Linemap.nlines 0;
+          line_bytes = Array.make lmap.Residency.Linemap.nlines Bytes.empty;
         }
   in
+  let home_block = Array.make (Eris.Program.byte_size prog / 4) (-1) in
+  Array.iter
+    (fun (b : Cfg.Graph.block) ->
+      Array.fill home_block (b.addr / 4) (b.byte_size / 4) b.id)
+    (Cfg.Graph.blocks graph);
   let copy_base = ((Eris.Program.byte_size prog / 4096) + 1) * 4096 in
   let machine = Eris.Machine.create prog in
   let n = Cfg.Graph.num_blocks graph in
@@ -613,9 +633,11 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       lines;
       layouts;
       area;
-      by_block = Array.make n None;
+      home_block;
+      by_block = Array.make n no_copy;
       copies = [||];
       ncopies = 0;
+      current = no_copy;
       copy_base;
       (* conditional branches are gone from copies (replaced by pairs),
          so only jal reach matters: +-8 MiB covers this window *)
@@ -623,7 +645,8 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       copy_ptr = copy_base;
       live_bytes = 0;
       peak_bytes = 0;
-      last_site = None;
+      site_copy = no_copy;
+      site_idx = -1;
       traps = 0;
       decompressions = 0;
       patches = 0;
@@ -638,35 +661,33 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
     else if budget <= 0 then Error (Out_of_fuel (stats_of st))
     else begin
       let pc = Eris.Machine.pc st.machine in
-      match exec_slot st pc with
-      | Some (c, idx) ->
+      let c = exec_copy st pc in
+      if c.live then begin
+        let idx = (pc - c.base) / 4 in
         Eris.Machine.execute_instruction st.machine c.instrs.(idx);
         let new_pc = Eris.Machine.pc st.machine in
         (if (not (Eris.Machine.halted st.machine)) && new_pc <> pc + 4 then
-           let is_skip =
-             match st.layouts.(c.block).slots.(idx) with
-             | Skip _ -> true
-             | Plain _ | Jump _ -> false
-           in
-           if is_skip then st.last_site <- None
-           else begin
-             st.last_site <- Some (c, idx);
-             match exec_slot st new_pc with
-             | Some (tc, _) -> on_edge st ~target_block:tc.block
-             | None -> (
-               match home_of st new_pc with
-               | Some home -> on_edge st ~target_block:(block_of_home st home)
-               | None ->
-                 raise
-                   (Eris.Machine.Fault
-                      { pc = new_pc; message = "transfer to unknown address" }))
-           end
-         else if new_pc = pc + 4 then st.last_site <- None);
+           match st.layouts.(c.block).slots.(idx) with
+           | Skip _ -> st.site_idx <- -1
+           | Plain _ | Jump _ ->
+             st.site_copy <- c;
+             st.site_idx <- idx;
+             let tc = exec_copy st new_pc in
+             if tc.live then on_edge st ~target_block:tc.block
+             else if is_home st new_pc then
+               on_edge st ~target_block:(block_of_home st new_pc)
+             else
+               raise
+                 (Eris.Machine.Fault
+                    { pc = new_pc; message = "transfer to unknown address" })
+         else if new_pc = pc + 4 then st.site_idx <- -1);
         loop (budget - 1)
-      | None ->
+      end
+      else begin
         handle_trap st pc;
-        st.last_site <- None;
+        st.site_idx <- -1;
         loop budget
+      end
     end
   in
   Residency.Area.on_execute st.area ~block:(Cfg.Graph.entry graph) ~step:0

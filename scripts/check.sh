@@ -2,7 +2,9 @@
 # Tier-1 gate: dune-file formatting, full build (library + CLI +
 # examples + the end-to-end benchmark), the complete test suite, the
 # end-to-end benchmark's smoke run, a bench-serve load-generator
-# smoke, generator, trace and experiment determinism smokes, a fleet
+# smoke, generator, runtime, trace and experiment determinism smokes
+# (the runtime's: one compressed execution in two processes, same
+# checksum and byte-identical event traces), a fleet
 # sweep smoke (parallel run against a cold cache, then the same sweep
 # warm — the second run must be served entirely from cache and print
 # identical tables), and a service smoke (real daemon on a Unix
@@ -49,6 +51,26 @@ grep -q 'spec: gen:seed=9,depth=2,fanout=3,blocks=bim:4-40,calls=1,skew=0.9,cold
   exit 1
 }
 rm -rf "$gen_dir"
+
+# Runtime determinism: the same compressed execution (life, k=2,
+# clock retention, 32-byte lines) in two separate processes must match
+# its reference checksum both times and write byte-identical, non-empty
+# event traces.
+run_dir=$(mktemp -d)
+for i in 1 2; do
+  "$ccomp" run life -k 2 --retention clock --line-size 32 \
+    --trace-out "$run_dir/$i.jsonl" > "$run_dir/$i.out"
+  grep -q 'matches reference' "$run_dir/$i.out" || {
+    echo "check: FAIL — ccomp run life did not match its reference" >&2
+    cat "$run_dir/$i.out" >&2
+    exit 1
+  }
+done
+if [ ! -s "$run_dir/1.jsonl" ] || ! cmp -s "$run_dir/1.jsonl" "$run_dir/2.jsonl"; then
+  echo "check: FAIL — runtime event traces are empty or differ across processes" >&2
+  exit 1
+fi
+rm -rf "$run_dir"
 
 # E20 smoke: a small generated corpus through the fleet cache, cold
 # then warm — the warm run must be served entirely from cache.

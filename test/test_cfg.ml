@@ -133,6 +133,37 @@ let test_block_at_addr () =
     (b1.byte_size <= 4 || Cfg.Graph.block_of_leader g (b1.addr + 4) = None);
   checkb "out of range" true (Cfg.Graph.block_at_addr g 100000 = None)
 
+(* Blocks out of address order (ids need not follow addresses in a
+   hand-built graph): lookups take the linear fallback and still find
+   every block, including a gap between blocks and addresses past the
+   end. *)
+let test_block_at_addr_unsorted () =
+  let block id addr byte_size =
+    {
+      Cfg.Graph.id;
+      addr;
+      n_instrs = byte_size / 4;
+      byte_size;
+      exec_cycles = byte_size / 4;
+      label = None;
+    }
+  in
+  let g =
+    Cfg.Graph.make
+      [| block 0 64 16; block 1 0 32; block 2 96 8 |]
+      [ (0, 1, Cfg.Graph.Taken); (1, 2, Cfg.Graph.Fallthrough) ]
+  in
+  let at a = Cfg.Graph.block_at_addr g a in
+  checkb "first address of block 0" true (at 64 = Some 0);
+  checkb "last word of block 0" true (at 76 = Some 0);
+  checkb "block 1 at address 0" true (at 0 = Some 1);
+  checkb "inside block 1" true (at 28 = Some 1);
+  checkb "block 2" true (at 100 = Some 2);
+  checkb "gap between blocks" true (at 40 = None);
+  checkb "past the end" true (at 104 = None);
+  checkb "leader of block 2" true (Cfg.Graph.block_of_leader g 96 = Some 2);
+  checkb "non-leader" true (Cfg.Graph.block_of_leader g 68 = None)
+
 let test_validate_trace_errors () =
   let g = diamond () in
   checkb "ok trace" true (Cfg.Graph.validate_trace g [| 0; 1; 3 |] = Ok ());
@@ -350,6 +381,8 @@ let () =
           Alcotest.test_case "accessors" `Quick test_graph_accessors;
           Alcotest.test_case "validation" `Quick test_graph_validation;
           Alcotest.test_case "address lookup" `Quick test_block_at_addr;
+          Alcotest.test_case "address lookup, unsorted blocks" `Quick
+            test_block_at_addr_unsorted;
           Alcotest.test_case "trace validation" `Quick
             test_validate_trace_errors;
           Alcotest.test_case "unreachable blocks" `Quick test_unreachable;

@@ -167,6 +167,43 @@ let test_line_mode_validation () =
         (Runtime.run ~line_size:2
            (Eris.Asm.assemble_exn w.Workloads.Common.source)))
 
+(* A decompression that is off by one bit must stop the run, not
+   execute: the handler compares every decompressed block (or line)
+   byte for byte against the image. The corrupting codec flips bit 0
+   of byte 0 of each decompression. *)
+let corrupting_codec =
+  let base = Compress.Registry.find_exn "lzss" in
+  {
+    base with
+    Compress.Codec.name = "lzss-bitflip";
+    decompress =
+      (fun z ->
+        let b = Bytes.copy (base.Compress.Codec.decompress z) in
+        if Bytes.length b > 0 then
+          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+        b);
+  }
+
+let expect_mismatch ?line_size () =
+  let w = Workloads.Suite.find_exn "crc32" in
+  match
+    Runtime.run ~k:8 ~codec:corrupting_codec ?line_size
+      (Eris.Asm.assemble_exn w.Workloads.Common.source)
+  with
+  | Error (Runtime.Machine_fault { message; stats; _ }) ->
+    let prefix = "decompressed bytes differ from the image" in
+    checkb
+      (Printf.sprintf "mismatch reported (got %S)" message)
+      true
+      (String.length message >= String.length prefix
+      && String.sub message 0 (String.length prefix) = prefix);
+    checki "nothing executed" 0 stats.Runtime.instructions
+  | Ok _ -> Alcotest.fail "corrupted decompression ran to completion"
+  | Error (Runtime.Out_of_fuel _) -> Alcotest.fail "expected a fault, got out of fuel"
+
+let test_corruption_block () = expect_mismatch ()
+let test_corruption_line () = expect_mismatch ~line_size:32 ()
+
 (* The runtime and the model (Core.Engine) must agree on the shape:
    runtime trap counts move with k the same way the engine's demand
    decompressions do. *)
@@ -372,6 +409,8 @@ let () =
           Alcotest.test_case "codec independence" `Quick test_codec_choice;
           Alcotest.test_case "agrees with the model" `Quick
             test_runtime_engine_agreement;
+          Alcotest.test_case "corrupt decompression faults" `Quick
+            test_corruption_block;
         ] );
       ( "line-mode",
         [
@@ -381,6 +420,8 @@ let () =
             test_line_mode_counts_lines;
           Alcotest.test_case "line codec" `Quick test_line_mode_line_codec;
           Alcotest.test_case "validation" `Quick test_line_mode_validation;
+          Alcotest.test_case "corrupt line decompression faults" `Quick
+            test_corruption_line;
         ] );
       ("fixture", [ Alcotest.test_case "160 runs" `Quick test_fixture ]);
     ]
