@@ -50,7 +50,9 @@ let make ?(entry = 0) blocks edges =
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
   let succ_table = Array.map (fun l -> Array.of_list (List.map fst l)) succs in
   let sorted =
-    let rec ok i = i >= n - 1 || (blocks.(i).addr < blocks.(i + 1).addr && ok (i + 1)) in
+    let rec ok i =
+      i >= n - 1 || (blocks.(i).addr < blocks.(i + 1).addr && ok (i + 1))
+    in
     ok 0
   in
   { blocks; succs; preds; succ_table; entry; sorted }

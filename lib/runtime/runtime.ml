@@ -359,7 +359,10 @@ let decompress_block_lines st ls block_id =
   Array.iter
     (fun l ->
       let len = ls.lmap.Residency.Linemap.len.(l) in
-      if ls.line_refs.(l) = 0 || Bytes.length ls.line_bytes.(l) <> len then begin
+      let resident =
+        ls.line_refs.(l) > 0 && Bytes.length ls.line_bytes.(l) = len
+      in
+      if not resident then begin
         let lbytes = st.codec.Compress.Codec.decompress ls.line_z.(l) in
         if Bytes.length lbytes <> len then
           raise (Runtime_bug "line decompressed size mismatch");
@@ -445,7 +448,8 @@ let on_edge st ~target_block =
   (* k-edge deletions, sparing the branch target (§5) *)
   for i = 0 to Residency.Area.due st.area ~step:st.edges - 1 do
     let d = Residency.Area.due_block st.area i in
-    if d <> target_block && st.by_block.(d).live then delete_copy st st.by_block.(d)
+    let c = st.by_block.(d) in
+    if d <> target_block && c.live then delete_copy st c
   done;
   Residency.Area.on_execute st.area ~block:target_block ~step:st.edges
     ~time:(at st);

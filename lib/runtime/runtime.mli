@@ -6,7 +6,8 @@
       basic block compressed with a real codec);
     - fetching from a compressed (or deleted-copy) address raises the
       memory-protection exception; the handler {e really} decompresses
-      the block's bytes, decodes them, relocates the instructions into
+      the block's bytes, checks them byte for byte against the image
+      (a mismatch is a [Machine_fault]), relocates the instructions into
       a fresh copy (rewriting pc-relative targets to absolute home
       addresses and appending a synthetic jump for fallthrough), and
       redirects the pc;

@@ -199,7 +199,8 @@ let expect_mismatch ?line_size () =
       && String.sub message 0 (String.length prefix) = prefix);
     checki "nothing executed" 0 stats.Runtime.instructions
   | Ok _ -> Alcotest.fail "corrupted decompression ran to completion"
-  | Error (Runtime.Out_of_fuel _) -> Alcotest.fail "expected a fault, got out of fuel"
+  | Error (Runtime.Out_of_fuel _) ->
+    Alcotest.fail "expected a fault, got out of fuel"
 
 let test_corruption_block () = expect_mismatch ()
 let test_corruption_line () = expect_mismatch ~line_size:32 ()
@@ -245,7 +246,8 @@ let fixture_programs =
   lazy
     (List.map
        (fun w ->
-         (w.Workloads.Common.name, Eris.Asm.assemble_exn w.Workloads.Common.source))
+         ( w.Workloads.Common.name,
+           Eris.Asm.assemble_exn w.Workloads.Common.source ))
        Workloads.Suite.all
     @ List.map
         (fun s -> (s, Corpus.Gen.program (Corpus.Spec.of_string_exn s)))
@@ -256,7 +258,9 @@ let fixture_configs =
     (fun k ->
       List.concat_map
         (fun retention ->
-          List.map (fun line_size -> (k, retention, line_size)) [ None; Some 32 ])
+          List.map
+            (fun line_size -> (k, retention, line_size))
+            [ None; Some 32 ])
         [ Residency.Policy.Kedge; Clock ])
     [ 2; 8 ]
 
@@ -281,7 +285,8 @@ let fixture_run (k, retention, line_size) prog =
     | Ok (m, stats) ->
       let mem = Buffer.create 65536 in
       for w = 0 to (65536 / 4) - 1 do
-        Buffer.add_int32_le mem (Int32.of_int (Eris.Machine.read_word m (4 * w)))
+        Buffer.add_int32_le mem
+          (Int32.of_int (Eris.Machine.read_word m (4 * w)))
       done;
       Marshal.to_string stats [] ^ Digest.string (Buffer.contents mem)
     | Error (Runtime.Out_of_fuel stats) -> "fuel" ^ Marshal.to_string stats []
