@@ -1165,6 +1165,109 @@ let prop_kedge_model =
             Memsim.Kedge.due t ~step:s = expected)
         ops)
 
+(* On-demand fixture: the same digest over plain on-demand/discard
+   k-edge runs — 64 seeded small graphs (2-14 blocks, 1-400 steps,
+   k 1-12), the replay benchmark's hot/cold graph over a 20k-step
+   Markov trace at k=2 and k=8 (long runs reach states the short ones
+   never do), and one graph of more than 1024 blocks. *)
+
+let run_digest sc policy =
+  let buf = Buffer.create 4096 in
+  let m =
+    Core.Scenario.run
+      ~log:(fun e ->
+        Buffer.add_string buf (Sim.Events.to_json e);
+        Buffer.add_char buf '\n')
+      sc policy
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string m [] ^ Buffer.contents buf))
+
+let on_demand_case case =
+  let markov_case ~blocks ~extra ~len ~seed ~k =
+    let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
+    let g =
+      Cfg.Graph.synthetic blocks (List.sort_uniq compare (ring @ extra))
+    in
+    let trace = Trace.Synthetic.markov ~seed g ~length:len in
+    run_digest (Core.Scenario.of_graph g ~trace) (Core.Policy.on_demand ~k)
+  in
+  if case < 64 then begin
+    let rng = Random.State.make [| 4099; case |] in
+    let blocks = 2 + Random.State.int rng 13 in
+    let extra =
+      List.init (Random.State.int rng 13) (fun _ ->
+          (Random.State.int rng blocks, Random.State.int rng blocks))
+    in
+    let len = 1 + Random.State.int rng 400 in
+    let seed = Random.State.int rng 2001 in
+    markov_case ~blocks ~extra ~len ~seed ~k:(1 + Random.State.int rng 12)
+  end
+  else if case < 66 then begin
+    let g, _ =
+      Trace.Synthetic.hot_cold ~hot_blocks:6 ~cold_blocks:24 ~hot_iters:4
+        ~cold_visit_every:16 ()
+    in
+    let trace = Trace.Synthetic.markov ~seed:1 g ~length:20_000 in
+    run_digest
+      (Core.Scenario.of_graph g ~trace)
+      (Core.Policy.on_demand ~k:(if case = 64 then 2 else 8))
+  end
+  else begin
+    let rng = Random.State.make [| 4099; case |] in
+    let extra =
+      List.init 300 (fun _ ->
+          (Random.State.int rng 1100, Random.State.int rng 1100))
+    in
+    markov_case ~blocks:1100 ~extra ~len:6000 ~seed:case ~k:3
+  end
+
+let on_demand_expected =
+  [|
+    "cf106c8621cc26c8b2dd97a4ae1e21ad"; "db59ae4f699444dfeb5e815d6d99889e";
+    "cf30c238f20b97e040ff712a3c940929"; "e419630d286e7a808ee991752c161b9a";
+    "73d51464ce5af8b7a09fdf5da64677eb"; "5389f92bd04ea7cdb7e8b67d02a2e4cb";
+    "ed0d686497637dd112f2386e2b12335b"; "08b2c7c6113f328d121f85e728972573";
+    "5040a7a146679833af54cfd5e30bd5c4"; "c24c34d0e28ef122d7b761b53fcad2d5";
+    "69df1ad617f08e731b99db6e6d1ddddc"; "0b9fc52fe9e4877430fdc7f9bdf82948";
+    "e39bd8c60b81d6eb57bdc0451d548653"; "caa52578588e15f89c612851e17a3495";
+    "d5f4e2ebc432fff830d2ca9d8e3f1e58"; "22ae8421364aa3cbc80a12b2a9f3493e";
+    "757fdde450b1f5db6d53d2d15caef760"; "078407b9fc5bf7d4ec5c9510c475d309";
+    "d747ec18a75f10925df552e63a0b0965"; "b0e106878cb6f6648ffaeab7fdff054b";
+    "bb4f7fd44599f9d66a41f21c808be4d0"; "5a8658b01ef7d83e060b14a6670ef95d";
+    "fcb3bb2e39b0c7b09b75dafcfbc5b313"; "619d9c1b6c9faaefcffe3b70d602066c";
+    "46d00acdd97484c7dd091f414116e9f7"; "bc76e257579b905c83ec5f872c54a7ba";
+    "23f368183fcb7eef797e7cd3b99e019b"; "76c5b7500a402106b6bb6e8fa8d55bc7";
+    "a542824e9f6d70532fb1499fb4e9aaba"; "468271c0fbcea57160e725bcc9ee39b0";
+    "a36ce521b41f907232088bdd6bcf3d11"; "4edcf9c215ddf22ae0442d0443bb4e7b";
+    "2a54b7cab1b4b9bc44a752d1065c5976"; "30337d71f45a509ef469d86a18d9c08c";
+    "9f1308561cae835f6d193603c7817e10"; "dd36a79f359eacb0aab9322477741906";
+    "a509ed0b02761e097b89618978905c2c"; "8bf7c6f35cddb694ac4c7bf73157e0f9";
+    "d9b9c928310611064c1b7de9f4a17a1e"; "b0c18a6092ee0df25726e1b4254ff465";
+    "64038529f7af3c19939b8660a065de96"; "6f8812fefb32417bd928bf704976bec8";
+    "29732cbdbbdad846d716a3eeaa11d284"; "48dc3e118596a37fa8454f1739bc5fbf";
+    "a0d666af85e10be582c52dba82a10b73"; "3d6c5659de124e5bdf05a2479eb95980";
+    "a5cb2c532fed6188efc65960c158a96f"; "370c6bd0bcf3b206c056f6817d16e935";
+    "2360cb1f666f96fa7362d94f99529ad2"; "aa323ea95b9f3cffd3ed5879c026b3d9";
+    "2bf5cdf15f291359631635b96bdead7f"; "fb9f7c92cab6b584135f28dab4e4bfe9";
+    "c6b313f61a53353e776f53f4ea5864b7"; "f568a627301a22db2b12aa197ed518f9";
+    "48d5542bfb981c230ebe4f7cd5db666e"; "3509dcdab0da4ea6256b3c2923ae7772";
+    "82325b4f072cb08244f8f4697c7042a2"; "dcc060aa49dd88d6782aa860d8dde36c";
+    "d2921545a14ef1ac8897e48b90bb2ef0"; "a0b0ee9d13c69b03c66c304f4c17e4bb";
+    "172abf835259e296e871ea186bb49fce"; "eff464e7402379d4070f73e443849e40";
+    "bf669c969fb414ab1b97503aace0f974"; "0c38145b47fff3a0eb88752754845948";
+    "f142efca8a7b3cdcccc4b76a48579d65"; "1f7b653864655c154861348896b63ee2";
+    "fa9915b316f12ac332a86b5f36063827";
+  |]
+
+let test_on_demand_fixture () =
+  let got = Array.init 67 on_demand_case in
+  checki "cases" (Array.length on_demand_expected) (Array.length got);
+  Array.iteri
+    (fun i d ->
+      Alcotest.check Alcotest.string (Printf.sprintf "case %d" i)
+        on_demand_expected.(i) d)
+    got
+
 let () =
   Alcotest.run ~and_exit:false "core-fixture"
     [
@@ -1172,6 +1275,8 @@ let () =
         [
           Alcotest.test_case "design-space fixture" `Quick
             test_general_path_fixture;
+          Alcotest.test_case "on-demand fixture" `Quick
+            test_on_demand_fixture;
           qcheck prop_pick_matches_choose;
           qcheck prop_kedge_model;
         ] );
