@@ -46,10 +46,10 @@ type event = Sim.Events.t =
 module Packed = Sim.Events.Packed
 
 (* Residency state of one block's decompressed copy, int-coded so the
-   per-step transitions are plain stores (the old variant allocated a
-   [Resident] record on every demand decompression). Tag in the low
-   two bits, flags above; [Decompressing]/[Recompressing] park their
-   timestamp in the [aux] array. *)
+   per-step transitions are plain stores. Tag in the low two bits;
+   the flags above are set on prefetched copies only, so a copy the
+   execution thread decompressed itself reads exactly [tag_resident].
+   [Decompressing]/[Recompressing] park their timestamp in [aux]. *)
 let tag_compressed = 0
 let tag_decompressing = 1
 let tag_resident = 2
@@ -57,20 +57,20 @@ let tag_recompressing = 3
 let bit_used = 4
 let bit_prefetched = 8
 
-(* Streaming occupancy accounting: deltas arrive in nondecreasing
-   timestamp order except for recompression frees dated in the future;
-   those wait in [future] (bounded by the in-flight recompressions,
-   not the trace). Same-timestamp deltas are buffered and applied
-   smallest-first, reproducing exactly the global (time, delta) sort
-   the engine used to perform over the whole O(trace) event list. *)
+(* Streaming occupancy accounting. Deltas arrive in nondecreasing time
+   order, except recompression frees dated in the future: those wait
+   in [future], bounded by the in-flight recompressions, not the trace.
+   The level at a time is the level after all of that time's deltas,
+   so the peak is taken only when time moves on: copies that overlap
+   within one instant never count together. *)
 type occupancy = {
-  acct : Memsim.Accounting.t;
   future : Memsim.Pairheap.t;  (* (time, delta) *)
   mutable future_at : int;  (* earliest [future] time; max_int if none *)
-  mutable buf_time : int;
-  mutable buf : int array;  (* deltas at [buf_time], unordered *)
-  mutable buf_len : int;
-  mutable horizon : int;  (* latest timestamp ever posted *)
+  mutable horizon : int;  (* latest [future] time ever pushed *)
+  mutable time : int;  (* the open group's time *)
+  mutable level : int;  (* bytes, with the open group applied *)
+  mutable peak : int;  (* over the closed groups *)
+  mutable integral : int;  (* byte-cycles up to [time] *)
 }
 
 (* What the strategy looks up at each edge, built once per run. *)
@@ -79,24 +79,30 @@ type lookahead =
   | All of Cfg.Dist.frontiers  (* pre-all: every frontier block *)
   | Single of Predictor.plan  (* pre-single: the predicted one *)
 
+(* Everything [run]'s loop shares with the rare transitions it calls.
+   The per-step scalars (clock, charge counters) live in the loop's
+   locals; these fields count what only the rare transitions do. *)
 type state = {
   policy : Policy.t;
+  retention : Residency.Policy.t;
   lookahead : lookahead;
-  (* packed event stream: the hot paths push into [ev] and hand full
-     chunks to [deliver]; nothing per-event is heap-allocated *)
+  (* packed event stream, handed to [deliver] a chunk at a time *)
   ev : Packed.chunk;
   deliver : Packed.chunk -> unit;
   stat : int array;  (* int-coded status, see the tag_/bit_ constants *)
   aux : int array;  (* ready_at / done_at for the in-flight tags *)
-  area : int Residency.Area.t;
-      (* copy lifecycle: retention policy + remember sets; sites are
-         the branching block's id *)
+  base : int array;
+      (* step of each copy's last k-edge (re)start, -1 without one *)
+  (* remember sets (§5): the branch sites patched to point at each
+     target's copy, unordered in [rs.(t).(0 .. rs_len.(t) - 1)] *)
+  rs : int array array;
+  rs_len : int array;
+  due_buf : int array;  (* [Residency.Policy.due]'s hand-off *)
   pred_state : Predictor.state;
   compressed : int -> bool;  (* [stat] reads as Compressed *)
   spare : int array;
       (* the three blocks the current [make_room] must not evict *)
   spared : int -> bool;  (* [spare] or not Resident: no victim *)
-  clock : Sim.Clock.t;
   dec : Sim.Clock.resource;  (* decompression thread *)
   comp : Sim.Clock.resource;  (* compression thread *)
   occ : occupancy;
@@ -111,12 +117,8 @@ type state = {
   mutable settle_at : int;
       (* earliest time in either queue, max_int if both are empty:
          until then [settle] has nothing to do *)
-  (* every priced event lands here as one charge vector; the metrics'
-     per-source cycle and energy totals are read back out at the end *)
-  acc : Sim.Cost.Acc.acc;
-  (* per-block cost tables, precomputed so the inner loop only adds
-     ints (the constructors in Sim.Cost stay the single source of the
-     pricing formulas — these are their values, cached) *)
+  (* per-block cost tables: the values of Sim.Cost's constructors,
+     which stay the single source of the pricing formulas *)
   u_size : int array;
   def_cycles : int array;  (* default per-visit execution cycles *)
   dec_cyc : int array;  (* demand/prefetch decompression latency *)
@@ -127,15 +129,15 @@ type state = {
   succ_arr : int array array;  (* [Cfg.Graph.succ_table] *)
   ret_sites : int array array;  (* per target: return-only pred sites *)
   exc_cyc : int;
-  exc_nj : int;
   patch_cyc : int;
-  patch_nj : int;
-  exec_nj_rate : int;
-  (* counters *)
+  (* counts of the rare transitions *)
   mutable exceptions : int;
   mutable patches : int;
-  mutable demand_decompressions : int;
+  mutable patch_backs : int;
+  mutable stall_cycles : int;
   mutable prefetch_decompressions : int;
+  mutable prefetch_energy : int;
+  mutable recompress_energy : int;
   mutable useful_prefetches : int;
   mutable wasted_prefetches : int;
   mutable discards : int;
@@ -143,10 +145,11 @@ type state = {
   mutable budget_overflows : int;
 }
 
-let now st = Sim.Clock.now st.clock
-
-let[@inline] charge_fast st src ~cycles ~energy_nj =
-  Sim.Cost.Acc.charge_raw st.acc src ~cycles ~energy_nj
+(* The loop pushes a step's own events (at most [step_events]) without
+   a capacity check after one room check at the step's start. Every
+   other push goes through [chunk], which flushes early enough to
+   leave that many slots free behind it. *)
+let step_events = 5
 
 let emit_flush st =
   if Packed.length st.ev > 0 then begin
@@ -154,627 +157,436 @@ let emit_flush st =
     Packed.clear st.ev
   end
 
-(* Every push site grabs the chunk through this: full chunks drain to
-   the sink first, so a slot is always free. *)
 let[@inline] chunk st =
-  if Packed.is_full st.ev then emit_flush st;
+  if Packed.room st.ev <= step_events then emit_flush st;
   st.ev
 
 (* --- occupancy stream --- *)
 
-let rec occ_insert_back (a : int array) j x =
-  if j >= 0 && a.(j) > x then begin
-    a.(j + 1) <- a.(j);
-    occ_insert_back a (j - 1) x
-  end
-  else a.(j + 1) <- x
-
-let occ_flush_buf occ =
-  let n = occ.buf_len in
-  if n > 0 then begin
-    let a = occ.buf in
-    (* Insertion sort: same-timestamp deltas apply smallest first
-       (frees before allocations), matching the old global sort. The
-       buffer only ever holds the deltas of one timestamp. *)
-    for i = 1 to n - 1 do
-      let x = a.(i) in
-      occ_insert_back a (i - 1) x
-    done;
-    for i = 0 to n - 1 do
-      Memsim.Accounting.add occ.acct ~time:occ.buf_time ~delta:a.(i)
-    done;
-    occ.buf_len <- 0
-  end
-
-let occ_feed occ ~time ~delta =
-  if time <> occ.buf_time then begin
-    occ_flush_buf occ;
-    occ.buf_time <- time
+let[@inline] occ_apply o ~time ~delta =
+  if time <> o.time then begin
+    if o.level > o.peak then o.peak <- o.level;
+    o.integral <- o.integral + (o.level * (time - o.time));
+    o.time <- time
   end;
-  let n = occ.buf_len in
-  if n = Array.length occ.buf then begin
-    let grown = Array.make (2 * n) 0 in
-    Array.blit occ.buf 0 grown 0 n;
-    occ.buf <- grown
-  end;
-  occ.buf.(n) <- delta;
-  occ.buf_len <- n + 1
+  o.level <- o.level + delta
 
-(* The least first component of a queue, max_int when it is empty. *)
-let head_time q =
-  if Memsim.Pairheap.is_empty q then max_int else Memsim.Pairheap.min_fst q
-
-let rec occ_pop occ ~upto =
-  let f = occ.future in
-  if (not (Memsim.Pairheap.is_empty f)) && Memsim.Pairheap.min_fst f <= upto
-  then begin
+let rec occ_drain o ~upto =
+  let f = o.future in
+  if Memsim.Pairheap.is_empty f then o.future_at <- max_int
+  else if Memsim.Pairheap.min_fst f > upto then
+    o.future_at <- Memsim.Pairheap.min_fst f
+  else begin
     let time = Memsim.Pairheap.min_fst f in
     let delta = Memsim.Pairheap.min_snd f in
     Memsim.Pairheap.pop f;
-    occ_feed occ ~time ~delta;
-    occ_pop occ ~upto
+    occ_apply o ~time ~delta;
+    occ_drain o ~upto
   end
 
-let occ_drain occ ~upto =
-  if occ.future_at <= upto then begin
-    occ_pop occ ~upto;
-    occ.future_at <- head_time occ.future
-  end
+(* A delta at the current time [time]. *)
+let[@inline] occ_post o ~time ~delta =
+  if time >= o.future_at then occ_drain o ~upto:time;
+  occ_apply o ~time ~delta
 
-let mem_event st ~time ~delta =
-  let occ = st.occ in
-  if time > occ.horizon then occ.horizon <- time;
-  if time > now st then begin
-    Memsim.Pairheap.push occ.future time delta;
-    if time < occ.future_at then occ.future_at <- time
-  end
-  else begin
-    occ_drain occ ~upto:time;
-    occ_feed occ ~time ~delta
-  end
+(* Closes the stream at [now]: the time-weighted occupancy of the
+   decompressed area — peak, average, and the raw byte-cycles integral
+   (the RAM leakage base). *)
+let occ_close o ~now =
+  occ_drain o ~upto:max_int;
+  let until = max (max now o.horizon) 1 in
+  let byte_cycles = o.integral + (o.level * (until - o.time)) in
+  (max o.peak o.level, float_of_int byte_cycles /. float_of_int until,
+   byte_cycles)
 
-(* Final accounting: flush everything still queued and return the
-   time-weighted occupancy of the decompressed area — peak, average,
-   and the raw byte-cycles integral (the RAM leakage base). *)
-let memory_stats st =
-  let occ = st.occ in
-  occ_drain occ ~upto:max_int;
-  occ_flush_buf occ;
-  let end_time = max (now st) occ.horizon in
-  let until = max end_time 1 in
-  let peak = Memsim.Accounting.peak occ.acct in
-  let byte_cycles = Memsim.Accounting.integral occ.acct ~until in
-  let avg = float_of_int byte_cycles /. float_of_int until in
-  (peak, avg, byte_cycles)
+(* --- remember sets --- *)
 
-(* Promote finished prefetches (skipping stale [inflight] entries) and
-   apply recompression frees whose time has passed. *)
-let rec promote st q =
-  if head_time q <= now st then begin
-    let ready_at = Memsim.Pairheap.min_fst q in
-    let b = Memsim.Pairheap.min_snd q in
-    Memsim.Pairheap.pop q;
-    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at
-    then begin
-      st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
-      Residency.Area.on_ready st.area ~block:b ~time:ready_at
-    end;
-    promote st q
-  end
+(* The index of [x] in [a.(0 .. n - 1)], or [n]. *)
+let[@inline] find (a : int array) n x =
+  let j = ref 0 in
+  while !j < n && Array.unsafe_get a !j <> x do
+    incr j
+  done;
+  !j
 
-let rec apply_frees st q =
-  if head_time q <= now st then begin
-    st.live_bytes <- st.live_bytes - Memsim.Pairheap.min_snd q;
-    Memsim.Pairheap.pop q;
-    apply_frees st q
-  end
+let[@inline] recorded st ~target ~site =
+  let n = Array.unsafe_get st.rs_len target in
+  find (Array.unsafe_get st.rs target) n site < n
 
-let settle st =
-  if st.settle_at <= now st then begin
-    promote st st.inflight;
-    apply_frees st st.pending_frees;
-    let a = head_time st.inflight and b = head_time st.pending_frees in
-    st.settle_at <- (if a < b then a else b)
-  end
+let record st ~target ~site =
+  let n = st.rs_len.(target) in
+  if n = Array.length st.rs.(target) then begin
+    let grown = Array.make (max 4 (2 * n)) 0 in
+    Array.blit st.rs.(target) 0 grown 0 n;
+    st.rs.(target) <- grown
+  end;
+  st.rs.(target).(n) <- site;
+  st.rs_len.(target) <- n + 1
 
-let dec_time st b = st.dec_cyc.(b)
-
-(* Deletes the decompressed copy of [b] (k-edge retirement or LRU
-   eviction). Patch-backs run on the compression thread. *)
-let delete_copy st ~eviction b =
-  let s = st.stat.(b) in
-  if s land 3 <> tag_resident then
-    invalid_arg "Core.Engine.delete_copy: block not resident";
-  let wasted = s land bit_prefetched <> 0 && s land bit_used = 0 in
-  if wasted then st.wasted_prefetches <- st.wasted_prefetches + 1;
-  (* [release] flushes the remember set and retires the retention
-     state; the engine only models patch-back timing, so every site
-     "patches back" successfully. Events are emitted below, engine-side,
-     to keep Recompress_queued ahead of Discard/Evict in the stream. *)
-  let patched_back = Residency.Area.release_count st.area ~block:b in
-  st.patches <- st.patches + patched_back;
-  charge_fast st Sim.Cost.Patch_back ~cycles:0
-    ~energy_nj:(patched_back * st.patch_nj);
-  Sim.Clock.push_back st.comp ~now:(now st)
-    ~cycles:(patched_back * st.patch_cyc);
-  (* Branches inside [b] vanish with it: drop them from the remember
-     sets of their targets. Only a resident copy has a remember set
-     (sites are recorded on arrival and flushed on release). *)
-  let succs = st.succ_arr.(b) in
+(* Branches inside [d] vanish with its copy: drop [d] from the
+   remember sets of its successors (order within a set is free). *)
+let forget_branches_of st d =
+  let succs = st.succ_arr.(d) in
   for i = 0 to Array.length succs - 1 do
     let t = succs.(i) in
-    if st.stat.(t) land 3 = tag_resident then
-      ignore (Residency.Area.forget_key st.area ~target:t ~key:b)
-  done;
-  (match st.policy.Policy.mode with
-  | Policy.Discard ->
-    let u = st.u_size.(b) in
-    st.live_bytes <- st.live_bytes - u;
-    mem_event st ~time:(now st) ~delta:(-u);
-    st.stat.(b) <- tag_compressed
-  | Policy.Recompress ->
-    charge_fast st Sim.Cost.Recompress ~cycles:0
-      ~energy_nj:st.recompress_nj.(b);
-    let done_at =
-      Sim.Clock.schedule st.comp ~now:(now st) ~cycles:st.comp_cyc.(b)
-    in
-    Memsim.Pairheap.push st.pending_frees done_at st.u_size.(b);
-    if done_at < st.settle_at then st.settle_at <- done_at;
-    mem_event st ~time:done_at ~delta:(-st.u_size.(b));
-    st.stat.(b) <- tag_recompressing;
-    st.aux.(b) <- done_at;
-    Packed.push_recompress_queued (chunk st) ~at:(now st) ~block:b ~done_at);
-  if eviction then begin
-    st.evictions <- st.evictions + 1;
-    Packed.push_evict (chunk st) ~at:(now st) ~block:b
-  end
-  else begin
-    st.discards <- st.discards + 1;
-    Packed.push_discard (chunk st) ~at:(now st) ~block:b ~patched_back ~wasted
-  end
-
-let rec evict_until st cap bytes =
-  if st.live_bytes + bytes <= cap then true
-  else
-    match Residency.Area.victim st.area ~exclude:st.spared with
-    | Some v ->
-      delete_copy st ~eviction:true v;
-      evict_until st cap bytes
-    | None -> false
-
-(* Ensures [bytes] fit under the budget, evicting LRU residents other
-   than the three spared blocks. Returns false if the space cannot be
-   freed. *)
-let make_room st ~spare1 ~spare2 ~spare3 bytes =
-  match st.policy.Policy.budget with
-  | None -> true
-  | Some cap ->
-    settle st;
-    st.spare.(0) <- spare1;
-    st.spare.(1) <- spare2;
-    st.spare.(2) <- spare3;
-    evict_until st cap bytes
-
-(* Allocates space for a decompressed copy of [b]. *)
-let allocate st b =
-  let u = st.u_size.(b) in
-  (match st.policy.Policy.budget with
-  | None -> ()
-  | Some _ ->
-    let ok = make_room st ~spare1:b ~spare2:b ~spare3:b u in
-    if not ok then st.budget_overflows <- st.budget_overflows + 1);
-  st.live_bytes <- st.live_bytes + u;
-  mem_event st ~time:(now st) ~delta:u
-
-let charge_exception st b =
-  st.exceptions <- st.exceptions + 1;
-  charge_fast st Sim.Cost.Exception ~cycles:st.exc_cyc
-    ~energy_nj:st.exc_nj;
-  Sim.Clock.advance st.clock ~cycles:st.exc_cyc;
-  Packed.push_exception (chunk st) ~at:(now st) ~block:b
-
-let charge_patch st ~target ~site =
-  st.patches <- st.patches + 1;
-  charge_fast st Sim.Cost.Patch ~cycles:st.patch_cyc
-    ~energy_nj:st.patch_nj;
-  Sim.Clock.advance st.clock ~cycles:st.patch_cyc;
-  Packed.push_patch (chunk st) ~at:(now st) ~target ~site
+    let a = st.rs.(t) and n = st.rs_len.(t) in
+    let j = find a n d in
+    if j < n then begin
+      a.(j) <- a.(n - 1);
+      st.rs_len.(t) <- n - 1
+    end
+  done
 
 (* [site -> target] transfers the runtime can never patch: return
    addresses are home-valued constants materialized at call time, so a
    [jalr] site re-traps on every return and is never recorded. A pair
    qualifies only when every [site -> target] edge is a return — a
    site that can also branch there keeps its patchable slot. *)
-let rec mem_site (a : int array) site i =
-  i < Array.length a && (Array.unsafe_get a i = site || mem_site a site (i + 1))
+let[@inline] return_only st ~site ~target =
+  let a = Array.unsafe_get st.ret_sites target in
+  let n = Array.length a in
+  n > 0 && find a n site < n
 
-let return_only_site st ~site ~target =
-  mem_site (Array.unsafe_get st.ret_sites target) site 0
+(* --- the rare transitions --- *)
 
-(* Records the branch site and charges the patch if it is new. The
-   caller has already paid the exception. [site] is -1 on the initial
-   entry (nothing to patch); return-only sites are never recorded. *)
-let patch_site st ~target ~site =
-  if site >= 0 && not (return_only_site st ~site ~target) then
-    if Residency.Area.record_site st.area ~target ~site then
-      charge_patch st ~target ~site
+let head_time q =
+  if Memsim.Pairheap.is_empty q then max_int else Memsim.Pairheap.min_fst q
 
-let stall_until st b t =
-  let w = Sim.Clock.wait_until st.clock t in
-  if w > 0 then begin
-    charge_fast st Sim.Cost.Stall ~cycles:w ~energy_nj:0;
-    Packed.push_stall (chunk st) ~at:(now st) ~block:b ~cycles:w
+(* Promote finished prefetches (skipping stale [inflight] entries) and
+   apply recompression frees whose time has passed. *)
+let rec promote st ~now q =
+  if head_time q <= now then begin
+    let ready_at = Memsim.Pairheap.min_fst q in
+    let b = Memsim.Pairheap.min_snd q in
+    Memsim.Pairheap.pop q;
+    if st.stat.(b) land 3 = tag_decompressing && st.aux.(b) = ready_at
+    then begin
+      st.stat.(b) <- st.stat.(b) land bit_prefetched lor tag_resident;
+      Residency.Policy.on_ready st.retention ~block:b ~time:ready_at
+    end;
+    promote st ~now q
   end
 
-(* The execution thread arrives at block [b], coming from [prev]
-   (-1 = initial entry), at trace position [step]. *)
-let rec arrive st ~step ~prev b =
-  settle st;
-  let s = st.stat.(b) in
-  match s land 3 with
-  | 2 (* Resident *) ->
-    (* No cost when the branch already targets the decompressed copy;
-       otherwise the exception fires and the handler patches (Fig. 5,
-       steps 5-6). The initial entry (no prev) faults too but has no
-       site to patch. *)
-    if prev >= 0 then begin
-      if return_only_site st ~site:prev ~target:b then
-        (* the runtime traps on every home-valued return, resident or
-           not, and the handler has nothing to patch *)
-        charge_exception st b
-      else if Residency.Area.record_site st.area ~target:b ~site:prev
-      then begin
-        charge_exception st b;
-        charge_patch st ~target:b ~site:prev
-      end
-    end
-    else charge_exception st b
-  | 1 (* Decompressing *) ->
-    (* The branch still points into the compressed area: exception,
-       then wait for the in-flight pre-decompression. *)
-    let ready_at = st.aux.(b) in
-    charge_exception st b;
-    stall_until st b ready_at;
-    (* its [inflight] entry goes stale: Resident now *)
-    st.stat.(b) <- s land bit_prefetched lor tag_resident;
-    Residency.Area.on_ready st.area ~block:b ~time:(now st);
-    patch_site st ~target:b ~site:prev
-  | 3 (* Recompressing *) ->
-    (* Rare: reached while the compression thread still owns it. Wait
-       out the compression, then take the demand path. *)
-    stall_until st b st.aux.(b);
-    settle st;
-    st.stat.(b) <- tag_compressed;
-    arrive st ~step ~prev b
-  | _ (* Compressed *) ->
-    charge_exception st b;
-    allocate st b;
-    let cycles = st.dec_cyc.(b) in
-    st.demand_decompressions <- st.demand_decompressions + 1;
-    charge_fast st Sim.Cost.Demand_dec ~cycles
-      ~energy_nj:st.demand_nj.(b);
-    Sim.Clock.advance st.clock ~cycles;
-    st.stat.(b) <- tag_resident;
-    Residency.Area.on_materialize st.area ~block:b ~step;
-    Residency.Area.on_ready st.area ~block:b ~time:(now st);
-    Packed.push_demand (chunk st) ~at:(now st) ~block:b ~cycles;
-    patch_site st ~target:b ~site:prev
+let rec apply_frees st ~now q =
+  if head_time q <= now then begin
+    st.live_bytes <- st.live_bytes - Memsim.Pairheap.min_snd q;
+    Memsim.Pairheap.pop q;
+    apply_frees st ~now q
+  end
 
-let execute st ~step ~cycles b =
+let settle st ~now =
+  if st.settle_at <= now then begin
+    promote st ~now st.inflight;
+    apply_frees st ~now st.pending_frees;
+    st.settle_at <- min (head_time st.inflight) (head_time st.pending_frees)
+  end
+
+(* Deletes the decompressed copy of [b] (k-edge retirement or budget
+   eviction). Patch-backs run on the compression thread; the engine
+   only models their timing, so every recorded site patches back. *)
+let delete_copy st ~now ~eviction b =
   let s = st.stat.(b) in
   if s land 3 <> tag_resident then
-    invalid_arg "Core.Engine.execute: block not resident";
-  if s land bit_prefetched <> 0 && s land bit_used = 0 then
+    invalid_arg "Core.Engine.delete_copy: block not resident";
+  let wasted = s land bit_prefetched <> 0 && s land bit_used = 0 in
+  if wasted then st.wasted_prefetches <- st.wasted_prefetches + 1;
+  let patched_back = st.rs_len.(b) in
+  st.rs_len.(b) <- 0;
+  st.base.(b) <- -1;
+  Residency.Policy.on_release st.retention ~block:b;
+  st.patch_backs <- st.patch_backs + patched_back;
+  Sim.Clock.push_back st.comp ~now ~cycles:(patched_back * st.patch_cyc);
+  forget_branches_of st b;
+  let u = st.u_size.(b) in
+  (match st.policy.Policy.mode with
+  | Policy.Discard ->
+    st.live_bytes <- st.live_bytes - u;
+    occ_post st.occ ~time:now ~delta:(-u);
+    st.stat.(b) <- tag_compressed
+  | Policy.Recompress ->
+    st.recompress_energy <- st.recompress_energy + st.recompress_nj.(b);
+    let done_at = Sim.Clock.schedule st.comp ~now ~cycles:st.comp_cyc.(b) in
+    Memsim.Pairheap.push st.pending_frees done_at u;
+    if done_at < st.settle_at then st.settle_at <- done_at;
+    let o = st.occ in
+    if done_at > now then begin
+      Memsim.Pairheap.push o.future done_at (-u);
+      if done_at < o.future_at then o.future_at <- done_at;
+      if done_at > o.horizon then o.horizon <- done_at
+    end
+    else occ_post o ~time:now ~delta:(-u);
+    st.stat.(b) <- tag_recompressing;
+    st.aux.(b) <- done_at;
+    Packed.push_recompress_queued (chunk st) ~at:now ~block:b ~done_at);
+  if eviction then begin
+    st.evictions <- st.evictions + 1;
+    Packed.push_evict (chunk st) ~at:now ~block:b
+  end
+  else begin
+    st.discards <- st.discards + 1;
+    Packed.push_discard (chunk st) ~at:now ~block:b ~patched_back ~wasted
+  end
+
+let rec evict_until st ~now cap bytes =
+  if st.live_bytes + bytes <= cap then true
+  else
+    match Residency.Policy.victim st.retention ~exclude:st.spared with
+    | Some v ->
+      delete_copy st ~now ~eviction:true v;
+      evict_until st ~now cap bytes
+    | None -> false
+
+(* Ensures [bytes] fit under the budget, evicting residents other than
+   the three spared blocks. Returns false if the space cannot be
+   freed. *)
+let make_room st ~now ~spare1 ~spare2 ~spare3 bytes =
+  match st.policy.Policy.budget with
+  | None -> true
+  | Some cap ->
+    settle st ~now;
+    st.spare.(0) <- spare1;
+    st.spare.(1) <- spare2;
+    st.spare.(2) <- spare3;
+    evict_until st ~now cap bytes
+
+(* Waits until [t]; returns the new time. *)
+let stall st b ~now t =
+  if t > now then begin
+    st.stall_cycles <- st.stall_cycles + (t - now);
+    Packed.push_stall (chunk st) ~at:t ~block:b ~cycles:(t - now);
+    t
+  end
+  else now
+
+(* Arrival at a copy a helper thread still owns; returns the new time.
+   Decompressing: the branch still points into the compressed area, so
+   the exception fires, then the execution thread waits out the
+   pre-decompression (its [inflight] entry goes stale) and patches.
+   Recompressing: wait out the compression; the caller then takes the
+   demand path. *)
+let arrive_in_flight st ~prev b ~now =
+  let s = st.stat.(b) in
+  if s land 3 = tag_decompressing then begin
+    st.exceptions <- st.exceptions + 1;
+    let now = now + st.exc_cyc in
+    Packed.push_exception (chunk st) ~at:now ~block:b;
+    let now = stall st b ~now st.aux.(b) in
+    (* only a prefetch is in flight, and it executes next: first use *)
     st.useful_prefetches <- st.useful_prefetches + 1;
-  st.stat.(b) <- s lor bit_used;
-  Residency.Area.on_execute st.area ~block:b ~step ~time:(now st);
-  Packed.push_exec (chunk st) ~at:(now st) ~block:b;
-  charge_fast st Sim.Cost.Exec ~cycles
-    ~energy_nj:(st.exec_nj_rate * cycles);
-  Sim.Clock.advance st.clock ~cycles
+    st.stat.(b) <- tag_resident lor bit_prefetched lor bit_used;
+    Residency.Policy.on_ready st.retention ~block:b ~time:now;
+    if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
+      record st ~target:b ~site:prev;
+      st.patches <- st.patches + 1;
+      let now = now + st.patch_cyc in
+      Packed.push_patch (chunk st) ~at:now ~target:b ~site:prev;
+      now
+    end
+    else now
+  end
+  else begin
+    let now = stall st b ~now st.aux.(b) in
+    settle st ~now;
+    st.stat.(b) <- tag_compressed;
+    now
+  end
 
 (* Queue a pre-decompression of [c] on the decompression thread, at the
    edge from [b] to [next]. *)
-let issue_prefetch st ~step ~b ~next c =
+let issue_prefetch st ~now ~step ~b ~next c =
   if st.stat.(c) land 3 = tag_compressed then
-    if make_room st ~spare1:b ~spare2:next ~spare3:c st.u_size.(c) then begin
-      st.live_bytes <- st.live_bytes + st.u_size.(c);
-      mem_event st ~time:(now st) ~delta:(st.u_size.(c));
-      let ready_at =
-        Sim.Clock.schedule st.dec ~now:(now st) ~cycles:(dec_time st c)
-      in
+    let u = st.u_size.(c) in
+    if make_room st ~now ~spare1:b ~spare2:next ~spare3:c u then begin
+      st.live_bytes <- st.live_bytes + u;
+      occ_post st.occ ~time:now ~delta:u;
+      let ready_at = Sim.Clock.schedule st.dec ~now ~cycles:st.dec_cyc.(c) in
       st.stat.(c) <- tag_decompressing lor bit_prefetched;
       st.aux.(c) <- ready_at;
       Memsim.Pairheap.push st.inflight ready_at c;
       if ready_at < st.settle_at then st.settle_at <- ready_at;
-      Residency.Area.on_materialize st.area ~block:c ~step;
-      charge_fast st Sim.Cost.Prefetch_dec ~cycles:0
-        ~energy_nj:st.prefetch_nj.(c);
+      Residency.Policy.on_materialize st.retention ~block:c ~step;
+      st.prefetch_energy <- st.prefetch_energy + st.prefetch_nj.(c);
       st.prefetch_decompressions <- st.prefetch_decompressions + 1;
-      Packed.push_prefetch (chunk st) ~at:(now st) ~block:c ~ready_at
+      Packed.push_prefetch (chunk st) ~at:now ~block:c ~ready_at
     end
 
-(* Edge traversal from trace position [i] (block [b]) to [i+1]
-   (block [next]): k-edge retirement, then pre-decompression. *)
-let traverse_edge st ~b ~next ~step =
-  settle st;
-  (* k-edge: delete the copies whose counter reaches k, sparing the
-     branch target (its counter resets on execution instead, §5). *)
-  for i = 0 to Residency.Area.due st.area ~step - 1 do
-    let d = Residency.Area.due_block st.area i in
+(* The edge from [b] to [next], reaching step [step], for the policies
+   without the k-edge candidate: the policy's due copies go (sparing
+   the branch target, whose counter resets on execution instead, §5;
+   one still in flight gets another window), then the strategy
+   pre-decompresses up to [lookahead] edges ahead. *)
+let traverse st ~now ~step ~b ~next =
+  for i = 0 to Residency.Policy.due st.retention ~step ~into:st.due_buf - 1 do
+    let d = st.due_buf.(i) in
     if d <> next then
       match st.stat.(d) land 3 with
-      | 2 (* Resident *) -> delete_copy st ~eviction:false d
+      | 2 (* Resident *) -> delete_copy st ~now ~eviction:false d
       | 1 (* Decompressing *) ->
-        (* Still in flight: give it another k edges. *)
-        Residency.Area.rearm st.area ~block:d ~step
+        Residency.Policy.rearm st.retention ~block:d ~step
       | _ -> ()
   done;
-  (* Pre-decompression of blocks up to [lookahead] edges ahead. *)
-  (match st.lookahead with
+  match st.lookahead with
   | No_lookahead -> ()
   | All frontiers ->
     let fr = Cfg.Dist.frontier frontiers b in
     for i = 0 to Array.length fr - 1 do
-      issue_prefetch st ~step ~b ~next fr.(i)
+      issue_prefetch st ~now ~step ~b ~next fr.(i)
     done
   | Single plan ->
     let c =
       Predictor.pick plan st.pred_state ~from:b ~compressed:st.compressed
     in
-    if c >= 0 then issue_prefetch st ~step ~b ~next c);
-  Predictor.note_edge st.pred_state ~src:b ~dst:next
+    if c >= 0 then issue_prefetch st ~now ~step ~b ~next c;
+    Predictor.note_edge st.pred_state ~src:b ~dst:next
 
-(* --- fused fast path --- *)
+(* --- set-up --- *)
 
-(* Fused inner loop for the configuration that dominates sweeps and
-   the streaming benchmarks: on-demand decompression, discard mode, no
-   budget, plain constant-k k-edge retention, default per-visit cycles
-   and no charge journal. Observation-for-observation equivalent to
-   [arrive]/[execute]/[traverse_edge] — same packed events in the same
-   order, same charge totals, same occupancy stream — with the
-   per-step closures, queues and module hops fused away:
+let nj (v : Sim.Cost.vector) = v.Sim.Cost.energy_nj
 
-   - k-edge retirement needs no queue here: the only (re)tracks at
-     step [i] are for the executed block [trace.(i)], so the one
-     candidate due at step [s] is [trace.(s - k)], live iff its last
-     track is still [s - k] (not re-executed, not released since).
-   - charges accumulate in scalar counters and post to the cost
-     accumulator once at the end; all integer arithmetic, so the
-     batching is exact.
-   - remember sets live in a flat blocks² byte matrix — membership is
-     one load, releasing a block is one row fill (the LRU shadow is
-     skipped: without a budget no victim is ever asked for).
-   - the occupancy integral is maintained in scalar locals (same
-     buffered smallest-first application of same-time deltas as
-     [occ_feed]); the function returns the (peak, avg, byte-cycles)
-     triple [memory_stats] would have produced.
+let return_only_sites graph n =
+  let ret = Array.make n [] and other = Array.make n [] in
+  List.iter
+    (fun (s, t, k) ->
+      match k with
+      | Cfg.Graph.Return -> ret.(t) <- s :: ret.(t)
+      | Cfg.Graph.Fallthrough | Cfg.Graph.Taken | Cfg.Graph.Call ->
+        other.(t) <- s :: other.(t))
+    (Cfg.Graph.edges graph);
+  Array.init n (fun t ->
+      Array.of_list (List.filter (fun s -> not (List.mem s other.(t))) ret.(t)))
 
-   The equivalence is locked down by the property suite, which runs
-   both paths over random graphs/traces and compares events, metrics
-   and charge totals. *)
-let run_fast st ~trace ~k len =
-  let exc_cyc = st.exc_cyc and patch_cyc = st.patch_cyc in
-  let stat = st.stat in
-  let blocks = Array.length stat in
-  let base = Array.make blocks (-1) in
-  (* sbits.(b * blocks + s) <> '\000' iff site [s] patched into [b] *)
-  let sbits = Bytes.make (blocks * blocks) '\000' in
-  (* retq mirrors sbits' indexing: pairs that only a return reaches,
-     which trap every visit and are never patched *)
-  let retq = Bytes.make (blocks * blocks) '\000' in
-  Array.iteri
-    (fun t sites ->
-      Array.iter
-        (fun s -> Bytes.unsafe_set retq ((t * blocks) + s) '\001')
-        sites)
-    st.ret_sites;
-  let scount = Array.make blocks 0 in
-  let ev = st.ev in
-  let u_size = st.u_size
-  and dec_cyc_t = st.dec_cyc
-  and demand_nj_t = st.demand_nj
-  and def_cycles = st.def_cycles
-  and succ_arr = st.succ_arr in
-  let clk = ref 0 in
-  let n_exc = ref 0
-  and n_patch = ref 0
-  and n_dem = ref 0
-  and pb_total = ref 0
-  and n_disc = ref 0 in
-  let dem_cyc = ref 0 and dem_nj = ref 0 and exec_cyc = ref 0 in
-  (* scalar occupancy accounting (see the header comment) *)
-  let o_now = ref 0
-  and o_level = ref 0
-  and o_peak = ref 0
-  and o_integral = ref 0 in
-  let o_buf = ref (Array.make 8 0) in
-  let o_len = ref 0 in
-  let o_time = ref 0 in
-  let o_flush () =
-    let n = !o_len in
-    if n > 0 then begin
-      let a = !o_buf in
-      for i = 1 to n - 1 do
-        let x = Array.unsafe_get a i in
-        occ_insert_back a (i - 1) x
-      done;
-      o_integral := !o_integral + (!o_level * (!o_time - !o_now));
-      o_now := !o_time;
-      for i = 0 to n - 1 do
-        o_level := !o_level + Array.unsafe_get a i;
-        if !o_level > !o_peak then o_peak := !o_level
-      done;
-      o_len := 0
-    end
-  in
-  (* The post itself is inlined at both sites below; only the n = 1
-     flush (the overwhelmingly common case — distinct timestamps) is
-     special-cased there, everything else falls back to [o_flush]. *)
-  let o_post_rare delta =
-    let n = !o_len in
-    if n = Array.length !o_buf then begin
-      let grown = Array.make (2 * n) 0 in
-      Array.blit !o_buf 0 grown 0 n;
-      o_buf := grown
-    end;
-    Array.unsafe_set !o_buf n delta;
-    o_len := n + 1
-  in
-  for i = 0 to len - 1 do
-    let b = Array.unsafe_get trace i in
-    let prev = if i = 0 then -1 else Array.unsafe_get trace (i - 1) in
-    (* a step emits at most 5 events: reserve them all up front *)
-    if Packed.room ev < 5 then emit_flush st;
-    (* arrive *)
-    (if Array.unsafe_get stat b = tag_resident then begin
-       if prev >= 0 then begin
-         let idx = (b * blocks) + prev in
-         if Bytes.unsafe_get retq idx <> '\000' then begin
-           incr n_exc;
-           clk := !clk + exc_cyc;
-           Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b
-         end
-         else if Bytes.unsafe_get sbits idx = '\000' then begin
-           Bytes.unsafe_set sbits idx '\001';
-           Array.unsafe_set scount b (Array.unsafe_get scount b + 1);
-           incr n_exc;
-           clk := !clk + exc_cyc;
-           Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
-           incr n_patch;
-           clk := !clk + patch_cyc;
-           Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
-         end
-       end
-     end
-     else begin
-       (* compressed: exception, allocate, demand-decompress, patch *)
-       incr n_exc;
-       clk := !clk + exc_cyc;
-       Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
-       (* occupancy post, inlined: [+u_size.(b)] at [!clk] *)
-       (let delta = Array.unsafe_get u_size b in
-        if !clk <> !o_time then begin
-          (if !o_len = 1 then begin
-             o_integral := !o_integral + (!o_level * (!o_time - !o_now));
-             o_now := !o_time;
-             o_level := !o_level + Array.unsafe_get !o_buf 0;
-             if !o_level > !o_peak then o_peak := !o_level
-           end
-           else if !o_len > 1 then o_flush ());
-          o_time := !clk;
-          Array.unsafe_set !o_buf 0 delta;
-          o_len := 1
-        end
-        else o_post_rare delta);
-       let dc = Array.unsafe_get dec_cyc_t b in
-       incr n_dem;
-       dem_cyc := !dem_cyc + dc;
-       dem_nj := !dem_nj + Array.unsafe_get demand_nj_t b;
-       clk := !clk + dc;
-       Array.unsafe_set stat b tag_resident;
-       Array.unsafe_set base b i;
-       Packed.unsafe_push_kab ev ~kind:2 ~at:!clk ~a:b ~b:dc;
-       if prev >= 0 then begin
-         let idx = (b * blocks) + prev in
-         if
-           Bytes.unsafe_get retq idx = '\000'
-           && Bytes.unsafe_get sbits idx = '\000'
-         then begin
-           Bytes.unsafe_set sbits idx '\001';
-           Array.unsafe_set scount b (Array.unsafe_get scount b + 1);
-           incr n_patch;
-           clk := !clk + patch_cyc;
-           Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
-         end
-       end
-     end);
-    (* execute *)
-    Array.unsafe_set base b i;
-    Packed.unsafe_push_ka ev ~kind:0 ~at:!clk ~a:b;
-    let cyc = Array.unsafe_get def_cycles b in
-    exec_cyc := !exec_cyc + cyc;
-    clk := !clk + cyc;
-    (* traverse: the single possible k-edge retirement at step i+1 *)
-    let s = i + 1 in
-    if s < len && s >= k then begin
-      let d = Array.unsafe_get trace (s - k) in
-      if
-        Array.unsafe_get base d = s - k
-        && d <> Array.unsafe_get trace s
-        && Array.unsafe_get stat d = tag_resident
-      then begin
-        let nsites = Array.unsafe_get scount d in
-        Bytes.unsafe_fill sbits (d * blocks) blocks '\000';
-        Array.unsafe_set scount d 0;
-        Array.unsafe_set base d (-1);
-        pb_total := !pb_total + nsites;
-        Sim.Clock.push_back st.comp ~now:!clk ~cycles:(nsites * patch_cyc);
-        (* branches inside [d] vanish with it *)
-        let succs = Array.unsafe_get succ_arr d in
-        for j = 0 to Array.length succs - 1 do
-          let t = Array.unsafe_get succs j in
-          let idx = (t * blocks) + d in
-          if Bytes.unsafe_get sbits idx <> '\000' then begin
-            Bytes.unsafe_set sbits idx '\000';
-            Array.unsafe_set scount t (Array.unsafe_get scount t - 1)
-          end
-        done;
-        (* occupancy post, inlined: [-u_size.(d)] at [!clk] *)
-        (let delta = -Array.unsafe_get u_size d in
-         if !clk <> !o_time then begin
-           (if !o_len = 1 then begin
-              o_integral := !o_integral + (!o_level * (!o_time - !o_now));
-              o_now := !o_time;
-              o_level := !o_level + Array.unsafe_get !o_buf 0;
-              if !o_level > !o_peak then o_peak := !o_level
-            end
-            else if !o_len > 1 then o_flush ());
-           o_time := !clk;
-           Array.unsafe_set !o_buf 0 delta;
-           o_len := 1
-         end
-         else o_post_rare delta);
-        Array.unsafe_set stat d tag_compressed;
-        incr n_disc;
-        Packed.unsafe_push_kabc ev ~kind:7 ~at:!clk ~a:d ~b:nsites ~c:0
-      end
-    end
-  done;
-  (* post the batched charges and counters *)
-  Sim.Clock.advance st.clock ~cycles:!clk;
-  charge_fast st Sim.Cost.Exception ~cycles:(!n_exc * exc_cyc)
-    ~energy_nj:(!n_exc * st.exc_nj);
-  charge_fast st Sim.Cost.Patch ~cycles:(!n_patch * patch_cyc)
-    ~energy_nj:(!n_patch * st.patch_nj);
-  charge_fast st Sim.Cost.Patch_back ~cycles:0
-    ~energy_nj:(!pb_total * st.patch_nj);
-  charge_fast st Sim.Cost.Demand_dec ~cycles:!dem_cyc ~energy_nj:!dem_nj;
-  charge_fast st Sim.Cost.Exec ~cycles:!exec_cyc
-    ~energy_nj:(st.exec_nj_rate * !exec_cyc);
-  st.exceptions <- !n_exc;
-  st.patches <- !n_patch + !pb_total;
-  st.demand_decompressions <- !n_dem;
-  st.discards <- !n_disc;
-  (* close the occupancy integral exactly as [memory_stats] would:
-     every post is at or before the final clock, so the horizon is the
-     final clock itself *)
-  o_flush ();
-  let until = max !clk 1 in
-  let byte_cycles = !o_integral + (!o_level * (until - !o_now)) in
-  let avg = float_of_int byte_cycles /. float_of_int until in
-  (!o_peak, avg, byte_cycles)
+let create ~config ~deliver ~graph ~info policy =
+  let n = Cfg.Graph.num_blocks graph in
+  let costs = config.Config.costs in
+  let per_block f = Array.map f info in
+  let stat = Array.make n tag_compressed in
+  let spare = Array.make 3 (-1) in
+  {
+    policy;
+    retention =
+      Residency.Policy.instantiate policy.Policy.retention
+        {
+          Residency.Policy.blocks = n;
+          k = policy.Policy.compress_k;
+          k_of = policy.Policy.adaptive_k;
+          graph = Some graph;
+          budget = policy.Policy.budget;
+          size_of = Some (fun b -> info.(b).uncompressed_bytes);
+        };
+    lookahead =
+      (match policy.Policy.strategy with
+      | Policy.On_demand -> No_lookahead
+      | Policy.Pre_all { lookahead } ->
+        All (Cfg.Dist.frontiers graph ~k:lookahead)
+      | Policy.Pre_single { lookahead; predictor } ->
+        Single
+          (Predictor.plan predictor graph
+             (Cfg.Dist.frontiers graph ~k:lookahead)));
+    (* 256 slots keep each plane within the minor heap's largest block
+       (Max_young_wosize): a run's chunk dies young instead of costing
+       a major-heap allocation per run *)
+    ev = Packed.create ~capacity:256 ();
+    deliver;
+    stat;
+    aux = Array.make n 0;
+    base = Array.make n (-1);
+    rs = Array.make n [||];
+    rs_len = Array.make n 0;
+    due_buf = Array.make n 0;
+    pred_state = Predictor.create_state ~blocks:n;
+    compressed = (fun c -> Array.unsafe_get stat c land 3 = tag_compressed);
+    spare;
+    spared =
+      (fun v ->
+        v = Array.unsafe_get spare 0
+        || v = Array.unsafe_get spare 1
+        || v = Array.unsafe_get spare 2
+        || Array.unsafe_get stat v land 3 <> tag_resident);
+    dec = Sim.Clock.resource ();
+    comp = Sim.Clock.resource ();
+    occ =
+      {
+        future = Memsim.Pairheap.create ();
+        future_at = max_int;
+        horizon = 0;
+        time = 0;
+        level = 0;
+        peak = 0;
+        integral = 0;
+      };
+    live_bytes = 0;
+    inflight = Memsim.Pairheap.create ();
+    pending_frees = Memsim.Pairheap.create ();
+    settle_at = max_int;
+    u_size = per_block (fun i -> i.uncompressed_bytes);
+    def_cycles = per_block (fun i -> i.exec_cycles);
+    dec_cyc =
+      per_block (fun i ->
+          Config.dec_cycles config ~compressed_bytes:i.compressed_bytes);
+    comp_cyc =
+      per_block (fun i ->
+          Config.comp_cycles config ~uncompressed_bytes:i.uncompressed_bytes);
+    demand_nj =
+      per_block (fun i ->
+          nj
+            (Sim.Cost.demand_dec_charge costs
+               ~compressed_bytes:i.compressed_bytes
+               ~uncompressed_bytes:i.uncompressed_bytes));
+    prefetch_nj =
+      per_block (fun i ->
+          nj
+            (Sim.Cost.prefetch_dec_charge costs
+               ~compressed_bytes:i.compressed_bytes
+               ~uncompressed_bytes:i.uncompressed_bytes));
+    recompress_nj =
+      per_block (fun i ->
+          nj
+            (Sim.Cost.recompress_charge costs
+               ~uncompressed_bytes:i.uncompressed_bytes));
+    succ_arr = Cfg.Graph.succ_table graph;
+    ret_sites = return_only_sites graph n;
+    exc_cyc = (Sim.Cost.exception_charge costs).Sim.Cost.cycles;
+    patch_cyc = (Sim.Cost.patch_charge costs).Sim.Cost.cycles;
+    exceptions = 0;
+    patches = 0;
+    patch_backs = 0;
+    stall_cycles = 0;
+    prefetch_decompressions = 0;
+    prefetch_energy = 0;
+    recompress_energy = 0;
+    useful_prefetches = 0;
+    wasted_prefetches = 0;
+    discards = 0;
+    evictions = 0;
+    budget_overflows = 0;
+  }
 
-let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
-    ?step_cycles ~graph ~info ~trace policy =
+(* --- the loop --- *)
+
+let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
+    ~info ~trace policy =
   let n = Cfg.Graph.num_blocks graph in
   if Array.length info <> n then
     invalid_arg "Core.Engine.run: info does not match graph";
-  (match step_cycles with
-  | Some sc when Array.length sc <> Array.length trace ->
-    invalid_arg "Core.Engine.run: step_cycles does not match trace"
-  | Some _ | None -> ());
-  for i = 0 to Array.length trace - 1 do
+  Array.iter
+    (fun i ->
+      if i.exec_cycles < 0 then
+        invalid_arg "Core.Engine.run: negative exec_cycles")
+    info;
+  let len = Array.length trace in
+  let sc, use_sc =
+    match step_cycles with
+    | None -> ([||], false)
+    | Some sc ->
+      if Array.length sc <> len then
+        invalid_arg "Core.Engine.run: step_cycles does not match trace";
+      Array.iter
+        (fun c ->
+          if c < 0 then invalid_arg "Core.Engine.run: negative step_cycles")
+        sc;
+      (sc, true)
+  in
+  for i = 0 to len - 1 do
     let b = Array.unsafe_get trace i in
     if b < 0 || b >= n then
       invalid_arg "Core.Engine.run: trace mentions unknown block"
@@ -789,176 +601,165 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
         Packed.iter f ch;
         s.Sim.Events.emit_chunk ch
   in
-  let acc = Sim.Cost.Acc.create ?journal:charge_log () in
-  let retention =
-    Residency.Policy.instantiate policy.Policy.retention
-      {
-        Residency.Policy.blocks = n;
-        k = policy.Policy.compress_k;
-        k_of = policy.Policy.adaptive_k;
-        graph = Some graph;
-        budget = policy.Policy.budget;
-        size_of = Some (fun b -> info.(b).uncompressed_bytes);
-      }
-  in
-  let costs = config.Config.costs in
-  let stat = Array.make n tag_compressed in
-  let spare = Array.make 3 (-1) in
-  let st =
-    {
-      policy;
-      lookahead =
-        (match policy.Policy.strategy with
-        | Policy.On_demand -> No_lookahead
-        | Policy.Pre_all { lookahead } ->
-          All (Cfg.Dist.frontiers graph ~k:lookahead)
-        | Policy.Pre_single { lookahead; predictor } ->
-          Single
-            (Predictor.plan predictor graph
-               (Cfg.Dist.frontiers graph ~k:lookahead)));
-      (* 256 slots keep each plane within the minor heap's largest
-         block (Max_young_wosize): a run's chunk dies young instead of
-         costing a major-heap allocation per run *)
-      ev = Packed.create ~capacity:256 ();
-      deliver;
-      stat;
-      aux = Array.make n 0;
-      area = Residency.Area.create_keyed ~policy:retention ~blocks:n ();
-      pred_state = Predictor.create_state ~blocks:n;
-      compressed = (fun c -> Array.unsafe_get stat c land 3 = tag_compressed);
-      spare;
-      spared =
-        (fun v ->
-          v = Array.unsafe_get spare 0
-          || v = Array.unsafe_get spare 1
-          || v = Array.unsafe_get spare 2
-          || Array.unsafe_get stat v land 3 <> tag_resident);
-      clock = Sim.Clock.create ();
-      dec = Sim.Clock.resource ();
-      comp = Sim.Clock.resource ();
-      occ =
-        {
-          acct = Memsim.Accounting.create ();
-          future = Memsim.Pairheap.create ();
-          future_at = max_int;
-          buf_time = 0;
-          buf = Array.make 64 0;
-          buf_len = 0;
-          horizon = 0;
-        };
-      live_bytes = 0;
-      inflight = Memsim.Pairheap.create ();
-      pending_frees = Memsim.Pairheap.create ();
-      settle_at = max_int;
-      acc;
-      u_size = Array.map (fun i -> i.uncompressed_bytes) info;
-      def_cycles = Array.map (fun i -> i.exec_cycles) info;
-      dec_cyc =
-        Array.map
-          (fun i -> Config.dec_cycles config ~compressed_bytes:i.compressed_bytes)
-          info;
-      comp_cyc =
-        Array.map
-          (fun i ->
-            Config.comp_cycles config ~uncompressed_bytes:i.uncompressed_bytes)
-          info;
-      demand_nj =
-        Array.map
-          (fun i ->
-            (Sim.Cost.demand_dec_charge costs
-               ~compressed_bytes:i.compressed_bytes
-               ~uncompressed_bytes:i.uncompressed_bytes)
-              .Sim.Cost.energy_nj)
-          info;
-      prefetch_nj =
-        Array.map
-          (fun i ->
-            (Sim.Cost.prefetch_dec_charge costs
-               ~compressed_bytes:i.compressed_bytes
-               ~uncompressed_bytes:i.uncompressed_bytes)
-              .Sim.Cost.energy_nj)
-          info;
-      recompress_nj =
-        Array.map
-          (fun i ->
-            (Sim.Cost.recompress_charge costs
-               ~uncompressed_bytes:i.uncompressed_bytes)
-              .Sim.Cost.energy_nj)
-          info;
-      succ_arr = Cfg.Graph.succ_table graph;
-      ret_sites =
-        (let ret = Array.make n [] and other = Array.make n [] in
-         List.iter
-           (fun (s, t, k) ->
-             match k with
-             | Cfg.Graph.Return -> ret.(t) <- s :: ret.(t)
-             | Cfg.Graph.Fallthrough | Cfg.Graph.Taken | Cfg.Graph.Call ->
-               other.(t) <- s :: other.(t))
-           (Cfg.Graph.edges graph);
-         Array.init n (fun t ->
-             Array.of_list
-               (List.filter (fun s -> not (List.mem s other.(t))) ret.(t))));
-      exc_cyc = (Sim.Cost.exception_charge costs).Sim.Cost.cycles;
-      exc_nj = (Sim.Cost.exception_charge costs).Sim.Cost.energy_nj;
-      patch_cyc = (Sim.Cost.patch_charge costs).Sim.Cost.cycles;
-      patch_nj = (Sim.Cost.patch_charge costs).Sim.Cost.energy_nj;
-      exec_nj_rate = costs.Sim.Cost.energy.Sim.Cost.exec_nj_per_cycle;
-      exceptions = 0;
-      patches = 0;
-      demand_decompressions = 0;
-      prefetch_decompressions = 0;
-      useful_prefetches = 0;
-      wasted_prefetches = 0;
-      discards = 0;
-      evictions = 0;
-      budget_overflows = 0;
-    }
-  in
-  let len = Array.length trace in
-  let sc = match step_cycles with Some a -> a | None -> [||] in
-  let use_sc = step_cycles <> None in
-  let fast_ok =
-    (not use_sc)
-    && (match charge_log with None -> true | Some _ -> false)
-    && (match policy.Policy.strategy with
-       | Policy.On_demand -> true
-       | Policy.Pre_all _ | Policy.Pre_single _ -> false)
-    && policy.Policy.mode = Policy.Discard
-    && (match policy.Policy.budget with None -> true | Some _ -> false)
+  let st = create ~config ~deliver ~graph ~info policy in
+  (* On demand, with uniform-k k-edge retention and no budget, a copy
+     is (re)tracked only when it executes, so the one copy that can
+     fall due at step [s] is [trace.(s - k)]'s, live iff its [base] is
+     still [s - k]: an O(1) check replaces the policy's due set, and
+     nothing else asks the policy anything. *)
+  let candidate =
+    (match policy.Policy.strategy with
+    | Policy.On_demand -> true
+    | Policy.Pre_all _ | Policy.Pre_single _ -> false)
     && (match policy.Policy.adaptive_k with None -> true | Some _ -> false)
     && (match policy.Policy.retention with
        | Residency.Policy.Kedge -> true
        | _ -> false)
-    (* the fast path keeps remember sets in a blocks² byte matrix *)
-    && Array.length st.stat <= 1024
+    && match policy.Policy.budget with None -> true | Some _ -> false
   in
-  let fast_stats =
-    if fast_ok then Some (run_fast st ~trace ~k:policy.Policy.compress_k len)
-    else begin
-      for i = 0 to len - 1 do
-        let b = Array.unsafe_get trace i in
-        let prev = if i = 0 then -1 else Array.unsafe_get trace (i - 1) in
-        arrive st ~step:i ~prev b;
-        let cycles =
-          if use_sc then Array.unsafe_get sc i else st.def_cycles.(b)
-        in
-        execute st ~step:i ~cycles b;
-        if i + 1 < len then
-          traverse_edge st ~b ~next:(Array.unsafe_get trace (i + 1))
-            ~step:(i + 1)
-      done;
-      None
+  let discard = policy.Policy.mode = Policy.Discard in
+  let budgeted = policy.Policy.budget <> None in
+  let k = policy.Policy.compress_k in
+  let stat = st.stat and base = st.base and ev = st.ev and occ = st.occ in
+  let u_size = st.u_size
+  and dec_cyc = st.dec_cyc
+  and demand_nj = st.demand_nj
+  and def_cycles = st.def_cycles
+  and exc_cyc = st.exc_cyc
+  and patch_cyc = st.patch_cyc in
+  (* The loop's scalars: kept out of every closure so they stay
+     unboxed; the rare transitions take the time and return it. *)
+  let clk = ref 0 in
+  let n_exc = ref 0 and n_patch = ref 0 and n_disc = ref 0 and n_pb = ref 0 in
+  let n_dem = ref 0 and dem_cyc = ref 0 and dem_nj = ref 0 in
+  let exec_cyc = ref 0 in
+  for i = 0 to len - 1 do
+    let b = Array.unsafe_get trace i in
+    let prev = if i = 0 then -1 else Array.unsafe_get trace (i - 1) in
+    if Packed.room ev < step_events then emit_flush st;
+    if st.settle_at <= !clk then settle st ~now:!clk;
+    (* arrive: no cost when the branch already targets the copy;
+       otherwise the exception fires and the handler patches (Fig. 5,
+       steps 5-6). Return-only sites trap on every visit. *)
+    let s = Array.unsafe_get stat b in
+    if s land 3 = tag_resident then begin
+      if s <> tag_resident && s land bit_used = 0 then begin
+        (* a prefetched copy's first use *)
+        st.useful_prefetches <- st.useful_prefetches + 1;
+        Array.unsafe_set stat b (s lor bit_used)
+      end;
+      (* return-only sites are never recorded *)
+      if not (recorded st ~target:b ~site:prev) then begin
+        incr n_exc;
+        clk := !clk + exc_cyc;
+        Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
+        if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
+          record st ~target:b ~site:prev;
+          incr n_patch;
+          clk := !clk + patch_cyc;
+          Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
+        end
+      end
     end
-  in
+    else begin
+      if s <> tag_compressed then clk := arrive_in_flight st ~prev b ~now:!clk;
+      if Array.unsafe_get stat b = tag_compressed then begin
+        (* demand miss: exception, allocate, decompress, patch *)
+        incr n_exc;
+        clk := !clk + exc_cyc;
+        Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
+        let u = Array.unsafe_get u_size b in
+        if budgeted
+           && not (make_room st ~now:!clk ~spare1:b ~spare2:b ~spare3:b u)
+        then st.budget_overflows <- st.budget_overflows + 1;
+        st.live_bytes <- st.live_bytes + u;
+        occ_post occ ~time:!clk ~delta:u;
+        let dc = Array.unsafe_get dec_cyc b in
+        incr n_dem;
+        dem_cyc := !dem_cyc + dc;
+        dem_nj := !dem_nj + Array.unsafe_get demand_nj b;
+        clk := !clk + dc;
+        Array.unsafe_set stat b tag_resident;
+        if not candidate then begin
+          Residency.Policy.on_materialize st.retention ~block:b ~step:i;
+          Residency.Policy.on_ready st.retention ~block:b ~time:!clk
+        end;
+        Packed.unsafe_push_kab ev ~kind:2 ~at:!clk ~a:b ~b:dc;
+        (* a copy's remember set starts empty *)
+        if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
+          record st ~target:b ~site:prev;
+          incr n_patch;
+          clk := !clk + patch_cyc;
+          Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
+        end
+      end
+    end;
+    (* execute *)
+    Array.unsafe_set base b i;
+    if not candidate then
+      Residency.Policy.on_execute st.retention ~block:b ~step:i ~time:!clk;
+    Packed.unsafe_push_ka ev ~kind:0 ~at:!clk ~a:b;
+    let cyc =
+      if use_sc then Array.unsafe_get sc i else Array.unsafe_get def_cycles b
+    in
+    exec_cyc := !exec_cyc + cyc;
+    clk := !clk + cyc;
+    (* traverse the edge to step [i + 1] *)
+    let s = i + 1 in
+    if s < len then begin
+      let next = Array.unsafe_get trace s in
+      if st.settle_at <= !clk then settle st ~now:!clk;
+      if not candidate then traverse st ~now:!clk ~step:s ~b ~next
+      else if s >= k then begin
+        let d = Array.unsafe_get trace (s - k) in
+        if
+          Array.unsafe_get base d = s - k
+          && d <> next
+          && Array.unsafe_get stat d = tag_resident
+        then
+          if not discard then delete_copy st ~now:!clk ~eviction:false d
+          else begin
+            (* [delete_copy], inline; its patch-back time is booked at
+               the end (nothing in discard mode reads the compression
+               thread's free time) *)
+            let nsites = Array.unsafe_get st.rs_len d in
+            Array.unsafe_set st.rs_len d 0;
+            Array.unsafe_set base d (-1);
+            n_pb := !n_pb + nsites;
+            forget_branches_of st d;
+            let u = Array.unsafe_get u_size d in
+            st.live_bytes <- st.live_bytes - u;
+            occ_post occ ~time:!clk ~delta:(-u);
+            Array.unsafe_set stat d tag_compressed;
+            incr n_disc;
+            Packed.unsafe_push_kabc ev ~kind:7 ~at:!clk ~a:d ~b:nsites ~c:0
+          end
+      end
+    end
+  done;
   emit_flush st;
-  let peak_dec, avg_dec, dec_byte_cycles =
-    match fast_stats with Some s -> s | None -> memory_stats st
+  let now = !clk in
+  Sim.Clock.push_back st.comp ~now ~cycles:(!n_pb * patch_cyc);
+  let peak_dec, avg_dec, dec_byte_cycles = occ_close occ ~now in
+  let costs = config.Config.costs in
+  (* The decompressed copy area leaked for the whole run: one charge,
+     priced on the exact occupancy integral. *)
+  let ram_static_nj =
+    nj (Sim.Cost.ram_static_charge costs ~byte_cycles:dec_byte_cycles)
   in
-  (* The decompressed copy area leaked for the whole run: one final
-     charge, priced on the exact occupancy integral. *)
-  Sim.Cost.Acc.charge acc Sim.Cost.Ram_static
-    (Sim.Cost.ram_static_charge config.Config.costs
-       ~byte_cycles:dec_byte_cycles);
+  (* the counts, priced: every exception and patch costs the same *)
+  let exceptions = st.exceptions + !n_exc in
+  let patches = st.patches + !n_patch in
+  let patch_backs = st.patch_backs + !n_pb in
+  let exec_energy_nj = nj (Sim.Cost.exec_charge costs ~cycles:!exec_cyc) in
+  let exception_energy_nj =
+    exceptions * nj (Sim.Cost.exception_charge costs)
+  in
+  let patch_energy_nj =
+    (patches * nj (Sim.Cost.patch_charge costs))
+    + nj (Sim.Cost.patch_back_charge costs ~sites:patch_backs)
+  in
+  let dec_energy_nj = !dem_nj + st.prefetch_energy in
   let original_bytes =
     Array.fold_left (fun acc b -> acc + b.uncompressed_bytes) 0 info
   in
@@ -967,50 +768,44 @@ let run ?(config = Config.default) ?log ?sink ?registry ?charge_log
   in
   let baseline_cycles =
     let sum = ref 0 in
-    if use_sc then
-      for i = 0 to len - 1 do
-        sum := !sum + Array.unsafe_get sc i
-      done
-    else
-      for i = 0 to len - 1 do
-        sum := !sum + st.def_cycles.(Array.unsafe_get trace i)
-      done;
+    for i = 0 to len - 1 do
+      sum :=
+        !sum
+        + if use_sc then sc.(i) else st.def_cycles.(Array.unsafe_get trace i)
+    done;
     !sum
   in
-  let cycles_of src = (Sim.Cost.Acc.total_of acc src).Sim.Cost.cycles in
-  let energy_of src = (Sim.Cost.Acc.total_of acc src).Sim.Cost.energy_nj in
   let m =
     {
-      Metrics.total_cycles = now st;
-      exec_cycles = cycles_of Sim.Cost.Exec;
-      exception_cycles = cycles_of Sim.Cost.Exception;
-      patch_cycles = cycles_of Sim.Cost.Patch;
-      demand_dec_cycles = cycles_of Sim.Cost.Demand_dec;
-      stall_cycles = cycles_of Sim.Cost.Stall;
+      Metrics.total_cycles = now;
+      exec_cycles = !exec_cyc;
+      exception_cycles = exceptions * exc_cyc;
+      patch_cycles = patches * patch_cyc;
+      demand_dec_cycles = !dem_cyc;
+      stall_cycles = st.stall_cycles;
       baseline_cycles;
-      exceptions = st.exceptions;
-      patches = st.patches;
-      demand_decompressions = st.demand_decompressions;
+      exceptions;
+      patches = patches + patch_backs;
+      demand_decompressions = !n_dem;
       prefetch_decompressions = st.prefetch_decompressions;
       useful_prefetches = st.useful_prefetches;
       wasted_prefetches = st.wasted_prefetches;
-      discards = st.discards;
+      discards = st.discards + !n_disc;
       evictions = st.evictions;
       budget_overflows = st.budget_overflows;
       dec_thread_busy_cycles = Sim.Clock.busy_cycles st.dec;
       comp_thread_busy_cycles = Sim.Clock.busy_cycles st.comp;
-      energy_nj = (Sim.Cost.Acc.total acc).Sim.Cost.energy_nj;
-      exec_energy_nj = energy_of Sim.Cost.Exec;
-      exception_energy_nj = energy_of Sim.Cost.Exception;
-      patch_energy_nj =
-        energy_of Sim.Cost.Patch + energy_of Sim.Cost.Patch_back;
-      dec_energy_nj =
-        energy_of Sim.Cost.Demand_dec + energy_of Sim.Cost.Prefetch_dec;
-      comp_energy_nj = energy_of Sim.Cost.Recompress;
-      ram_static_energy_nj = energy_of Sim.Cost.Ram_static;
+      energy_nj =
+        exec_energy_nj + exception_energy_nj + patch_energy_nj + dec_energy_nj
+        + st.recompress_energy + ram_static_nj;
+      exec_energy_nj;
+      exception_energy_nj;
+      patch_energy_nj;
+      dec_energy_nj;
+      comp_energy_nj = st.recompress_energy;
+      ram_static_energy_nj = ram_static_nj;
       baseline_energy_nj =
-        config.Config.costs.Sim.Cost.energy.Sim.Cost.exec_nj_per_cycle
-        * baseline_cycles;
+        nj (Sim.Cost.exec_charge costs ~cycles:baseline_cycles);
       original_bytes;
       compressed_area_bytes;
       peak_decompressed_bytes = peak_dec;

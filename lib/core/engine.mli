@@ -18,12 +18,12 @@
     ([patch_cycles], recorded in the block's remember set). Steady
     state — resident block, patched site — costs nothing.
 
-    The engine runs on the {!Sim} kernel: time comes from
-    {!Sim.Clock}, costs from the {!Sim.Cost} model inside
-    {!Config.t}, and the run narrates itself through {!Sim.Events}
-    sinks in constant memory — occupancy accounting streams into
-    {!Memsim.Accounting} as the trace advances instead of
-    materializing an O(trace-length) event list. *)
+    The engine runs on the {!Sim} kernel: the helper threads are
+    {!Sim.Clock} resources, costs come from the {!Sim.Cost} model
+    inside {!Config.t}, and the run narrates itself through
+    {!Sim.Events} sinks in constant memory: occupancy is integrated as
+    the trace advances instead of materializing an O(trace-length)
+    event list. One loop over the trace serves every policy. *)
 
 type block_info = {
   exec_cycles : int;
@@ -62,7 +62,6 @@ val run :
   ?log:(event -> unit) ->
   ?sink:Sim.Events.sink ->
   ?registry:Sim.Metrics.t ->
-  ?charge_log:(Sim.Cost.source -> Sim.Cost.vector -> unit) ->
   ?step_cycles:int array ->
   graph:Cfg.Graph.t ->
   info:block_info array ->
@@ -75,13 +74,12 @@ val run :
     events, so memory use is independent of trace length. The sink is
     {e not} closed — the caller owns its lifecycle. When [registry]
     is given, the final {!Metrics.t} is published into it via
-    {!Metrics.register}. [charge_log] observes every cost vector as
-    it is charged (source + vector), including the final RAM-leakage
-    charge — summing what it sees reproduces the per-dimension totals
-    in the returned metrics exactly. [step_cycles] overrides each
+    {!Metrics.register}. [step_cycles] overrides each
     trace step's execution cost (used by coarser-granularity
     baselines whose per-visit cost varies); by default step [i] costs
     [info.(trace.(i)).exec_cycles].
     @raise Invalid_argument if [info] does not match the graph, the
     trace mentions unknown blocks, or [step_cycles] has the wrong
-    length. *)
+    length.
+    @raise Invalid_argument if an [info] entry's [exec_cycles] or a
+    [step_cycles] entry is negative. *)

@@ -54,7 +54,6 @@ val run :
   ?log:(Engine.event -> unit) ->
   ?sink:Sim.Events.sink ->
   ?registry:Sim.Metrics.t ->
-  ?charge_log:(Sim.Cost.source -> Sim.Cost.vector -> unit) ->
   t ->
   Policy.t ->
   Metrics.t
@@ -63,8 +62,7 @@ val run :
     coefficients from the named device [profile] (default
     [paper-2005]); an explicit [config] wins over [profile].
     [sink]/[registry] stream events and publish final metrics through
-    the {!Sim} kernel; [charge_log] observes every cost vector — see
-    {!Engine.run}.
+    the {!Sim} kernel — see {!Engine.run}.
     @raise Invalid_argument on an unknown [profile]. *)
 
 val profile : t -> Cfg.Profile.t

@@ -1,15 +1,13 @@
-(** The decompressed-copy area manager: one copy-lifecycle engine
-    shared by the timing model and the executable runtime.
+(** The executable runtime's decompressed-copy area manager.
 
     An area couples a retention {!Policy.t} (when copies die) with the
-    remember-set bookkeeping every host needs (which branch sites were
+    remember-set bookkeeping of patched branch sites (which sites were
     patched to point at each copy, paper §5) and with {!Sim.Events}
-    emission for the discard vocabulary.
-
-    The area is generic in the {e site} representation: the timing
-    model records the branching block's id ([int], its own key — see
-    {!create_keyed}), the executable runtime records concrete patched
-    slots ([copy * slot], deduplicated through [site_key]). *)
+    emission for the discard vocabulary. The area is generic in the
+    {e site} representation; the runtime records concrete patched
+    slots ([copy * slot], deduplicated through [site_key]). The timing
+    model ({!Core.Engine}) drives a {!Policy.t} directly and keeps its
+    own remember sets of block ids. *)
 
 type 'site t
 
@@ -27,34 +25,21 @@ val create :
     are used only by {!discard} (hosts that emit their own events use
     {!release} instead). *)
 
-val create_keyed :
-  policy:Policy.t ->
-  blocks:int ->
-  ?emit:(Sim.Events.t -> unit) ->
-  ?now:(unit -> int) ->
-  unit ->
-  int t
-(** An area whose sites are their own keys: only the deduplicated keys
-    are stored, and recording or forgetting a site allocates nothing. *)
-
 (** {1 Retention hooks} — direct calls into the policy; see
     {!Policy} for semantics. *)
 
 val on_materialize : 'site t -> block:int -> step:int -> unit
 val on_ready : 'site t -> block:int -> time:int -> unit
 val on_execute : 'site t -> block:int -> step:int -> time:int -> unit
-val rearm : 'site t -> block:int -> step:int -> unit
 
 val due : 'site t -> step:int -> int
 (** The policy's due set for [step], handed off without allocation:
     returns how many blocks are due; {!due_block} reads them, in
     ascending order. The set stays readable until the next [due]
-    call — releasing or rearming the due blocks does not disturb it. *)
+    call — releasing the due blocks does not disturb it. *)
 
 val due_block : 'site t -> int -> int
 (** [due_block t i] is the [i]-th block (from 0) of the last {!due}. *)
-
-val victim : 'site t -> exclude:(int -> bool) -> int option
 
 (** {1 Remember sets} *)
 
@@ -62,12 +47,6 @@ val record_site : 'site t -> target:int -> site:'site -> bool
 (** Records that [site] was patched to point at [target]'s copy.
     Returns [true] if the site was new ([false] = already recorded, no
     patch was needed). *)
-
-val forget_key : 'site t -> target:int -> key:int -> int
-(** Drops the recorded site whose key is [key] without patching it
-    back — used when the {e site's own} copy disappears and its patched
-    branch goes with it. Returns 1 if such a site was recorded (and is
-    now dropped), else 0. *)
 
 (** {1 Copy death} *)
 
@@ -77,12 +56,6 @@ val release : 'site t -> block:int -> patch_back:('site -> bool) -> int
     patches actually performed) and tells the policy to drop its
     state. Emits nothing — for hosts that emit their own
     discard/evict events. *)
-
-val release_count : 'site t -> block:int -> int
-(** {!release} when every site trivially patches back ([patch_back]
-    would be [fun _ -> true] and pure): returns the number of recorded
-    sites without traversing them. Closure-free, for per-step
-    callers. *)
 
 val discard :
   ?wasted:bool -> 'site t -> block:int -> patch_back:('site -> bool) -> int

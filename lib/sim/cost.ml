@@ -209,7 +209,7 @@ let patch_back_charge t ~sites =
 let stall_charge _t ~cycles = { cycles; energy_nj = 0 }
 
 (* Leakage of the decompressed copy area: [byte_cycles] is the
-   time-weighted occupancy integral (Memsim.Accounting.integral),
+   time-weighted occupancy integral of the area,
    scaled down to kB-cycles before pricing to keep the numbers in a
    sane range. Integer division truncates deterministically. *)
 let ram_static_charge t ~byte_cycles =
@@ -264,39 +264,28 @@ let source_name s = source_names.(source_index s)
 
 module Acc = struct
   (* Flat int arrays, one cell per (dimension, source): charging is a
-     handful of integer adds with no vector records built. The engine
-     charges several times per simulated step, so this sits on the
-     hot path; vectors are only materialized on read (and for the
-     journal, which is absent in production runs). *)
+     handful of integer adds; vectors are only materialized on read. *)
   type acc = {
     cycles_by : int array;
     energy_by : int array;
     mutable total_cycles : int;
     mutable total_energy : int;
-    journal : (source -> vector -> unit) option;
   }
 
-  let create ?journal () =
+  let create () =
     {
       cycles_by = Array.make num_sources 0;
       energy_by = Array.make num_sources 0;
       total_cycles = 0;
       total_energy = 0;
-      journal;
     }
 
-  let charge_raw acc src ~cycles ~energy_nj =
-    let i = source_index src in
-    acc.cycles_by.(i) <- acc.cycles_by.(i) + cycles;
-    acc.energy_by.(i) <- acc.energy_by.(i) + energy_nj;
-    acc.total_cycles <- acc.total_cycles + cycles;
-    acc.total_energy <- acc.total_energy + energy_nj;
-    match acc.journal with
-    | Some f -> f src { cycles; energy_nj }
-    | None -> ()
-
   let charge acc src v =
-    charge_raw acc src ~cycles:v.cycles ~energy_nj:v.energy_nj
+    let i = source_index src in
+    acc.cycles_by.(i) <- acc.cycles_by.(i) + v.cycles;
+    acc.energy_by.(i) <- acc.energy_by.(i) + v.energy_nj;
+    acc.total_cycles <- acc.total_cycles + v.cycles;
+    acc.total_energy <- acc.total_energy + v.energy_nj
 
   let total acc = { cycles = acc.total_cycles; energy_nj = acc.total_energy }
 

@@ -112,8 +112,9 @@ val stall_charge : t -> cycles:int -> vector
 
 val ram_static_charge : t -> byte_cycles:int -> vector
 (** Leakage of the decompressed copy area over the whole run:
-    [byte_cycles] is {!Memsim.Accounting.integral}. Charged once at
-    end of run. @raise Invalid_argument if [byte_cycles] < 0. *)
+    [byte_cycles] is the area's time-weighted occupancy integral.
+    Charged once at end of run.
+    @raise Invalid_argument if [byte_cycles] < 0. *)
 
 (** {1 Accumulator} *)
 
@@ -131,22 +132,16 @@ type source =
 
 val source_name : source -> string
 
-(** Per-dimension, per-source accumulation of charge vectors. Every
-    charging site routes its vector through one of these instead of
-    hand-summing cycles, so the per-dimension totals are the sum of
-    per-event charges by construction — the property the test suite
-    pins. *)
+(** Per-dimension, per-source accumulation of charge vectors: the
+    per-dimension totals are the sum of the charges by construction.
+    The runtime and the cold-code baseline charge through one; the
+    timing engine counts events per source in its loop and prices the
+    counts at the end. *)
 module Acc : sig
   type acc
 
-  val create : ?journal:(source -> vector -> unit) -> unit -> acc
-  (** [journal] observes every charge as it lands. *)
-
+  val create : unit -> acc
   val charge : acc -> source -> vector -> unit
-
-  val charge_raw : acc -> source -> cycles:int -> energy_nj:int -> unit
-  (** [charge] without building the vector — the hot loops' form. The
-      journal (if any) still observes the charge as a vector. *)
 
   val total : acc -> vector
   val total_of : acc -> source -> vector

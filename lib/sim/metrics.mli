@@ -2,9 +2,9 @@
     layer.
 
     One registry collects whatever a run wants to report —
-    {!Core.Metrics} totals, {!Memsim.Accounting} occupancy, runtime
-    trap counts, per-event tallies from {!Events.observing} — and
-    renders it uniformly as a table or JSONL. Registration is
+    {!Core.Metrics} totals, runtime trap counts, per-event tallies
+    from {!Events.observing} — and renders it uniformly as a table or
+    JSONL. Registration is
     idempotent: asking again for the same name and label set returns
     the same cell, so independent layers can bump shared counters. *)
 

@@ -464,12 +464,12 @@ let prop_metric_invariants =
            + m.demand_dec_cycles + m.stall_cycles)
 
 (* Accounting coherence under the cost vocabulary: on random
-   workload x policy x device-profile combinations, every
-   per-dimension metric total must equal the sum of the per-event
-   charge vectors seen by [charge_log], and the cycle side of the
-   books must be byte-identical to the default paper-2005 run —
-   profiles may only change energy pricing, never timing. *)
-let prop_charge_totals_match_metrics =
+   workload x policy x device-profile combinations, each cycle total
+   is what the event stream shows, the energy total splits exactly
+   into its parts, and the cycle side of the books is identical to the
+   default paper-2005 run's — profiles may only change energy pricing,
+   never timing. *)
+let prop_charge_totals_match_events =
   let gen =
     QCheck.Gen.(
       let* blocks = int_range 3 10 in
@@ -484,7 +484,7 @@ let prop_charge_totals_match_metrics =
       let* profile_idx = int_range 0 2 in
       return (blocks, extra_edges, len, seed, k, strategy, profile_idx))
   in
-  QCheck.Test.make ~count:80 ~name:"charge journal matches metric totals"
+  QCheck.Test.make ~count:80 ~name:"charge totals match event stream"
     (QCheck.make gen)
     (fun (blocks, extra_edges, len, seed, k, strategy, profile_idx) ->
       let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
@@ -502,16 +502,31 @@ let prop_charge_totals_match_metrics =
         | _ -> Core.Policy.make ~mode:Core.Policy.Recompress ~compress_k:k ()
       in
       let profile = List.nth Core.Config.profiles profile_idx in
-      let cycles = ref 0 and energy = ref 0 in
-      let charge_log _src (v : Sim.Cost.vector) =
-        cycles := !cycles + v.Sim.Cost.cycles;
-        energy := !energy + v.Sim.Cost.energy_nj
+      let events = ref [] in
+      let m =
+        Core.Scenario.run ~profile ~log:(fun e -> events := e :: !events) sc
+          policy
       in
-      let m = Core.Scenario.run ~profile ~charge_log sc policy in
       let base = Core.Scenario.run sc policy in
+      let costs =
+        (Core.Config.of_codec ~profile sc.Core.Scenario.codec).costs
+      in
+      let sum f = List.fold_left (fun a e -> a + f e) 0 !events in
+      let count f = sum (fun e -> if f e then 1 else 0) in
       let open Core.Metrics in
-      !cycles = m.total_cycles
-      && !energy = m.energy_nj
+      m.demand_dec_cycles
+      = sum (function
+          | Sim.Events.Demand_decompress { cycles; _ } -> cycles
+          | _ -> 0)
+      && m.stall_cycles
+         = sum (function Sim.Events.Stall { cycles; _ } -> cycles | _ -> 0)
+      && m.exception_cycles
+         = count (function Sim.Events.Exception _ -> true | _ -> false)
+           * (Sim.Cost.exception_charge costs).Sim.Cost.cycles
+      && m.patch_cycles
+         = count (function Sim.Events.Patch _ -> true | _ -> false)
+           * (Sim.Cost.patch_charge costs).Sim.Cost.cycles
+      && m.exec_cycles = m.baseline_cycles
       && m.energy_nj
          = m.exec_energy_nj + m.exception_energy_nj + m.patch_energy_nj
            + m.dec_energy_nj + m.comp_energy_nj + m.ram_static_energy_nj
@@ -521,6 +536,175 @@ let prop_charge_totals_match_metrics =
       && m.demand_dec_cycles = base.demand_dec_cycles
       && m.stall_cycles = base.stall_cycles
       && m.peak_footprint_bytes = base.peak_footprint_bytes)
+
+(* ------------------------------------------------------------------ *)
+(* Accounting: the engine integrates the decompressed area's occupancy
+   in its loop. The reference rebuilds it from the event stream: every
+   allocation and free as a (time, delta) pair, all sorted, applied in
+   order. *)
+
+let occupancy_reference (info : Core.Engine.block_info array) ~mode events
+    ~total_cycles =
+  let size b = info.(b).Core.Engine.uncompressed_bytes in
+  let frees_on_delete = mode = Core.Policy.Discard in
+  let deltas =
+    List.sort compare
+      (List.concat_map
+         (function
+           | Sim.Events.Demand_decompress { block; at; cycles } ->
+             [ (at - cycles, size block) ]
+           | Sim.Events.Prefetch_issue { block; at; _ } -> [ (at, size block) ]
+           | Sim.Events.(Discard { block; at; _ } | Evict { block; at })
+             when frees_on_delete ->
+             [ (at, -size block) ]
+           | Sim.Events.Recompress_queued { block; done_at; _ } ->
+             [ (done_at, -size block) ]
+           | _ -> [])
+         events)
+  in
+  let until =
+    List.fold_left (fun a (t, _) -> max a t) (max total_cycles 1) deltas
+  in
+  let rec go level peak integral now = function
+    | [] -> (peak, integral + (level * (until - now)))
+    | (t, d) :: rest ->
+      go (level + d) (max peak (level + d))
+        (integral + (level * (t - now)))
+        t rest
+  in
+  let peak, integral = go 0 0 0 0 deltas in
+  (peak, float_of_int integral /. float_of_int until)
+
+(* Every strategy and mode, with a budget or without; free exceptions
+   and patches make more deltas share a time. *)
+let prop_occupancy_integrals =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 3 12 in
+      let* extra_edges =
+        list_size (int_range 0 10)
+          (pair (int_range 0 (blocks - 1)) (int_range 0 (blocks - 1)))
+      in
+      let* len = int_range 1 300 in
+      let* seed = int_range 0 1000 in
+      let* k = int_range 1 8 in
+      let* strategy = int_range 0 2 in
+      let* recompress = bool in
+      let* budget = opt (int_range 64 400) in
+      let* free_traps = bool in
+      return
+        (blocks, extra_edges, len, seed, k, strategy, recompress, budget,
+         free_traps))
+  in
+  QCheck.Test.make ~count:200 ~name:"integrals" (QCheck.make gen)
+    (fun
+      (blocks, extra_edges, len, seed, k, strategy, recompress, budget,
+       free_traps)
+    ->
+      let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
+      let edges = List.sort_uniq compare (ring @ extra_edges) in
+      let sizes = Array.init blocks (fun b -> 16 * (1 + ((b * 7) mod 5))) in
+      let g = Cfg.Graph.synthetic ~sizes blocks edges in
+      let trace = Trace.Synthetic.markov ~seed g ~length:len in
+      let sc = Core.Scenario.of_graph g ~trace in
+      let strategy =
+        match strategy with
+        | 0 -> Core.Policy.On_demand
+        | 1 -> Core.Policy.Pre_all { lookahead = 2 }
+        | _ ->
+          Core.Policy.Pre_single
+            { lookahead = 2; predictor = Core.Predictor.Last_taken }
+      in
+      let mode =
+        if recompress then Core.Policy.Recompress else Core.Policy.Discard
+      in
+      let policy = Core.Policy.make ~mode ~strategy ?budget ~compress_k:k () in
+      let config =
+        if free_traps then
+          Core.Config.make
+            {
+              Core.Config.default_cost_model with
+              exception_cycles = 0;
+              patch_cycles = 0;
+            }
+        else Core.Config.default
+      in
+      let events = ref [] in
+      let m =
+        Core.Engine.run ~config
+          ~log:(fun e -> events := e :: !events)
+          ~graph:g ~info:sc.Core.Scenario.info ~trace policy
+      in
+      let peak, avg =
+        occupancy_reference sc.Core.Scenario.info ~mode !events
+          ~total_cycles:m.Core.Metrics.total_cycles
+      in
+      m.Core.Metrics.peak_decompressed_bytes = peak
+      && m.Core.Metrics.avg_decompressed_bytes = avg)
+
+(* The level at a time is the level after all of that time's deltas:
+   copies that only overlap within one instant never count together. *)
+let test_accounting_same_time () =
+  (* a one-copy budget: each demand evicts the other copy first *)
+  let g = Cfg.Graph.synthetic ~sizes:[| 100; 60 |] 2 [ (0, 1); (1, 0) ] in
+  let sc = scenario_of g [| 0; 1; 0; 1 |] in
+  let m =
+    Core.Scenario.run sc (Core.Policy.make ~budget:100 ~compress_k:8 ())
+  in
+  checki "evictions" 3 m.Core.Metrics.evictions;
+  checki "peak is the larger copy" 100 m.Core.Metrics.peak_decompressed_bytes;
+  (* pre-all at the edge 1 -> 2 with 0 and 1 resident (110 bytes): the
+     first frontier block fits the budget (120), the second evicts 0
+     first — one instant goes 110, 120, 20, 30 *)
+  let g =
+    Cfg.Graph.synthetic ~sizes:[| 100; 10; 10; 10 |] 4
+      [ (0, 1); (1, 2); (1, 3); (2, 0); (3, 0) ]
+  in
+  let m =
+    Core.Scenario.run
+      (scenario_of g [| 0; 1; 2 |])
+      (Core.Policy.make ~budget:120
+         ~strategy:(Core.Policy.Pre_all { lookahead = 1 })
+         ~compress_k:8 ())
+  in
+  checki "one eviction" 1 m.Core.Metrics.evictions;
+  checki "peak between instants" 110 m.Core.Metrics.peak_decompressed_bytes
+
+(* Time never runs backwards: negative cycle inputs are refused before
+   the run starts, whatever the strategy. *)
+let test_accounting_errors () =
+  let g, trace =
+    Trace.Synthetic.hot_cold ~hot_blocks:3 ~cold_blocks:3 ~hot_iters:2
+      ~cold_visit_every:2 ()
+  in
+  let info =
+    Array.map
+      (fun i -> { i with Core.Engine.exec_cycles = -5 })
+      (Core.Engine.info_of_graph g)
+  in
+  List.iter
+    (fun policy ->
+      Alcotest.check_raises "negative exec_cycles"
+        (Invalid_argument "Core.Engine.run: negative exec_cycles") (fun () ->
+          ignore (Core.Engine.run ~graph:g ~info ~trace policy));
+      Alcotest.check_raises "negative step_cycles"
+        (Invalid_argument "Core.Engine.run: negative step_cycles") (fun () ->
+          ignore
+            (Core.Engine.run ~graph:g ~info:(Core.Engine.info_of_graph g)
+               ~step_cycles:(Array.map (fun _ -> -1) trace)
+               ~trace policy)))
+    [ Core.Policy.on_demand ~k:2; Core.Policy.pre_all ~k:2 ~lookahead:1 ]
+
+let test_accounting_empty () =
+  let g = Cfg.Graph.synthetic 2 [ (0, 1) ] in
+  let m =
+    Core.Scenario.run ~profile:"sram-heavy" (scenario_of g [||])
+      (Core.Policy.on_demand ~k:2)
+  in
+  checki "peak of nothing" 0 m.Core.Metrics.peak_decompressed_bytes;
+  Alcotest.check (Alcotest.float 0.0) "average of nothing" 0.0
+    m.Core.Metrics.avg_decompressed_bytes;
+  checki "no leakage" 0 m.Core.Metrics.ram_static_energy_nj
 
 (* ------------------------------------------------------------------ *)
 (* Scenario                                                            *)
@@ -683,7 +867,15 @@ let () =
           Alcotest.test_case "step cycles override" `Quick
             test_engine_step_cycles_override;
           qcheck prop_metric_invariants;
-          qcheck prop_charge_totals_match_metrics;
+          qcheck prop_charge_totals_match_events;
+        ] );
+      ( "accounting",
+        [
+          qcheck prop_occupancy_integrals;
+          Alcotest.test_case "same-time updates" `Quick
+            test_accounting_same_time;
+          Alcotest.test_case "errors" `Quick test_accounting_errors;
+          Alcotest.test_case "empty" `Quick test_accounting_empty;
         ] );
       ( "scenario",
         [
@@ -874,7 +1066,7 @@ let () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* General-path fixture: the MD5 of every run's metrics and full event
+(* Design-space fixture: the MD5 of every run's metrics and full event
    stream over a seeded cross product of the Fig. 3 design space —
    every strategy and predictor, both modes, with and without a
    budget, every retention policy, k in {1, 4} — each case on its own
@@ -1269,7 +1461,7 @@ let test_on_demand_fixture () =
     got
 
 let () =
-  Alcotest.run ~and_exit:false "core-fixture"
+  Alcotest.run "core-fixture"
     [
       ( "general-path",
         [
@@ -1279,80 +1471,5 @@ let () =
             test_on_demand_fixture;
           qcheck prop_pick_matches_choose;
           qcheck prop_kedge_model;
-        ] );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Fast path (appended suite): the engine silently routes plain
-   on-demand/discard/k-edge runs through a fused allocation-free loop.
-   Passing any [charge_log] forces the general path, so the two can be
-   run on the same scenario and compared — metrics and the full event
-   stream must be indistinguishable. *)
-
-let prop_fast_path_equivalence =
-  let gen =
-    QCheck.Gen.(
-      let* blocks = int_range 2 14 in
-      let* extra_edges =
-        list_size (int_range 0 12)
-          (pair (int_range 0 (blocks - 1)) (int_range 0 (blocks - 1)))
-      in
-      let* len = int_range 1 400 in
-      let* seed = int_range 0 2000 in
-      let* k = int_range 1 12 in
-      return (blocks, extra_edges, len, seed, k))
-  in
-  QCheck.Test.make ~count:150 ~name:"fast path == general path"
-    (QCheck.make gen) (fun (blocks, extra_edges, len, seed, k) ->
-      let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
-      let edges = List.sort_uniq compare (ring @ extra_edges) in
-      let g = Cfg.Graph.synthetic blocks edges in
-      let trace = Trace.Synthetic.markov ~seed g ~length:len in
-      let sc = Core.Scenario.of_graph g ~trace in
-      let policy = Core.Policy.on_demand ~k in
-      let fast_col = Sim.Events.collector () in
-      let fast =
-        Core.Scenario.run ~sink:(Sim.Events.collecting fast_col) sc policy
-      in
-      let gen_col = Sim.Events.collector () in
-      let general =
-        Core.Scenario.run
-          ~sink:(Sim.Events.collecting gen_col)
-          ~charge_log:(fun _ _ -> ())
-          sc policy
-      in
-      fast = general
-      && Sim.Events.collected fast_col = Sim.Events.collected gen_col)
-
-(* Same comparison on the counting sink (the tag-byte tally path). *)
-let test_fast_path_counts () =
-  let g, trace =
-    Trace.Synthetic.hot_cold ~hot_blocks:5 ~cold_blocks:9 ~hot_iters:7
-      ~cold_visit_every:4 ()
-  in
-  let sc = Core.Scenario.of_graph g ~trace in
-  let policy = Core.Policy.on_demand ~k:3 in
-  let fast = Sim.Events.counters () in
-  let m1 = Core.Scenario.run ~sink:(Sim.Events.counting fast) sc policy in
-  let general = Sim.Events.counters () in
-  let m2 =
-    Core.Scenario.run
-      ~sink:(Sim.Events.counting general)
-      ~charge_log:(fun _ _ -> ())
-      sc policy
-  in
-  checkb "metrics agree" true (m1 = m2);
-  checkb "counts agree" true
-    (Sim.Events.counts fast = Sim.Events.counts general);
-  checki "same last time" (Sim.Events.last_time general)
-    (Sim.Events.last_time fast)
-
-let () =
-  Alcotest.run "core-fastpath"
-    [
-      ( "fastpath",
-        [
-          qcheck prop_fast_path_equivalence;
-          Alcotest.test_case "counting sink" `Quick test_fast_path_counts;
         ] );
     ]

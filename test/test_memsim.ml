@@ -1,5 +1,5 @@
 (* Tests for the memory simulator: first-fit heap, remember sets,
-   time-weighted accounting, LRU and the §5 layout model. *)
+   LRU and the §5 layout model. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -105,42 +105,6 @@ let test_remember () =
   checki "flush returns count" 1 (Memsim.Remember.flush r ~target:1);
   checki "flush empties" 0 (Memsim.Remember.cardinal r ~target:1);
   checki "flush empty is 0" 0 (Memsim.Remember.flush r ~target:3)
-
-(* ------------------------------------------------------------------ *)
-(* Accounting                                                          *)
-
-let test_accounting () =
-  let a = Memsim.Accounting.create () in
-  Memsim.Accounting.set_level a ~time:10 ~level:100;
-  Memsim.Accounting.set_level a ~time:20 ~level:50;
-  Memsim.Accounting.add a ~time:30 ~delta:(-50);
-  checki "level" 0 (Memsim.Accounting.level a);
-  checki "peak" 100 (Memsim.Accounting.peak a);
-  (* integral: 0*10 + 100*10 + 50*10 = 1500 *)
-  checki "integral" 1500 (Memsim.Accounting.integral a ~until:30);
-  checkf "average over 30" 50.0 (Memsim.Accounting.average a ~until:30)
-
-let test_accounting_same_time () =
-  let a = Memsim.Accounting.create () in
-  Memsim.Accounting.add a ~time:5 ~delta:10;
-  Memsim.Accounting.add a ~time:5 ~delta:10;
-  checki "same-time updates" 20 (Memsim.Accounting.level a);
-  checki "integral zero before 5" 0 (Memsim.Accounting.integral a ~until:5)
-
-let test_accounting_errors () =
-  let a = Memsim.Accounting.create () in
-  Memsim.Accounting.set_level a ~time:10 ~level:5;
-  Alcotest.check_raises "time backwards"
-    (Invalid_argument "Memsim.Accounting: time went backwards (5 < 10)")
-    (fun () -> Memsim.Accounting.set_level a ~time:5 ~level:1);
-  Alcotest.check_raises "negative level"
-    (Invalid_argument "Memsim.Accounting.set_level: negative level") (fun () ->
-      Memsim.Accounting.set_level a ~time:20 ~level:(-1))
-
-let test_accounting_empty () =
-  let a = Memsim.Accounting.create () in
-  checkf "average of nothing" 0.0 (Memsim.Accounting.average a ~until:0);
-  checki "peak of nothing" 0 (Memsim.Accounting.peak a)
 
 (* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
@@ -290,14 +254,6 @@ let () =
         ] );
       ("remember", [ Alcotest.test_case "sets" `Quick test_remember ]);
       ("pairheap", [ qcheck prop_pairheap_order ]);
-      ( "accounting",
-        [
-          Alcotest.test_case "integrals" `Quick test_accounting;
-          Alcotest.test_case "same-time updates" `Quick
-            test_accounting_same_time;
-          Alcotest.test_case "errors" `Quick test_accounting_errors;
-          Alcotest.test_case "empty" `Quick test_accounting_empty;
-        ] );
       ( "lru",
         [
           Alcotest.test_case "ordering" `Quick test_lru;
