@@ -94,7 +94,10 @@ type state = {
   base : int array;
       (* step of each copy's last k-edge (re)start, -1 without one *)
   (* remember sets (§5): the branch sites patched to point at each
-     target's copy, unordered in [rs.(t).(0 .. rs_len.(t) - 1)] *)
+     target's copy, unordered in [rs.(t).(0 .. rs_len.(t) - 1)]; the
+     engine's own rather than [Memsim.Remember]'s, because the loop
+     tests membership on every step and a call into another module is
+     never inlined *)
   rs : int array array;
   rs_len : int array;
   due_buf : int array;  (* [Residency.Policy.due]'s hand-off *)
@@ -766,15 +769,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
   let compressed_area_bytes =
     Array.fold_left (fun acc b -> acc + b.compressed_bytes) 0 info
   in
-  let baseline_cycles =
-    let sum = ref 0 in
-    for i = 0 to len - 1 do
-      sum :=
-        !sum
-        + if use_sc then sc.(i) else st.def_cycles.(Array.unsafe_get trace i)
-    done;
-    !sum
-  in
+  (* without compression, the run is its execution cycles alone *)
+  let baseline_cycles = !exec_cyc in
   let m =
     {
       Metrics.total_cycles = now;

@@ -40,28 +40,11 @@ let sites t ~target =
   let live = Array.sub t.sites.(target) 0 t.counts.(target) in
   List.sort compare (Array.to_list live)
 
-let iter t ~target f =
-  let a = t.sites.(target) in
-  for i = 0 to t.counts.(target) - 1 do
-    f a.(i)
-  done
-
 let cardinal t ~target = t.counts.(target)
 
 let flush t ~target =
   let n = t.counts.(target) in
   t.counts.(target) <- 0;
   n
-
-let remove_site t ~target ~site =
-  let a = t.sites.(target) and n = t.counts.(target) in
-  let i = index a n site 0 in
-  if i < 0 then false
-  else begin
-    (* shift down, keeping the recording order *)
-    Array.blit a (i + 1) a i (n - i - 1);
-    t.counts.(target) <- n - 1;
-    true
-  end
 
 let total_sites t = Array.fold_left ( + ) 0 t.counts

@@ -1,7 +1,7 @@
 (** Remember sets (paper, §5): for each decompressed block, the branch
     sites that currently point at its decompressed copy. When the copy
     is discarded, every recorded site must be patched back to the
-    exception-raising compressed address — the engine charges
+    exception-raising compressed address — the host charges
     [patch_cost] per site. *)
 
 type t
@@ -16,18 +16,10 @@ val record : t -> target:int -> site:int -> bool
 val sites : t -> target:int -> int list
 (** Currently recorded sites, sorted. *)
 
-val iter : t -> target:int -> (int -> unit) -> unit
-(** The recorded sites of [target], in recording order. *)
-
 val cardinal : t -> target:int -> int
 
 val flush : t -> target:int -> int
 (** Empties the remember set of [target], returning how many sites had
     to be patched back. *)
-
-val remove_site : t -> target:int -> site:int -> bool
-(** Removes one site (used when the site block itself is discarded and
-    its patched branch disappears with it). Returns [true] if it was
-    present. *)
 
 val total_sites : t -> int

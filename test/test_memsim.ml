@@ -100,9 +100,7 @@ let test_remember () =
     (Memsim.Remember.sites r ~target:1);
   checki "cardinal" 2 (Memsim.Remember.cardinal r ~target:1);
   checki "total" 2 (Memsim.Remember.total_sites r);
-  checkb "remove present" true (Memsim.Remember.remove_site r ~target:1 ~site:0);
-  checkb "remove absent" false (Memsim.Remember.remove_site r ~target:1 ~site:0);
-  checki "flush returns count" 1 (Memsim.Remember.flush r ~target:1);
+  checki "flush returns count" 2 (Memsim.Remember.flush r ~target:1);
   checki "flush empties" 0 (Memsim.Remember.cardinal r ~target:1);
   checki "flush empty is 0" 0 (Memsim.Remember.flush r ~target:3)
 
