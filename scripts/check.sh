@@ -2,12 +2,13 @@
 # Tier-1 gate: dune-file formatting, full build (library + CLI +
 # examples + the end-to-end benchmark), the complete test suite, the
 # end-to-end benchmark's smoke run, a bench-serve load-generator
-# smoke, generator, runtime, trace and experiment determinism smokes
-# (the runtime's: one compressed execution in two processes, same
-# checksum and byte-identical event traces), a fleet
-# sweep smoke (parallel run against a cold cache, then the same sweep
-# warm — the second run must be served entirely from cache and print
-# identical tables), and a service smoke (real daemon on a Unix
+# smoke, generator, engine, runtime, trace and experiment determinism
+# smokes (the engine's: two timing runs, each in two processes, with
+# byte-identical event traces; the runtime's: one compressed execution
+# in two processes, same checksum and byte-identical event traces), a
+# fleet sweep smoke (parallel run against a cold cache, then the same
+# sweep warm — the second run must be served entirely from cache and
+# print identical tables), and a service smoke (real daemon on a Unix
 # socket: serve, call — sequential and pipelined — counters move,
 # SIGTERM drains to exit 0).
 # `make check` runs this script.
@@ -51,6 +52,26 @@ grep -q 'spec: gen:seed=9,depth=2,fanout=3,blocks=bim:4-40,calls=1,skew=0.9,cold
   exit 1
 }
 rm -rf "$gen_dir"
+
+# Engine determinism: two timing runs, each in two separate processes,
+# must write byte-identical, non-empty event traces — plain on-demand,
+# and a pre-single/recompress/budget/clock run that reaches prefetches,
+# recompression and budget evictions.
+sim_dir=$(mktemp -d)
+for i in 1 2; do
+  "$ccomp" sim fsm -k 2 --trace-out "$sim_dir/od.$i.jsonl" > /dev/null
+  "$ccomp" sim dijkstra -k 4 --strategy pre-single --predictor last-taken \
+    --lookahead 2 --budget 120 --recompress --retention clock \
+    --trace-out "$sim_dir/mix.$i.jsonl" > /dev/null
+done
+for t in od mix; do
+  if [ ! -s "$sim_dir/$t.1.jsonl" ] \
+    || ! cmp -s "$sim_dir/$t.1.jsonl" "$sim_dir/$t.2.jsonl"; then
+    echo "check: FAIL — engine event traces ($t) are empty or differ across processes" >&2
+    exit 1
+  fi
+done
+rm -rf "$sim_dir"
 
 # Runtime determinism: the same compressed execution (life, k=2,
 # clock retention, 32-byte lines) in two separate processes must match
