@@ -610,6 +610,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
      fall due at step [s] is [trace.(s - k)]'s, live iff its [base] is
      still [s - k]: an O(1) check replaces the policy's due set, and
      nothing else asks the policy anything. *)
+  let budgeted = policy.Policy.budget <> None in
   let candidate =
     (match policy.Policy.strategy with
     | Policy.On_demand -> true
@@ -618,10 +619,9 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
     && (match policy.Policy.retention with
        | Residency.Policy.Kedge -> true
        | _ -> false)
-    && match policy.Policy.budget with None -> true | Some _ -> false
+    && not budgeted
   in
   let discard = policy.Policy.mode = Policy.Discard in
-  let budgeted = policy.Policy.budget <> None in
   let k = policy.Policy.compress_k in
   let stat = st.stat and base = st.base and ev = st.ev and occ = st.occ in
   let u_size = st.u_size
