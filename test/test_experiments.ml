@@ -245,11 +245,14 @@ let test_predictor_accuracy_ordering () =
 
 (* The default-profile tables are a compatibility surface: the energy
    vocabulary must leave every cycles-era number byte-identical under
-   paper-2005. Pin the rendered E6/E16/E17 tables by digest — if one
+   paper-2005. Pin the rendered E5/E6/E16/E17 tables by digest — if one
    of these moves, the default-profile accounting changed and the
    change must be deliberate. *)
 let golden_digests =
   [
+    (* E5 pins the Fig. 5 memory-image walk, so any model of the §5
+       memory organisation it is built on must tell the same story. *)
+    ("E5", "de45f79ce86a5d0b9d142478f75dfb4e");
     (* E6/E17 re-pinned 2026-08: the engine stopped recording
        return-only sites as patchable (jalr return addresses are
        home-valued; the runtime re-traps and never patches them), so

@@ -231,7 +231,8 @@ let test_runtime_engine_agreement () =
    full event stream, over the suite kernels plus one generated program
    from each of the four design-space shape families (fixed seeds),
    under k in {2, 8} x {k-edge, clock} retention x {block, 32-byte
-   line} granularity. Any change to what the runtime executes, counts
+   line} granularity, and k = 4 x {loop-aware, pin-hot} x the same two
+   granularities. Any change to what the runtime executes, counts
    or reports, or to the order it reports it in, moves a digest. *)
 
 let fixture_specs =
@@ -253,7 +254,7 @@ let fixture_programs =
         (fun s -> (s, Corpus.Gen.program (Corpus.Spec.of_string_exn s)))
         fixture_specs)
 
-let fixture_configs =
+let configs ~ks ~retentions =
   List.concat_map
     (fun k ->
       List.concat_map
@@ -261,8 +262,22 @@ let fixture_configs =
           List.map
             (fun line_size -> (k, retention, line_size))
             [ None; Some 32 ])
-        [ Residency.Policy.Kedge; Clock ])
-    [ 2; 8 ]
+        retentions)
+    ks
+
+let fixture_configs =
+  configs ~ks:[ 2; 8 ] ~retentions:[ Residency.Policy.Kedge; Clock ]
+
+(* The two adaptive retentions, at one k: loop-scaled k-edge and a
+   pinned set, so the runtime's per-block k and never-due pins are
+   pinned too. *)
+let adaptive_configs =
+  configs ~ks:[ 4 ]
+    ~retentions:
+      [
+        Residency.Policy.Loop_aware { weight = 2 };
+        Pin_hot { pinned = [ 0; 2 ] };
+      ]
 
 (* The event stream is hashed in 64 KiB pieces, each folded into the
    running digest, so a long run never holds its whole JSON text. *)
@@ -379,23 +394,67 @@ let fixture_expected =
     "7a659219dc79f6f16809191b08240432"; "bda308660010024e3198cd036491cda8";
   |]
 
-let test_fixture () =
+let adaptive_expected =
+  [|
+    "c6415493aea786416fce6decc2d5c5ba"; "a08072c3bbf0ec27d96394d02e89e99e";
+    "1fec0e3de70d400ab1efa2f24e929609"; "97654ac6587ac2b6db3b3ad10427ec2f";
+    "e254bf2c2c89d6791705e66275d37f80"; "6a53d5718a06c7343b2e9ed7dc87bedf";
+    "5884b6abe687d4a585076c7cf86ba91b"; "e7566758a3720108d187852811dabe85";
+    "5bbe4f2017dd002d1aef43fcabf9ed48"; "1ac3a583d78c0af122147d2cec1094cc";
+    "5891f68a5c13018a5928350893a1660b"; "75943892619dbb218cee9a903e720df9";
+    "851cb4b652e4fbd14047361440e497b2"; "cca0e8e80a7849a59377a7b60321b698";
+    "a09964b3b5d38f02a2e65d54d73c5e9f"; "570d6d70c12aca6b342cd946ff71dbb7";
+    "29e019a6c5790540f74b5a904b8e78ac"; "c4809f04bec86e15df64b5aeb361c04f";
+    "9863f27912890506c9def77b66c6f0e5"; "20ee9d377c73c5ae898cb21ec06e60f0";
+    "9226514bf154d59c48e0a16045f71ad6"; "2218db9c267e9e1ffcfd285cc1951163";
+    "1fa5a4d7bca3ba2739f59abf2a193a41"; "76a6ea2d9f2534b8dd5a92c50dc18875";
+    "2e0c44136237a28e1a6e1685f537f8ce"; "0a50df080bb5638541b114e5867a5014";
+    "30689438b4c88de6730bb5ef75acab55"; "e68af7f4699d9ea5aff4fcf005e67e83";
+    "231192e7891857746af800356dbd724f"; "2ca017a009fbe2b22ddfb881b011d3ee";
+    "3463fc3b11a3f5e23933bd2a7fe50187"; "6f543413f88fe9af7ee01593c00a1a0b";
+    "865ed1acb2750fa5ef79e5c44cbf04bb"; "15c683a676f98ff211db43e94d57eafd";
+    "c0efa2b7156b7d35914caee70646d002"; "ceb8079f2b0910bcf47810f2aaec2b58";
+    "7ebc2f6058677d7cf8cff6a8d9046e76"; "9c6d8761b75beb333fa15d3c333d58d9";
+    "3f60ff85c9a1a4f2b0f5e0dedde3ad7f"; "facd868864b42a6f5ba681b5caa8d872";
+    "e93f52f92b0f89756eab04a9442e1ad8"; "353634bc294a6f0d6c68bbbde4eb467f";
+    "0fd3c809d8881517e5cbceee0ea7ab9b"; "29a951be40c2ae0a804bcdb805d38e72";
+    "cc3c120a628287a4f213080f69f0d8a7"; "89edfc97dc9f465b932bf1a67694dbc6";
+    "2dd2b4642da4d7996b7ac84d48784735"; "0437f9a6880d6899a040123ef3e97425";
+    "c168649900a260ff941371358f121a0e"; "786342e330056b92c7ed00f4a51eef7e";
+    "33866a7be160cb467c149a97337afe48"; "6ffafce76b79d76226c486feb89aafda";
+    "8d7c55b1f17c87931dea2180fcb383cf"; "e2b60c4d65c7fde97fcced13f8448ff4";
+    "ea4818dba2d73d04875b8422c29cf3c2"; "cb999cd84af548efef01508aaf333a33";
+    "87814d248c2dd65cd2fe9aaf0664e4c9"; "312b2272ed279b3a775acf450448b04e";
+    "9ee00bb9407267a3376fd49999eea8dd"; "d4a717dcd14651db997ce3155a880e20";
+    "8c8f603f36967ccde719fbdd0c96ce52"; "da8883c0f619a43b0c6f77318bbc6744";
+    "d2ebd6b5f26fba9dc225f525f19f46e3"; "a640df52159162c91d61f507112ad071";
+    "05a31de1c10a24a4507cefc72a42b61e"; "4154765cbd802a3e1c1c1e272adf3946";
+    "ca721fd746dcb80bdcff4bf4c8a42279"; "68db4e8664e0678e0b970e1e7f476e1d";
+    "31f46569c7e76fab7f0aec6a479d7a2a"; "4760ff918758bcad7a41baecd97f0618";
+    "895a08d1f1acc11b60d452a17184d875"; "b7e9249f7234ae3eaf424663be2896a2";
+    "4159749b48a0d3c3fdeb377f78dc5aef"; "d3e763b3bee1db4cd544989b245b714e";
+    "4340b0430eccc87fbc4aac7d81dd7a0d"; "9360cd33279f6300800f0f6e494e4298";
+    "dfec39d9f65f5d64a73cd22a009305cb"; "8356e95a8579ebf844015b40c622239e";
+    "61b5e041f5609aa75955ac6f0ef76eb1"; "c50a3587e71ecf6dd737700a4568a890";
+  |]
+
+let check_fixture configs expected () =
   let got =
     List.concat_map
       (fun config ->
         List.map
           (fun (name, prog) -> (config, name, fixture_run config prog))
           (Lazy.force fixture_programs))
-      fixture_configs
+      configs
   in
-  checki "cases" (Array.length fixture_expected) (List.length got);
+  checki "cases" (Array.length expected) (List.length got);
   List.iteri
     (fun i ((k, retention, line_size), name, d) ->
       Alcotest.check Alcotest.string
         (Printf.sprintf "case %d: %s k=%d %s %s" i name k
            (Residency.Policy.spec_name retention)
            (match line_size with None -> "block" | Some l -> Printf.sprintf "line%d" l))
-        fixture_expected.(i) d)
+        expected.(i) d)
     got
 
 let () =
@@ -428,5 +487,11 @@ let () =
           Alcotest.test_case "corrupt line decompression faults" `Quick
             test_corruption_line;
         ] );
-      ("fixture", [ Alcotest.test_case "160 runs" `Quick test_fixture ]);
+      ( "fixture",
+        [
+          Alcotest.test_case "160 runs" `Quick
+            (check_fixture fixture_configs fixture_expected);
+          Alcotest.test_case "80 loop-aware and pin-hot runs" `Quick
+            (check_fixture adaptive_configs adaptive_expected);
+        ] );
     ]
