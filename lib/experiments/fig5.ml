@@ -1,93 +1,87 @@
 type step = { label : string; action : string }
 
 type outcome = {
-  steps : (step * string) list;  (* snapshot summary per step *)
+  steps : (step * string) list;  (* memory state after each step *)
   final_ok : bool;
 }
 
-let summary layout =
-  let resident = ref [] in
-  for b = Memsim.Layout.num_blocks layout - 1 downto 0 do
-    if Memsim.Layout.resident layout b then resident := b :: !resident
-  done;
-  Printf.sprintf "resident: {%s}; decompressed %dB; footprint %dB"
-    (String.concat ", " (List.map (Printf.sprintf "B%d'") !resident))
-    (Memsim.Layout.decompressed_bytes layout)
-    (Memsim.Layout.footprint layout)
-
+(* The engine's own run, read back: the events before each [Exec] are
+   what that step did to the memory image. *)
 let replay () =
   let g = Paper_figures.fig5 () in
   let sc = Paper_figures.scenario ~name:"fig5" g ~trace:Paper_figures.fig5_trace in
-  let csizes = Array.map (fun i -> i.Core.Engine.compressed_bytes) sc.info in
-  let usizes = Array.map (fun i -> i.Core.Engine.uncompressed_bytes) sc.info in
-  let layout =
-    Memsim.Layout.create ~compressed_sizes:csizes ~uncompressed_sizes:usizes ()
+  let events, log = Util.collect_events () in
+  ignore (Core.Scenario.run ~log sc (Core.Policy.on_demand ~k:2));
+  let n = Array.length sc.info in
+  let compressed_area =
+    Array.fold_left (fun a i -> a + i.Core.Engine.compressed_bytes) 0 sc.info
   in
-  let kedge = Memsim.Kedge.create ~blocks:4 ~k:2 () in
-  let steps = ref [] in
-  let patched_back = ref 0 in
-  let snap label action =
-    steps := ({ label; action }, summary layout) :: !steps
+  let resident = Array.make n false in
+  let summary () =
+    let live = List.filter (fun b -> resident.(b)) (List.init n Fun.id) in
+    let bytes =
+      List.fold_left
+        (fun a b -> a + sc.info.(b).Core.Engine.uncompressed_bytes)
+        0 live
+    in
+    Printf.sprintf "resident: {%s}; decompressed %dB; footprint %dB"
+      (String.concat ", " (List.map (Printf.sprintf "B%d'") live))
+      bytes (compressed_area + bytes)
   in
-  snap "(1)" "initial image: all blocks compressed, PC at B0";
-  (* Replay the trace against the layout, §5 narrative. *)
-  let trace = Paper_figures.fig5_trace in
-  let stepno = ref 1 in
-  Array.iteri
-    (fun i b ->
-      let describe = ref [] in
-      let note s = describe := s :: !describe in
-      (* k-edge deletions on this edge traversal. *)
-      if i > 0 then
-        List.iter
-          (fun d ->
-            if d <> b && Memsim.Layout.resident layout d then begin
-              let patches = Memsim.Layout.discard layout d in
-              patched_back := !patched_back + patches;
-              Memsim.Kedge.untrack kedge ~block:d;
-              note
-                (Printf.sprintf "delete B%d' (%d branch sites patched back)" d
-                   patches)
-            end)
-          (Memsim.Kedge.due kedge ~step:i);
-      (* Arrival. *)
-      (if Memsim.Layout.resident layout b then begin
-         match i with
-         | 0 -> ()
-         | _ ->
-           let site = trace.(i - 1) in
-           if Memsim.Layout.record_branch layout ~target:b ~site then
-             note
-               (Printf.sprintf
-                  "exception; handler patches branch in B%d' to B%d'" site b)
-           else note (Printf.sprintf "direct branch to B%d', no exception" b)
-       end
-       else begin
-         (match Memsim.Layout.decompress layout b with
-         | Ok _ -> ()
-         | Error `No_space -> failwith "fig5: unexpected allocation failure");
-         note (Printf.sprintf "exception; decompress B%d into B%d'" b b);
-         if i > 0 then begin
-           let site = trace.(i - 1) in
-           if Memsim.Layout.record_branch layout ~target:b ~site then
-             note (Printf.sprintf "patch branch in B%d' to B%d'" site b)
-         end
-       end);
-      Memsim.Kedge.track kedge ~block:b ~step:i;
-      incr stepno;
-      snap
-        (Printf.sprintf "(%d)" !stepno)
-        (Printf.sprintf "execute B%d: %s" b
-           (String.concat "; " (List.rev !describe))))
-    trace;
+  let steps =
+    ref
+      [
+        ( {
+            label = "(1)";
+            action = "initial image: all blocks compressed, PC at B0";
+          },
+          summary () );
+      ]
+  in
+  let discards = ref [] in
+  (* what the current step has done so far *)
+  let notes = ref [] and excepted = ref false and decompressed = ref false in
+  let note s = notes := s :: !notes in
+  List.iter
+    (fun (ev : Core.Engine.event) ->
+      match ev with
+      | Discard { block; patched_back; _ } ->
+        resident.(block) <- false;
+        discards := (block, patched_back) :: !discards;
+        note
+          (Printf.sprintf "delete B%d' (%d branch sites patched back)" block
+             patched_back)
+      | Exception _ -> excepted := true
+      | Demand_decompress { block; _ } ->
+        resident.(block) <- true;
+        decompressed := true;
+        note (Printf.sprintf "exception; decompress B%d into B%d'" block block)
+      | Patch { target; site; _ } ->
+        note
+          (if !decompressed then
+             Printf.sprintf "patch branch in B%d' to B%d'" site target
+           else
+             Printf.sprintf
+               "exception; handler patches branch in B%d' to B%d'" site target)
+      | Exec { block; _ } ->
+        if not !excepted then
+          note (Printf.sprintf "direct branch to B%d', no exception" block);
+        let action =
+          Printf.sprintf "execute B%d: %s" block
+            (String.concat "; " (List.rev !notes))
+        in
+        let label = Printf.sprintf "(%d)" (List.length !steps + 1) in
+        steps := ({ label; action }, summary ()) :: !steps;
+        notes := [];
+        excepted := false;
+        decompressed := false
+      | Prefetch_issue _ | Stall _ | Unpatch _ | Evict _
+      | Recompress_queued _ | Flush _ ->
+        ())
+    (List.rev !events);
   let final_ok =
-    (not (Memsim.Layout.resident layout 0))
-    && Memsim.Layout.resident layout 1
-    && Memsim.Layout.resident layout 3
-    && (not (Memsim.Layout.resident layout 2))
-    && !patched_back = 1
-    && Memsim.Layout.compressed_area_bytes layout
-       = Array.fold_left ( + ) 0 csizes
+    Array.to_list resident = [ false; true; false; true ]
+    && !discards = [ (0, 1) ]
   in
   { steps = List.rev !steps; final_ok }
 

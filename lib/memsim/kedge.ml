@@ -1,5 +1,5 @@
 (* Pending due entries are (due step, block) pairs, never updated in
-   place: a re-track just queues a new entry, and [due] drops stale
+   place: a re-track just queues a new entry, and [due_into] drops stale
    ones (an entry is live only while its block's current [base + k]
    still lands on the entry's step).
 
@@ -122,8 +122,3 @@ let rec scan t step (bucket : int array) i len j kept into n =
 let due_into t ~step ~into =
   let i = step land t.mask in
   scan t step t.wheel.(i) i t.fill.(i) 0 0 into 0
-
-let due t ~step =
-  let into = Array.make (Array.length t.base) 0 in
-  let n = due_into t ~step ~into in
-  List.init n (fun i -> into.(i))

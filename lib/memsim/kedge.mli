@@ -10,7 +10,7 @@
     whatever the per-block k values, instead of touching every resident
     counter on every branch.
 
-    Steps passed to {!due} must be nondecreasing across calls on one
+    Steps passed to {!due_into} must be nondecreasing across calls on one
     instance (every driver walks its trace forward); entries that fall
     behind the query step are discarded as stale. *)
 
@@ -40,15 +40,11 @@ val tracked : t -> block:int -> bool
 val counter : t -> block:int -> step:int -> int option
 (** Current counter value at [step]; [None] if untracked. *)
 
-val due : t -> step:int -> int list
+val due_into : t -> step:int -> into:int array -> int
 (** Blocks whose counter reaches exactly [k] at [step], i.e. whose
-    copies the algorithm deletes on this edge traversal. Each block is
+    copies the algorithm deletes on this edge traversal, written
+    sorted into [into.(0 .. n-1)]; returns [n]. [into] must have room
+    for every block ([Array.length into >= blocks]). Each block is
     reported at most once per reset; the caller decides whether to
     actually delete (the branch target itself is spared — its counter
-    resets instead, §5). Sorted. Allocates the list; per-step callers
-    use {!due_into}. *)
-
-val due_into : t -> step:int -> into:int array -> int
-(** {!due} without allocation: writes the due blocks, sorted, into
-    [into.(0 .. n-1)] and returns [n]. [into] must have room for every
-    block ([Array.length into >= blocks]). *)
+    resets instead, §5). *)

@@ -36,10 +36,6 @@ let record t ~target ~site =
     true
   end
 
-let sites t ~target =
-  let live = Array.sub t.sites.(target) 0 t.counts.(target) in
-  List.sort compare (Array.to_list live)
-
 let cardinal t ~target = t.counts.(target)
 
 let flush t ~target =

@@ -13,9 +13,6 @@ val record : t -> target:int -> site:int -> bool
     copy of [target]. Returns [true] if the site was new (a patch was
     performed). *)
 
-val sites : t -> target:int -> int list
-(** Currently recorded sites, sorted. *)
-
 val cardinal : t -> target:int -> int
 
 val flush : t -> target:int -> int

@@ -10,9 +10,9 @@
 
     An instantiated policy is data — the state one spec needs
     (counters, bits, a pinned set) — and the hooks below are plain
-    functions over it. An {!Area.t} drives them and adds the
-    remember-set bookkeeping and event emission common to every
-    policy. *)
+    functions over it. Each host drives them directly and keeps its own
+    remember sets and events: the engine's are per-target arrays of
+    block ids, the runtime's the patched jump slots. *)
 
 type spec =
   | Kedge  (** The paper's scheme: k-edge counters, LRU budget victims. *)

@@ -147,15 +147,18 @@ type state = {
   acc : Sim.Cost.Acc.acc;
   snk : Sim.Events.sink;
   ev : Sim.Events.Packed.chunk;
-      (* every event — the runtime's own and the area's — funnels
-         through this one chunk, so stream order survives batching *)
+      (* every event funnels through this one chunk, so stream order
+         survives batching *)
   compressed : bytes array;
   lines : linestate option;
   layouts : layout array;
-  area : (copy * int) Residency.Area.t;
-      (* copy lifecycle: the retention policy plus the paper's remember
-         sets, for real — per target block, the patched jump sites
-         (copy, slot) currently pointing at its copy *)
+  policy : Residency.Policy.t;  (* when copies die *)
+  due_buf : int array;  (* [Policy.due]'s hand-off: room for every block *)
+  site_keys : Memsim.Remember.t;
+      (* the paper's remember sets, for real: per target block, the
+         addresses of the patched jump slots pointing at its copy *)
+  sites : (copy * int) list array;
+      (* the same sites as (copy, slot), most recent first *)
   home_block : int array;  (* block of each home word *)
   by_block : copy array;  (* live copy per block, or [no_copy] *)
   mutable copies : copy array;
@@ -246,8 +249,10 @@ let patch_site st c idx ~target_block ~target_addr =
       let patched = Eris.Types.Jal (Eris.Types.r0, (target_addr - (site_pc + 4)) / 4) in
       (match Eris.Types.validate patched with
       | Ok () ->
-        if Residency.Area.record_site st.area ~target:target_block ~site:(c, idx)
+        if Memsim.Remember.record st.site_keys ~target:target_block
+             ~site:site_pc
         then begin
+          st.sites.(target_block) <- (c, idx) :: st.sites.(target_block);
           c.instrs.(idx) <- patched;
           st.patches <- st.patches + 1;
           Sim.Cost.Acc.charge st.acc Sim.Cost.Patch
@@ -295,10 +300,25 @@ let line_acquire st block_id =
       (fun l -> ls.line_refs.(l) <- ls.line_refs.(l) + 1)
       ls.lmap.Residency.Linemap.of_block.(block_id)
 
+(* End [block]'s copy in the bookkeeping: patch its remember set back,
+   in recording order, and tell the policy. Returns the sites patched. *)
+let release st block =
+  let n =
+    List.fold_left
+      (fun n site -> if unpatch_site st ~target:block site then n + 1 else n)
+      0
+      (List.rev st.sites.(block))
+  in
+  st.sites.(block) <- [];
+  ignore (Memsim.Remember.flush st.site_keys ~target:block);
+  Residency.Policy.on_release st.policy ~block;
+  n
+
 let delete_copy st c =
-  ignore
-    (Residency.Area.discard st.area ~block:c.block
-       ~patch_back:(unpatch_site st ~target:c.block));
+  let patched_back = release st c.block in
+  emit_room st;
+  Sim.Events.Packed.push_discard st.ev ~at:(at st) ~block:c.block
+    ~patched_back ~wasted:false;
   c.live <- false;
   st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
@@ -313,9 +333,7 @@ let flush st =
   let retired = ref 0 in
   Array.iteri
     (fun b c ->
-      ignore
-        (Residency.Area.release st.area ~block:b
-           ~patch_back:(unpatch_site st ~target:b));
+      ignore (release st b);
       if c.live then begin
         c.live <- false;
         c.instrs <- [||];
@@ -431,8 +449,8 @@ let make_copy st block_id =
   line_acquire st block_id;
   st.live_bytes <- st.live_bytes + (4 * slots);
   if st.live_bytes > st.peak_bytes then st.peak_bytes <- st.live_bytes;
-  Residency.Area.on_materialize st.area ~block:block_id ~step:st.edges;
-  Residency.Area.on_ready st.area ~block:block_id ~time:(at st);
+  Residency.Policy.on_materialize st.policy ~block:block_id ~step:st.edges;
+  Residency.Policy.on_ready st.policy ~block:block_id ~time:(at st);
   c
 
 (* ------------------------------------------------------------------ *)
@@ -446,12 +464,13 @@ let block_of_home st home =
 let on_edge st ~target_block =
   st.edges <- st.edges + 1;
   (* k-edge deletions, sparing the branch target (§5) *)
-  for i = 0 to Residency.Area.due st.area ~step:st.edges - 1 do
-    let d = Residency.Area.due_block st.area i in
+  let ndue = Residency.Policy.due st.policy ~step:st.edges ~into:st.due_buf in
+  for i = 0 to ndue - 1 do
+    let d = st.due_buf.(i) in
     let c = st.by_block.(d) in
     if d <> target_block && c.live then delete_copy st c
   done;
-  Residency.Area.on_execute st.area ~block:target_block ~step:st.edges
+  Residency.Policy.on_execute st.policy ~block:target_block ~step:st.edges
     ~time:(at st);
   emit_room st;
   Sim.Events.Packed.push_exec st.ev ~at:(at st) ~block:target_block
@@ -551,14 +570,6 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   let acc = Sim.Cost.Acc.create () in
   let snk = match sink with Some s -> s | None -> Sim.Events.null in
   let ev = Sim.Events.Packed.create () in
-  (* boxed-event entry point for the area: same chunk, same order *)
-  let emit e =
-    if Sim.Events.Packed.is_full ev then begin
-      snk.Sim.Events.emit_chunk ev;
-      Sim.Events.Packed.clear ev
-    end;
-    Sim.Events.Packed.push_event ev e
-  in
   let compressed =
     Array.map
       (fun (b : Cfg.Graph.block) ->
@@ -605,23 +616,16 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   let copy_base = ((Eris.Program.byte_size prog / 4096) + 1) * 4096 in
   let machine = Eris.Machine.create prog in
   let n = Cfg.Graph.num_blocks graph in
-  let area =
-    Residency.Area.create
-      ~policy:
-        (Residency.Policy.instantiate retention
-           {
-             Residency.Policy.blocks = n;
-             k;
-             k_of = None;
-             graph = Some graph;
-             budget = None;
-             size_of =
-               Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
-           })
-      ~blocks:n ~emit
-      ~now:(fun () -> Eris.Machine.instr_count machine)
-      ~site_key:(fun ((c : copy), idx) -> c.base + (4 * idx))
-      ()
+  let policy =
+    Residency.Policy.instantiate retention
+      {
+        Residency.Policy.blocks = n;
+        k;
+        k_of = None;
+        graph = Some graph;
+        budget = None;
+        size_of = Some (fun b -> (Cfg.Graph.block graph b).Cfg.Graph.byte_size);
+      }
   in
   let st =
     {
@@ -636,7 +640,10 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       compressed;
       lines;
       layouts;
-      area;
+      policy;
+      due_buf = Array.make n 0;
+      site_keys = Memsim.Remember.create ~blocks:n;
+      sites = Array.make n [];
       home_block;
       by_block = Array.make n no_copy;
       copies = [||];
@@ -694,8 +701,8 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       end
     end
   in
-  Residency.Area.on_execute st.area ~block:(Cfg.Graph.entry graph) ~step:0
-    ~time:0;
+  Residency.Policy.on_execute st.policy ~block:(Cfg.Graph.entry graph)
+    ~step:0 ~time:0;
   emit_room st;
   Sim.Events.Packed.push_exec st.ev ~at:0 ~block:(Cfg.Graph.entry graph);
   let finish result =

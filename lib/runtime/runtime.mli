@@ -68,8 +68,9 @@ val run :
 (** Executes the program from an all-compressed image until [Halt].
     [k] (default 8) is the k-edge deletion distance; [retention]
     (default {!Residency.Policy.Kedge}) selects which copies survive —
-    the runtime and {!Core.Engine} drive the same {!Residency.Area},
-    so any retention policy behaves identically in both; [codec]
+    the runtime and {!Core.Engine} drive the same
+    {!Residency.Policy}, so any retention policy behaves identically
+    in both; [codec]
     defaults to the positional shared-Huffman model trained on this
     image. The returned machine exposes final registers and data
     memory.

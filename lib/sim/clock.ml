@@ -1,20 +1,3 @@
-type t = { mutable now : int }
-
-let create () = { now = 0 }
-let now t = t.now
-
-let advance t ~cycles =
-  if cycles < 0 then invalid_arg "Sim.Clock.advance: negative cycles";
-  t.now <- t.now + cycles
-
-let wait_until t time =
-  if time > t.now then begin
-    let waited = time - t.now in
-    t.now <- time;
-    waited
-  end
-  else 0
-
 type resource = { mutable free_at : int; mutable busy : int }
 
 let resource () = { free_at = 0; busy = 0 }

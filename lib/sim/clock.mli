@@ -1,26 +1,10 @@
-(** Simulated time for the three-thread model (paper, Figure 4).
+(** The helper threads of the paper's Figure 4 (decompression and
+    compression) as serially reused resources. A request scheduled on
+    one starts at [max now free_at] and completes after its duration,
+    concurrently with execution; the execution thread's own time is
+    the caller's, and helper work costs it wall-clock time only when
+    it has to wait for a completion. *)
 
-    A {!t} is the execution thread's wall clock; a {!resource} is a
-    helper thread (decompression or compression) that serves requests
-    one at a time, concurrently with execution. Helper work only costs
-    wall-clock time when the execution thread has to wait for it
-    ({!wait_until}). *)
-
-type t
-
-val create : unit -> t
-val now : t -> int
-
-val advance : t -> cycles:int -> unit
-(** Moves the clock forward. @raise Invalid_argument on negative
-    [cycles]. *)
-
-val wait_until : t -> int -> int
-(** [wait_until t time] advances to [time] if it is in the future and
-    returns the cycles waited (0 if [time] has already passed). *)
-
-(** A serially-reused helper thread: requests scheduled on it start at
-    [max now free_at] and complete after their duration. *)
 type resource
 
 val resource : unit -> resource

@@ -8,13 +8,18 @@ let check_il = Alcotest.check Alcotest.(list int)
 (* ------------------------------------------------------------------ *)
 (* Kedge                                                               *)
 
+(* A k-edge due set for [step], as a list. *)
+let kedge_due k ~step =
+  let into = Array.make 4096 0 in
+  List.init (Memsim.Kedge.due_into k ~step ~into) (Array.get into)
+
 let test_kedge_basic () =
   let k = Memsim.Kedge.create ~blocks:4 ~k:2 () in
   Memsim.Kedge.track k ~block:0 ~step:0;
   checkb "tracked" true (Memsim.Kedge.tracked k ~block:0);
   checkb "counter at 1" true (Memsim.Kedge.counter k ~block:0 ~step:1 = Some 1);
-  check_il "not due before k" [] (Memsim.Kedge.due k ~step:1);
-  check_il "due at k" [ 0 ] (Memsim.Kedge.due k ~step:2);
+  check_il "not due before k" [] (kedge_due k ~step:1);
+  check_il "due at k" [ 0 ] (kedge_due k ~step:2);
   checkb "untracked has no counter" true
     (Memsim.Kedge.counter k ~block:1 ~step:5 = None)
 
@@ -23,28 +28,28 @@ let test_kedge_reset_on_reexecution () =
   Memsim.Kedge.track k ~block:0 ~step:0;
   (* re-executed at step 1: counter resets, old due entry is stale *)
   Memsim.Kedge.track k ~block:0 ~step:1;
-  check_il "stale entry filtered" [] (Memsim.Kedge.due k ~step:2);
-  check_il "new due honored" [ 0 ] (Memsim.Kedge.due k ~step:3)
+  check_il "stale entry filtered" [] (kedge_due k ~step:2);
+  check_il "new due honored" [ 0 ] (kedge_due k ~step:3)
 
 let test_kedge_untrack () =
   let k = Memsim.Kedge.create ~blocks:4 ~k:1 () in
   Memsim.Kedge.track k ~block:2 ~step:5;
   Memsim.Kedge.untrack k ~block:2;
-  check_il "untracked not due" [] (Memsim.Kedge.due k ~step:6)
+  check_il "untracked not due" [] (kedge_due k ~step:6)
 
 let test_kedge_k1_and_multiple () =
   let k = Memsim.Kedge.create ~blocks:4 ~k:1 () in
   Memsim.Kedge.track k ~block:0 ~step:0;
   Memsim.Kedge.track k ~block:1 ~step:0;
-  check_il "both due, sorted" [ 0; 1 ] (Memsim.Kedge.due k ~step:1);
+  check_il "both due, sorted" [ 0; 1 ] (kedge_due k ~step:1);
   (* due consumes the entries *)
-  check_il "consumed" [] (Memsim.Kedge.due k ~step:1)
+  check_il "consumed" [] (kedge_due k ~step:1)
 
 let test_kedge_huge_k_no_overflow () =
   let k = Memsim.Kedge.create ~blocks:2 ~k:max_int () in
   Memsim.Kedge.track k ~block:0 ~step:100;
   checkb "counter works" true (Memsim.Kedge.counter k ~block:0 ~step:200 = Some 100);
-  check_il "never due" [] (Memsim.Kedge.due k ~step:1000)
+  check_il "never due" [] (kedge_due k ~step:1000)
 
 let test_kedge_validation () =
   Alcotest.check_raises "k=0 rejected"
@@ -907,8 +912,8 @@ let test_kedge_per_block () =
   checki "k_for 1" 5 (Memsim.Kedge.k_for k ~block:1);
   Memsim.Kedge.track k ~block:0 ~step:0;
   Memsim.Kedge.track k ~block:1 ~step:0;
-  check_il "only block 0 due at 1" [ 0 ] (Memsim.Kedge.due k ~step:1);
-  check_il "block 1 due at 5" [ 1 ] (Memsim.Kedge.due k ~step:5)
+  check_il "only block 0 due at 1" [ 0 ] (kedge_due k ~step:1);
+  check_il "block 1 due at 5" [ 1 ] (kedge_due k ~step:5)
 
 let test_kedge_per_block_validation () =
   let k = Memsim.Kedge.create ~k_of:(fun _ -> 0) ~blocks:2 ~k:3 () in
@@ -1354,7 +1359,7 @@ let prop_kedge_model =
                      else None)
                    fired)
             in
-            Memsim.Kedge.due t ~step:s = expected)
+            kedge_due t ~step:s = expected)
         ops)
 
 (* On-demand fixture: the same digest over plain on-demand/discard

@@ -1,5 +1,5 @@
-(* Tests for the shared simulation kernel: cost model, three-thread
-   clock, the streaming event bus (including JSONL round-trips and the
+(* Tests for the shared simulation kernel: cost model, helper-thread
+   resources, the streaming event bus (including JSONL round-trips and the
    constant-memory guarantee) and the metrics registry. *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -7,7 +7,7 @@ let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
 (* ------------------------------------------------------------------ *)
-(* Cost and clock *)
+(* Cost and helper-thread resources *)
 
 let test_cost () =
   let c = Sim.Cost.default in
@@ -132,19 +132,6 @@ let test_cost_acc () =
       ("cycles", total.Sim.Cost.cycles); ("energy_nj", total.Sim.Cost.energy_nj);
     ]
     (Sim.Cost.Acc.dimension_totals acc)
-
-let test_clock () =
-  let clk = Sim.Clock.create () in
-  checki "starts at 0" 0 (Sim.Clock.now clk);
-  Sim.Clock.advance clk ~cycles:10;
-  checki "advances" 10 (Sim.Clock.now clk);
-  checki "wait into future" 5 (Sim.Clock.wait_until clk 15);
-  checki "after wait" 15 (Sim.Clock.now clk);
-  checki "wait into past is free" 0 (Sim.Clock.wait_until clk 3);
-  checki "past wait does not rewind" 15 (Sim.Clock.now clk);
-  Alcotest.check_raises "negative advance"
-    (Invalid_argument "Sim.Clock.advance: negative cycles") (fun () ->
-      Sim.Clock.advance clk ~cycles:(-1))
 
 let test_resource () =
   let r = Sim.Clock.resource () in
@@ -389,7 +376,6 @@ let () =
             test_cost_validation;
           Alcotest.test_case "charge constructors" `Quick test_cost_charges;
           Alcotest.test_case "accumulator" `Quick test_cost_acc;
-          Alcotest.test_case "clock" `Quick test_clock;
           Alcotest.test_case "resource threads" `Quick test_resource;
         ] );
       ( "events",
