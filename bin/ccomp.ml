@@ -461,46 +461,50 @@ let experiments ids csv_dir list_only jobs cache_dir no_cache progress metrics
     print_string (Report.Table.render t);
     0
   end
-  else begin
-    let entries =
-      match ids with
-      | [] -> Experiments.Registry.all
-      | ids ->
-        List.map
-          (fun id ->
-            match Experiments.Registry.find id with
-            | Some e -> e
-            | None -> failwith (Printf.sprintf "unknown experiment %S" id))
-          ids
-    in
-    let registry = Sim.Metrics.create () in
-    Experiments.Util.configure_fleet ~jobs
-      ?cache:(fleet_cache ~no_cache ~cache_dir)
-      ~registry
-      ?progress:(fleet_progress progress) ();
-    List.iter
-      (fun (e : Experiments.Registry.entry) ->
-        let table = e.runner () in
-        Printf.printf "[%s / %s] (%s)\n%s\n" e.id e.slug e.paper_anchor
-          (Report.Table.render table);
-        match csv_dir with
-        | None -> ()
-        | Some dir ->
-          let path = Filename.concat dir (e.slug ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (Report.Table.to_csv table);
-          close_out oc;
-          Printf.printf "(csv written to %s)\n\n" path)
-      entries;
-    if metrics then
-      print_string
-        (Report.Table.render (Sim.Metrics.to_table ~title:"metrics" registry));
-    (* Keep the default output identical to the pre-fleet harness: the
-       summary only appears when a fleet knob was actually turned. *)
-    if jobs > 1 || cache_dir <> None || metrics || progress then
-      print_fleet_summary registry;
-    0
-  end
+  else
+    match
+      List.map
+        (fun id ->
+          match Experiments.Registry.find id with
+          | Some e -> e
+          | None ->
+            invalid_arg
+              (Printf.sprintf
+                 "unknown experiment %S (ccomp experiments --list names them)"
+                 id))
+        ids
+    with
+    | exception Invalid_argument msg -> error msg
+    | named ->
+      let entries = if ids = [] then Experiments.Registry.all else named in
+      let registry = Sim.Metrics.create () in
+      Experiments.Util.configure_fleet ~jobs
+        ?cache:(fleet_cache ~no_cache ~cache_dir)
+        ~registry
+        ?progress:(fleet_progress progress) ();
+      List.iter
+        (fun (e : Experiments.Registry.entry) ->
+          let table = e.runner () in
+          Printf.printf "[%s / %s] (%s)\n%s\n" e.id e.slug e.paper_anchor
+            (Report.Table.render table);
+          match csv_dir with
+          | None -> ()
+          | Some dir ->
+            let path = Filename.concat dir (e.slug ^ ".csv") in
+            let oc = open_out path in
+            output_string oc (Report.Table.to_csv table);
+            close_out oc;
+            Printf.printf "(csv written to %s)\n\n" path)
+        entries;
+      if metrics then
+        print_string
+          (Report.Table.render
+             (Sim.Metrics.to_table ~title:"metrics" registry));
+      (* Keep the default output identical to the pre-fleet harness: the
+         summary only appears when a fleet knob was actually turned. *)
+      if jobs > 1 || cache_dir <> None || metrics || progress then
+        print_fleet_summary registry;
+      0
 
 let experiments_cmd =
   let ids =

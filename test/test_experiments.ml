@@ -240,6 +240,28 @@ let test_predictor_accuracy_ordering () =
   checkb "profile at least as accurate as first-successor" true
     (acc "profile" >= acc "first-successor" -. 1e-9)
 
+(* An unknown id is a usage error before anything runs: [ccomp
+   experiments E5 E99] prints no table, says which id is unknown and
+   exits 1. *)
+let ccomp_exe = Filename.concat (Filename.dirname (Sys.getcwd ())) "bin/ccomp.exe"
+
+let test_unknown_experiment () =
+  let argv = [| ccomp_exe; "experiments"; "E5"; "E99" |] in
+  let out, inp, err = Unix.open_process_args_full ccomp_exe argv [||] in
+  close_out inp;
+  let stdout = In_channel.input_all out and stderr = In_channel.input_all err in
+  let status = Unix.close_process_full (out, inp, err) in
+  checkb "exit 1" true (status = Unix.WEXITED 1);
+  Alcotest.check Alcotest.string "no experiment ran" "" stdout;
+  checkb "names the id and --list" true
+    (String.starts_with ~prefix:"error: unknown experiment \"E99\"" stderr
+    &&
+    let rec has i =
+      i + 6 <= String.length stderr
+      && (String.sub stderr i 6 = "--list" || has (i + 1))
+    in
+    has 0)
+
 (* ------------------------------------------------------------------ *)
 (* Golden outputs (paper-2005 profile) and the energy dimension        *)
 
@@ -301,7 +323,12 @@ let () =
             test_fig2_reconstruction_distances;
           Alcotest.test_case "figure 1 cycles" `Quick test_fig1_has_two_cycles;
         ] );
-      ("registry", [ Alcotest.test_case "lookup" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "lookup" `Quick test_registry;
+          Alcotest.test_case "unknown id is an error" `Quick
+            test_unknown_experiment;
+        ] );
       ("tables", table_tests);
       ( "shapes",
         [
