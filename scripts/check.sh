@@ -14,6 +14,7 @@
 # `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
+ccomp=_build/default/bin/ccomp.exe
 dune build @fmt
 dune build @all
 dune runtest
@@ -37,7 +38,6 @@ dune exec bin/ccomp.exe -- bench-serve --smoke | grep -q 'req/s' || {
 # processes (the cache-key contract), and a non-canonical spelling
 # must canonicalize.
 gen_dir=$(mktemp -d)
-ccomp=_build/default/bin/ccomp.exe
 "$ccomp" gen 'gen:fanout=3,seed=9,blocks=bim:4-40' > "$gen_dir/a.out"
 "$ccomp" gen 'gen:seed=9,fanout=3,blocks=bim:4-40' > "$gen_dir/b.out"
 if ! cmp -s "$gen_dir/a.out" "$gen_dir/b.out"; then
@@ -115,7 +115,6 @@ rm -rf "$e20_dir"
 # back; both hops must load to byte-identical id streams, and `trace
 # info` must parse the binary header.
 trace_dir=$(mktemp -d)
-ccomp=_build/default/bin/ccomp.exe
 "$ccomp" trace gen dijkstra --out "$trace_dir/t.txt" > /dev/null
 "$ccomp" trace convert "$trace_dir/t.txt" "$trace_dir/t.bin" --lzss > /dev/null
 "$ccomp" trace convert "$trace_dir/t.bin" "$trace_dir/t2.txt" --to text \
@@ -157,8 +156,17 @@ if [ "$block_rows" -ne "$suite" ]; then
   exit 1
 fi
 
+# On any exit, stop the service smoke's daemon if it is still running
+# (it has no idle timeout), then remove the scratch directory.
 cache_dir=$(mktemp -d)
-trap 'rm -rf "$cache_dir"' EXIT
+serve_pid=
+cleanup() {
+  if [ -n "$serve_pid" ] && kill -0 "$serve_pid" 2>/dev/null; then
+    kill "$serve_pid" 2>/dev/null || true
+  fi
+  rm -rf "$cache_dir"
+}
+trap cleanup EXIT
 sweep="dune exec bin/ccomp.exe -- sweep fir crc32 --ks 2,8 --jobs 2 --cache-dir $cache_dir"
 $sweep > "$cache_dir/cold.out"
 $sweep > "$cache_dir/warm.out"
@@ -175,7 +183,6 @@ if ! diff "$cache_dir/cold.tbl" "$cache_dir/warm.tbl" > /dev/null; then
 fi
 
 # Service smoke: a real daemon end to end over a Unix socket.
-ccomp=_build/default/bin/ccomp.exe
 sock="$cache_dir/serve.sock"
 "$ccomp" serve --socket "$sock" --jobs 2 --cache-dir "$cache_dir/serve-cache" \
   > "$cache_dir/serve.out" 2>&1 &
@@ -242,6 +249,7 @@ fi
 kill -TERM "$serve_pid"
 serve_rc=0
 wait "$serve_pid" || serve_rc=$?
+serve_pid=
 if [ "$serve_rc" -ne 0 ]; then
   echo "check: FAIL — serve exited $serve_rc after SIGTERM" >&2
   cat "$cache_dir/serve.out" >&2
