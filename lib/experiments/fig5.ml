@@ -28,16 +28,12 @@ let replay () =
       (String.concat ", " (List.map (Printf.sprintf "B%d'") live))
       bytes (compressed_area + bytes)
   in
-  let steps =
-    ref
-      [
-        ( {
-            label = "(1)";
-            action = "initial image: all blocks compressed, PC at B0";
-          },
-          summary () );
-      ]
+  let steps = ref [] in
+  let snap action =
+    let label = Printf.sprintf "(%d)" (List.length !steps + 1) in
+    steps := ({ label; action }, summary ()) :: !steps
   in
+  snap "initial image: all blocks compressed, PC at B0";
   let discards = ref [] in
   (* what the current step has done so far *)
   let notes = ref [] and excepted = ref false and decompressed = ref false in
@@ -66,12 +62,9 @@ let replay () =
       | Exec { block; _ } ->
         if not !excepted then
           note (Printf.sprintf "direct branch to B%d', no exception" block);
-        let action =
-          Printf.sprintf "execute B%d: %s" block
-            (String.concat "; " (List.rev !notes))
-        in
-        let label = Printf.sprintf "(%d)" (List.length !steps + 1) in
-        steps := ({ label; action }, summary ()) :: !steps;
+        snap
+          (Printf.sprintf "execute B%d: %s" block
+             (String.concat "; " (List.rev !notes)));
         notes := [];
         excepted := false;
         decompressed := false
