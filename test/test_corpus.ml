@@ -140,7 +140,7 @@ let test_gen_scenario () =
 
 (* ------------------------------------------------------------------ *)
 (* Engine vs. runtime discard agreement over arbitrary generated CFGs:
-   the acceptance property. Both simulators drive one Residency.Area,
+   the acceptance property. Both simulators drive one Residency.Policy,
    so for every retention policy the discard/patch-back sequences must
    match exactly — on programs no human wrote. *)
 

@@ -1,7 +1,7 @@
 (* Tests for the pluggable residency layer: policy unit semantics
    (clock second-chance, loop-aware nesting, pin-hot exemptions) and
    the cross-simulator guarantee — the timing model and the executable
-   runtime drive the same Residency.Area, so the same policy must make
+   runtime drive the same Residency.Policy, so the same policy must make
    the same discard/patch-back decisions in both. *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -202,7 +202,7 @@ let test_pin_hot_out_of_range_rejected () =
 
 (* ------------------------------------------------------------------ *)
 (* Cross-simulator agreement: the timing model and the executable
-   runtime share one Residency.Area, so for the same workload, k and
+   runtime drive one Residency.Policy, so for the same workload, k and
    retention policy they must discard the same blocks in the same
    order, patching back the same number of sites each time. *)
 
