@@ -615,6 +615,37 @@ let test_sweep_bad_scenario_is_error () =
       (String.length msg > 0)
   | _ -> Alcotest.fail "expected one Error outcome"
 
+(* Fuel counts a job's simulation events: with exactly as much fuel
+   as the job emits events it returns the unguarded metrics, with one
+   unit less it fails with the fuel message. *)
+let test_sweep_fuel_boundary () =
+  List.iter
+    (fun (spec : Fleet.Job.t) ->
+      let sc = resolve ~scenario:spec.scenario ~codec:spec.codec in
+      let counters = Sim.Events.counters () in
+      let reference =
+        Fleet.Job.execute ~sink:(Sim.Events.counting counters) sc spec
+      in
+      let e = Sim.Events.total counters in
+      checkb "the job emits events" true (e > 1024);
+      (match Fleet.Sweep.run ~fuel:e ~resolve [ spec ] with
+      | [ { result = Ok m; _ } ] ->
+        checkb "fuel = events: unguarded metrics" true (m = reference)
+      | _ -> Alcotest.fail "fuel = events did not complete");
+      match Fleet.Sweep.run ~fuel:(e - 1) ~resolve [ spec ] with
+      | [ { result = Error msg; _ } ] ->
+        checks "fuel = events - 1 fails"
+          (Printf.sprintf "fuel exhausted after %d ticks" (e - 1))
+          msg
+      | _ -> Alcotest.fail "fuel = events - 1 completed")
+    [
+      job ~scenario:"fsm" ~k:2 ();
+      job ~scenario:"dijkstra" ~k:4 ~budget:120
+        ~strategy:
+          (Fleet.Job.Pre_single { lookahead = 2; predictor = "last-taken" })
+        ();
+    ]
+
 let test_sweep_progress_jsonl () =
   let lines = ref [] in
   let _ =
@@ -732,6 +763,7 @@ let () =
           Alcotest.test_case "bad scenario" `Quick
             test_sweep_bad_scenario_is_error;
           Alcotest.test_case "progress jsonl" `Quick test_sweep_progress_jsonl;
+          Alcotest.test_case "fuel boundary" `Quick test_sweep_fuel_boundary;
         ] );
       ( "determinism",
         [

@@ -164,6 +164,67 @@ let prop_pairheap_order =
         ops
       && Memsim.Pairheap.is_empty h = (!model = []))
 
+(* Random touch (times out of order, with ties), remove and victim
+   sequences against a sorted-list model: after every operation the
+   victim (with and without an exclusion set), the LRU order and the
+   cardinality all match. *)
+type lru_op = Touch of int * int | Remove of int | Victim of int list
+
+let prop_lru_model =
+  let block = QCheck.Gen.(frequency [ (4, 0 -- 9); (1, 0 -- 130) ]) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun b t -> Touch (b, t)) block (0 -- 12));
+          (2, map (fun b -> Remove b) block);
+          (2, map (fun ex -> Victim ex) (list_size (0 -- 4) block));
+        ])
+  in
+  let show = function
+    | Touch (b, t) -> Printf.sprintf "touch %d@%d" b t
+    | Remove b -> Printf.sprintf "remove %d" b
+    | Victim ex ->
+      Printf.sprintf "victim -%s"
+        (String.concat "," (List.map string_of_int ex))
+  in
+  QCheck.Test.make ~count:300 ~name:"lru = sorted-list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (0 -- 120) op))
+    (fun ops ->
+      let l = Memsim.Lru.create () and model = ref [] in
+      let order () =
+        List.sort
+          (fun (b1, t1) (b2, t2) -> compare (t1, b1) (t2, b2))
+          !model
+      in
+      let model_victim ex =
+        List.find_map
+          (fun (b, _) -> if List.mem b ex then None else Some b)
+          (order ())
+      in
+      List.for_all
+        (fun op ->
+          let exclude =
+            match op with
+            | Touch (b, time) ->
+              Memsim.Lru.touch l b ~time;
+              model := (b, time) :: List.remove_assoc b !model;
+              []
+            | Remove b ->
+              Memsim.Lru.remove l b;
+              model := List.remove_assoc b !model;
+              []
+            | Victim ex -> ex
+          in
+          Memsim.Lru.victim l ~exclude:(fun b -> List.mem b exclude) ()
+          = model_victim exclude
+          && Memsim.Lru.victim l () = model_victim []
+          && Memsim.Lru.to_list l = order ()
+          && Memsim.Lru.cardinal l = List.length !model)
+        ops)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -186,5 +247,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_lru;
           Alcotest.test_case "tie break" `Quick test_lru_tie_break;
           Alcotest.test_case "empty" `Quick test_lru_empty;
+          qcheck prop_lru_model;
         ] );
     ]
