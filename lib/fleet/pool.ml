@@ -9,16 +9,22 @@ type budget = {
   mutable used : int;
 }
 
-let tick b =
-  b.used <- b.used + 1;
+(* [n] units at once: the cancel hook is polled whenever [used]
+   crosses a multiple of 256 and the deadline a multiple of 1024, so
+   one unit at a time polls exactly as often as it always did. *)
+let tick b n =
+  let before = b.used in
+  let used = before + n in
+  b.used <- used;
   (match b.fuel with
-  | Some f when b.used > f -> raise Fuel_exhausted
+  | Some f when used > f -> raise Fuel_exhausted
   | _ -> ());
   (match b.cancel with
-  | Some cancelled when b.used land 255 = 0 && cancelled () -> raise Cancelled
+  | Some cancelled when before lsr 8 <> used lsr 8 && cancelled () ->
+    raise Cancelled
   | _ -> ());
   match b.deadline with
-  | Some d when b.used land 1023 = 0 && Unix.gettimeofday () > d ->
+  | Some d when before lsr 10 <> used lsr 10 && Unix.gettimeofday () > d ->
     raise Timed_out
   | _ -> ()
 

@@ -10,9 +10,9 @@
     (cooperative tick count) and wall-clock deadline. The task
     function calls {!tick} at natural checkpoints — the fleet's sweep
     wires it into the engine's event sink, so a simulation burns one
-    fuel unit per emitted event — and a blown budget raises, which the
-    pool catches like any other task exception: the job becomes an
-    [Error], the worker survives. *)
+    fuel unit per emitted event, a whole chunk at a time — and a
+    blown budget raises, which the pool catches like any other task
+    exception: the job becomes an [Error], the worker survives. *)
 
 type t
 
@@ -32,9 +32,11 @@ exception Cancelled
 
 type budget
 
-val tick : budget -> unit
-(** Burns one fuel unit; checks the cancel hook every 256 ticks and
-    the deadline every 1024.
+val tick : budget -> int -> unit
+(** [tick b n] burns [n] fuel units at once (a producer's whole batch
+    of events); it polls the cancel hook whenever the units used cross
+    a multiple of 256, and the deadline a multiple of 1024 — one unit
+    at a time polls every 256th and 1024th tick.
     @raise Fuel_exhausted / @raise Timed_out / @raise Cancelled when
     the budget is blown (caught by the pool's per-job isolation). *)
 
@@ -54,10 +56,10 @@ val map :
     waiting for its own worker).
 
     [cancel] is polled from worker domains — before each task starts
-    and every 256 {!tick}s — so it must be cheap and thread-safe (an
-    [Atomic.get] is the intended shape). Once it returns [true],
-    running tasks abort at their next poll and queued tasks never
-    start; each yields [Error "cancelled"]. *)
+    and whenever {!tick}'s units cross a multiple of 256 — so it must
+    be cheap and thread-safe (an [Atomic.get] is the intended shape).
+    Once it returns [true], running tasks abort at their next poll and
+    queued tasks never start; each yields [Error "cancelled"]. *)
 
 val run_sequential :
   ?fuel:int ->

@@ -119,7 +119,14 @@ let run ?(jobs = 1) ?pool ?cache ?registry ?progress ?fuel ?timeout_ms ?cancel
       | Ok sc -> sc
       | Error _ -> assert false (* filtered into [unresolvable] *)
     in
-    let sink = Sim.Events.callback (fun _ -> Pool.tick b) in
+    (* Counting needs no boxed event: a chunk burns its length. *)
+    let sink =
+      {
+        Sim.Events.null with
+        emit = (fun _ -> Pool.tick b 1);
+        emit_chunk = (fun ch -> Pool.tick b (Sim.Events.Packed.length ch));
+      }
+    in
     match Job.execute ~sink sc spec with
     | m ->
       emit key spec "ok";

@@ -46,7 +46,9 @@ val run :
     once per distinct (scenario, codec) pair that actually needs an
     engine run; a raising [resolve] fails only the jobs that needed
     it. [fuel]/[timeout_ms] bound each engine run via {!Pool.tick}
-    wired into the run's event sink (one tick per simulation event).
+    wired into the run's event sink (one fuel unit per simulation
+    event, burnt a chunk at a time; a job fails exactly when its
+    events outnumber the fuel).
 
     [registry] gains the pool's counters (names
     [fleet_jobs_submitted], [fleet_jobs_completed],

@@ -14,7 +14,7 @@
 
 type t = {
   k : int;
-  k_of : int -> int;
+  k_of : int array;  (* per-block k, validated when the block is tracked *)
   base : int array;  (* step of last reset; -1 = untracked *)
   mask : int;  (* wheel size - 1, the size a power of two *)
   wheel : int array array;  (* per bucket: due, block, due, block, ... *)
@@ -28,19 +28,15 @@ let rec wheel_size k w = if w > k || w >= 1024 then w else wheel_size k (2 * w)
 let create ?k_of ~blocks ~k () =
   if k < 1 then invalid_arg "Memsim.Kedge.create: k must be >= 1";
   if blocks < 1 then invalid_arg "Memsim.Kedge.create: blocks must be >= 1";
-  let k_of =
-    match k_of with
-    | None -> fun _ -> k
-    | Some f ->
-      fun b ->
-        let kb = f b in
-        if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1"
-        else kb
-  in
   let w = wheel_size k 8 in
   {
     k;
-    k_of;
+    (* One call per block here instead of one per track and per due
+       entry scanned: the adaptive variants' closures are not cheap. *)
+    k_of =
+      (match k_of with
+      | None -> Array.make blocks k
+      | Some f -> Array.init blocks f);
     base = Array.make blocks (-1);
     mask = w - 1;
     wheel = Array.make w [||];
@@ -48,7 +44,10 @@ let create ?k_of ~blocks ~k () =
   }
 
 let k t = t.k
-let k_for t ~block = t.k_of block
+
+let k_for t ~block =
+  let kb = t.k_of.(block) in
+  if kb < 1 then invalid_arg "Memsim.Kedge: per-block k must be >= 1" else kb
 
 let push t due block =
   let i = due land t.mask in
@@ -68,8 +67,8 @@ let push t due block =
   t.fill.(i) <- n + 2
 
 let track t ~block ~step =
+  let kb = k_for t ~block in
   t.base.(block) <- step;
-  let kb = t.k_of block in
   (* Guard against overflow for "never compress" style huge k. *)
   if kb <= max_int - step then push t (step + kb) block
 
@@ -108,7 +107,7 @@ let rec scan t step (bucket : int array) i len j kept into n =
   else begin
     let d = bucket.(j) and b = bucket.(j + 1) in
     let base = t.base.(b) in
-    if d < step || base < 0 || base + t.k_of b <> d then
+    if d < step || base < 0 || base + t.k_of.(b) <> d then
       scan t step bucket i len (j + 2) kept into n
     else if d = step then
       scan t step bucket i len (j + 2) kept into (insert_unique into n b)

@@ -18,9 +18,10 @@ type t
 
 val create : ?k_of:(int -> int) -> blocks:int -> k:int -> unit -> t
 (** [k_of] gives each block its own deletion distance (the adaptive
-    variant); blocks default to the uniform [k].
-    @raise Invalid_argument if [k < 1], [blocks < 1], or [k_of]
-    returns a value below 1. *)
+    variant); blocks default to the uniform [k]. It is called once
+    per block, here, and its values kept in a table.
+    @raise Invalid_argument if [k < 1] or [blocks < 1]; a [k_of] value
+    below 1 raises when its block is tracked or asked for. *)
 
 val k : t -> int
 (** The uniform/default k. *)

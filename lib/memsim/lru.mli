@@ -8,7 +8,9 @@ val create : unit -> t
 
 val touch : t -> int -> time:int -> unit
 (** Marks a block as used at [time] (monotonically increasing times
-    give exact LRU order; equal times break ties by block id). *)
+    give exact LRU order; equal times break ties by block id). One
+    step when [time] is at least every tracked time; a time that goes
+    back costs a step per tracked block used later. *)
 
 val remove : t -> int -> unit
 (** Forgets a block (no-op if absent). *)
@@ -17,7 +19,9 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 
 val victim : t -> ?exclude:(int -> bool) -> unit -> int option
-(** Least recently used tracked block not excluded. *)
+(** Least recently used tracked block not excluded. Walks the tracked
+    blocks oldest first, so it costs one [exclude] call per excluded
+    block older than the victim, plus one. *)
 
 val to_list : t -> (int * int) list
 (** [(block, last_use)] pairs, LRU first. *)

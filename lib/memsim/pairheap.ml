@@ -16,7 +16,9 @@ let min_snd t = t.snd.(0)
 let[@inline] less (a : int) (b : int) (c : int) (d : int) =
   a < c || (a = c && b < d)
 
-let[@inline] swap fst snd i j =
+(* Typed [int array] so the swaps are plain int moves, not generic
+   array accesses with a write barrier. *)
+let[@inline] swap (fst : int array) (snd : int array) i j =
   let a = Array.unsafe_get fst i and b = Array.unsafe_get snd i in
   Array.unsafe_set fst i (Array.unsafe_get fst j);
   Array.unsafe_set snd i (Array.unsafe_get snd j);

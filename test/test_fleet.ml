@@ -241,7 +241,7 @@ let test_pool_fuel () =
     Fleet.Pool.run_sequential ~fuel:100
       (fun b () ->
         for _ = 1 to 1_000_000 do
-          Fleet.Pool.tick b
+          Fleet.Pool.tick b 1
         done)
       [ () ]
   in
@@ -499,13 +499,31 @@ let test_pool_cancel_mid_run () =
       (fun b () ->
         for _ = 1 to 10_000_000 do
           Atomic.incr ticks;
-          Fleet.Pool.tick b
+          Fleet.Pool.tick b 1
         done)
       [ () ]
   in
   checkb "aborted by the cancel hook" true (rs = [ Error "cancelled" ]);
   checkb "stopped promptly, not at the end" true
     (Atomic.get ticks < 10_000_000)
+
+(* Ticking a batch at a time still polls the cancel hook: every batch
+   that carries the count over a multiple of 256 polls it. *)
+let test_pool_cancel_mid_run_batched () =
+  let ticks = Atomic.make 0 in
+  let rs =
+    Fleet.Pool.run_sequential
+      ~cancel:(fun () -> Atomic.get ticks > 5_000)
+      (fun b () ->
+        for _ = 1 to 100_000 do
+          ignore (Atomic.fetch_and_add ticks 100);
+          Fleet.Pool.tick b 100
+        done)
+      [ () ]
+  in
+  checkb "aborted by the cancel hook" true (rs = [ Error "cancelled" ]);
+  checkb "stopped within a poll interval of the hook" true
+    (Atomic.get ticks <= 5_000 + 256 + 100)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
@@ -735,6 +753,8 @@ let () =
           Alcotest.test_case "cancel before start" `Quick
             test_pool_cancel_before_start;
           Alcotest.test_case "cancel mid-run" `Quick test_pool_cancel_mid_run;
+          Alcotest.test_case "cancel mid-run, batched ticks" `Quick
+            test_pool_cancel_mid_run_batched;
         ] );
       ( "cache",
         [
