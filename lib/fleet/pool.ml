@@ -11,7 +11,7 @@ type budget = {
 
 (* [n] units at once: the cancel hook is polled whenever [used]
    crosses a multiple of 256 and the deadline a multiple of 1024, so
-   one unit at a time polls exactly as often as it always did. *)
+   ticking one unit at a time polls on every 256th and 1024th unit. *)
 let tick b n =
   let before = b.used in
   let used = before + n in

@@ -82,11 +82,14 @@ let remove t b =
 
 let cardinal t = t.tracked
 
-let victim t ?(exclude = fun _ -> false) () =
-  let rec first b =
-    if b = nil then None else if exclude b then first t.newer.(b) else Some b
-  in
-  first t.oldest
+(* Top level, not a closure over [t] and [exclude]: a victim search
+   allocates nothing but its answer. *)
+let rec first t exclude b =
+  if b = nil then None
+  else if exclude b then first t exclude t.newer.(b)
+  else Some b
+
+let victim t ?(exclude = fun _ -> false) () = first t exclude t.oldest
 
 let to_list t =
   let rec collect b acc =
