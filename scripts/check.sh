@@ -8,9 +8,10 @@
 # in two processes, same checksum and byte-identical event traces), a
 # fleet sweep smoke (parallel run against a cold cache, then the same
 # sweep warm — the second run must be served entirely from cache and
-# print identical tables), and a service smoke (real daemon on a Unix
-# socket: serve, call — sequential and pipelined — counters move,
-# SIGTERM drains to exit 0).
+# print identical tables), a fuel smoke (a sweep job short of fuel
+# fails with the fuel message, one with ample fuel completes), and a
+# service smoke (real daemon on a Unix socket: serve, call —
+# sequential and pipelined — counters move, SIGTERM drains to exit 0).
 # `make check` runs this script.
 set -eu
 cd "$(dirname "$0")/.."
@@ -155,6 +156,22 @@ if [ "$block_rows" -ne "$suite" ]; then
   echo "check: FAIL — E19 has $block_rows block-granularity rows for $suite workloads" >&2
   exit 1
 fi
+
+# Fuel smoke: fuel counts a job's simulation events, so a sweep job
+# given 10 units must fail with the fuel message and exit 1, and the
+# same job given ample fuel must complete and exit 0.
+fuel_rc=0
+fuel_out=$("$ccomp" sweep fsm --ks 2 --no-cache --fuel 10 2>&1) || fuel_rc=$?
+if [ "$fuel_rc" -ne 1 ] \
+  || ! printf '%s\n' "$fuel_out" | grep -q 'fuel exhausted after 10 ticks'; then
+  echo "check: FAIL — sweep --fuel 10 exited $fuel_rc without the fuel error" >&2
+  printf '%s\n' "$fuel_out" >&2
+  exit 1
+fi
+"$ccomp" sweep fsm --ks 2 --no-cache --fuel 100000000 > /dev/null || {
+  echo "check: FAIL — sweep with ample fuel did not complete" >&2
+  exit 1
+}
 
 # On any exit, stop the service smoke's daemon if it is still running
 # (it has no idle timeout), then remove the scratch directory.
