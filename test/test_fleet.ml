@@ -491,39 +491,23 @@ let test_pool_cancel_before_start () =
     (fun r -> checkb "cancelled before start" true (r = Error "cancelled"))
     rs
 
-let test_pool_cancel_mid_run () =
+(* The cancel hook is polled whenever the ticked units cross a
+   multiple of 256, whatever the batch size. *)
+let test_pool_cancel_mid_run step () =
   let ticks = Atomic.make 0 in
   let rs =
     Fleet.Pool.run_sequential
       ~cancel:(fun () -> Atomic.get ticks > 5_000)
       (fun b () ->
-        for _ = 1 to 10_000_000 do
-          Atomic.incr ticks;
-          Fleet.Pool.tick b 1
-        done)
-      [ () ]
-  in
-  checkb "aborted by the cancel hook" true (rs = [ Error "cancelled" ]);
-  checkb "stopped promptly, not at the end" true
-    (Atomic.get ticks < 10_000_000)
-
-(* Ticking a batch at a time still polls the cancel hook: every batch
-   that carries the count over a multiple of 256 polls it. *)
-let test_pool_cancel_mid_run_batched () =
-  let ticks = Atomic.make 0 in
-  let rs =
-    Fleet.Pool.run_sequential
-      ~cancel:(fun () -> Atomic.get ticks > 5_000)
-      (fun b () ->
-        for _ = 1 to 100_000 do
-          ignore (Atomic.fetch_and_add ticks 100);
-          Fleet.Pool.tick b 100
+        for _ = 1 to 10_000_000 / step do
+          ignore (Atomic.fetch_and_add ticks step);
+          Fleet.Pool.tick b step
         done)
       [ () ]
   in
   checkb "aborted by the cancel hook" true (rs = [ Error "cancelled" ]);
   checkb "stopped within a poll interval of the hook" true
-    (Atomic.get ticks <= 5_000 + 256 + 100)
+    (Atomic.get ticks <= 5_000 + 256 + step)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
@@ -752,9 +736,10 @@ let () =
           Alcotest.test_case "bad sizes" `Quick test_pool_rejects_bad_sizes;
           Alcotest.test_case "cancel before start" `Quick
             test_pool_cancel_before_start;
-          Alcotest.test_case "cancel mid-run" `Quick test_pool_cancel_mid_run;
+          Alcotest.test_case "cancel mid-run" `Quick
+            (test_pool_cancel_mid_run 1);
           Alcotest.test_case "cancel mid-run, batched ticks" `Quick
-            test_pool_cancel_mid_run_batched;
+            (test_pool_cancel_mid_run 100);
         ] );
       ( "cache",
         [
