@@ -672,6 +672,186 @@ let fuzz_tests =
     @ Compress.Registry.shared_all ~corpus:golden_corpus)
 
 (* ------------------------------------------------------------------ *)
+(* Huffman against a bit-by-bit reference decoder                      *)
+
+(* The reference decodes one bit at a time from the exported model
+   functions alone ([code_lengths], [canonical_codes]): no tables, no
+   accumulator, no peek past the end. Each Huffman codec must give the
+   reference's bytes on valid input, and on damaged input either the
+   reference's bytes or Corrupt exactly when the reference fails. *)
+
+exception Ref_corrupt
+
+(* (length, code) -> symbol, and the longest length. *)
+let ref_model lengths =
+  let codes = Compress.Huffman.canonical_codes lengths in
+  let tbl = Hashtbl.create 256 in
+  Array.iteri
+    (fun s (code, len) -> if len > 0 then Hashtbl.replace tbl (len, code) s)
+    codes;
+  (tbl, Array.fold_left max 0 lengths)
+
+(* Symbol [i] is coded with [models.(i mod n)]. *)
+let ref_decode models b ~pos orig_len =
+  let nbits = 8 * (Bytes.length b - pos) in
+  (* every symbol takes at least one bit *)
+  if orig_len > nbits then raise Ref_corrupt;
+  let bit = ref 0 in
+  let next_bit () =
+    if !bit >= nbits then raise Ref_corrupt;
+    let byte = Char.code (Bytes.get b (pos + (!bit / 8))) in
+    let v = (byte lsr (7 - (!bit land 7))) land 1 in
+    incr bit;
+    v
+  in
+  let out = Bytes.create orig_len in
+  for i = 0 to orig_len - 1 do
+    let tbl, max_len = models.(i mod Array.length models) in
+    let rec go code len =
+      let code = (code lsl 1) lor next_bit () and len = len + 1 in
+      match Hashtbl.find_opt tbl (len, code) with
+      | Some s -> s
+      | None -> if len >= max_len then raise Ref_corrupt else go code len
+    in
+    Bytes.set out i (Char.chr (go 0 0))
+  done;
+  out
+
+let ref_u16 b =
+  if Bytes.length b < 2 then raise Ref_corrupt;
+  Char.code (Bytes.get b 0) lor (Char.code (Bytes.get b 1) lsl 8)
+
+(* The per-block format: u32 length, a (symbol, length) table, the
+   payload. A table that is not a prefix code (Kraft sum above one) is
+   corrupt. *)
+let ref_huffman b =
+  if Bytes.length b < 4 then raise Ref_corrupt;
+  let orig_len =
+    Char.code (Bytes.get b 0)
+    lor (Char.code (Bytes.get b 1) lsl 8)
+    lor (Char.code (Bytes.get b 2) lsl 16)
+    lor (Char.code (Bytes.get b 3) lsl 24)
+  in
+  if orig_len = 0 then Bytes.empty
+  else begin
+    if Bytes.length b < 5 then raise Ref_corrupt;
+    let nsyms = Char.code (Bytes.get b 4) + 1 in
+    let table_end = 5 + (2 * nsyms) in
+    if Bytes.length b < table_end then raise Ref_corrupt;
+    let lengths = Array.make 256 0 in
+    for i = 0 to nsyms - 1 do
+      let s = Char.code (Bytes.get b (5 + (2 * i))) in
+      let l = Char.code (Bytes.get b (6 + (2 * i))) in
+      if l = 0 || l > 30 || lengths.(s) <> 0 then raise Ref_corrupt;
+      lengths.(s) <- l
+    done;
+    let kraft =
+      Array.fold_left (fun a l -> if l > 0 then a + (1 lsl (30 - l)) else a) 0
+        lengths
+    in
+    if kraft > 1 lsl 30 then raise Ref_corrupt;
+    ref_decode [| ref_model lengths |] b ~pos:table_end orig_len
+  end
+
+(* The shared codecs' training, redone from the exported functions. *)
+let ref_shared ~corpus =
+  let freqs = Array.make 256 0 in
+  Bytes.iter (fun c -> freqs.(Char.code c) <- freqs.(Char.code c) + 1) corpus;
+  let model =
+    ref_model
+      (Compress.Huffman.code_lengths (Array.map (fun f -> (f * 256) + 1) freqs))
+  in
+  fun b -> ref_decode [| model |] b ~pos:2 (ref_u16 b)
+
+let ref_positional ~corpus =
+  let freqs = Array.init 4 (fun _ -> Array.make 256 1) in
+  Bytes.iteri
+    (fun i c ->
+      let f = freqs.(i mod 4) in
+      f.(Char.code c) <- f.(Char.code c) + 256)
+    corpus;
+  let models =
+    Array.map (fun f -> ref_model (Compress.Huffman.code_lengths f)) freqs
+  in
+  fun b -> ref_decode models b ~pos:2 (ref_u16 b)
+
+let ref_corpus =
+  Eris.Program.(
+    (Eris.Asm.assemble_exn
+       (Workloads.Suite.find_exn "dijkstra").Workloads.Common.source)
+      .image)
+
+(* Word-aligned slices of a real image, synthetic code blocks of the
+   kind the engine prices, and a few uniform-random blocks whose rare
+   bytes take the codes longer than the root table. *)
+let ref_blocks =
+  let st = Random.State.make [| 0x4EF |] in
+  let image = ref_corpus in
+  List.init 120 (fun i ->
+      match i mod 4 with
+      | 0 | 1 ->
+        let words = 1 + Random.State.int st 24 in
+        let lo = 4 * Random.State.int st ((Bytes.length image / 4) - words) in
+        Bytes.sub image lo (4 * words)
+      | 2 ->
+        Core.Scenario.synthetic_block_bytes ~id:(100 + i)
+          ~size:(4 * (1 + Random.State.int st 64))
+      | _ ->
+        Bytes.init (1 + Random.State.int st 200) (fun _ ->
+            Char.chr (Random.State.int st 256)))
+
+let test_huffman_reference (codec, reference) () =
+  let st = Random.State.make [| 0xD1F; Hashtbl.hash codec.Compress.Codec.name |] in
+  let outcome f b =
+    match f b with
+    | out -> Some (Bytes.to_string out)
+    | exception (Ref_corrupt | Compress.Codec.Corrupt _) -> None
+  in
+  let agree what b =
+    let want = outcome reference b
+    and got = outcome codec.Compress.Codec.decompress b in
+    if want <> got then
+      Alcotest.failf "%s, %s (%d bytes %s): %s, reference %s"
+        codec.Compress.Codec.name what (Bytes.length b)
+        (hex_of_bytes b)
+        (match got with Some s -> Printf.sprintf "%d bytes" (String.length s) | None -> "Corrupt")
+        (match want with Some s -> Printf.sprintf "%d bytes" (String.length s) | None -> "Corrupt")
+  in
+  List.iter
+    (fun block ->
+      let z = codec.Compress.Codec.compress block in
+      let n = Bytes.length z in
+      checkb "reference decodes the block" true
+        (outcome reference z = Some (Bytes.to_string block));
+      agree "intact" z;
+      for _ = 1 to 8 do
+        agree "truncated" (Bytes.sub z 0 (Random.State.int st n))
+      done;
+      for _ = 1 to 16 do
+        let m = Bytes.copy z in
+        for _ = 0 to Random.State.int st 3 do
+          let i = Random.State.int st n in
+          let bit = 1 lsl Random.State.int st 8 in
+          Bytes.set m i (Char.chr (Char.code (Bytes.get m i) lxor bit))
+        done;
+        agree "bit-flipped" m
+      done)
+    ref_blocks
+
+let reference_tests =
+  List.map
+    (fun ((codec, _) as pair) ->
+      Alcotest.test_case codec.Compress.Codec.name `Quick
+        (test_huffman_reference pair))
+    [
+      (Compress.Huffman.codec, ref_huffman);
+      ( Compress.Huffman.shared ~corpus:ref_corpus,
+        ref_shared ~corpus:ref_corpus );
+      ( Compress.Huffman.shared_positional ~corpus:ref_corpus,
+        ref_positional ~corpus:ref_corpus );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Bitio reader API (appended suite)                                   *)
 
 let test_bitio_rejects_wide_reads () =
@@ -718,6 +898,7 @@ let () =
       ( "golden",
         [ Alcotest.test_case "pinned vectors" `Quick test_golden_vectors ] );
       ("adversarial", fuzz_tests);
+      ("huffman-reference", reference_tests);
       ( "bitio-reader",
         [
           Alcotest.test_case "wide reads rejected" `Quick

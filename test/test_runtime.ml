@@ -170,40 +170,60 @@ let test_line_mode_validation () =
 (* A decompression that is off by one bit must stop the run, not
    execute: the handler compares every decompressed block (or line)
    byte for byte against the image. The corrupting codec flips bit 0
-   of byte 0 of each decompression. *)
-let corrupting_codec =
+   of byte [pick len] of each [len]-byte decompression and records the
+   length of the first. *)
+let corrupting_codec pick =
   let base = Compress.Registry.find_exn "lzss" in
-  {
-    base with
-    Compress.Codec.name = "lzss-bitflip";
-    decompress =
-      (fun z ->
-        let b = Bytes.copy (base.Compress.Codec.decompress z) in
-        if Bytes.length b > 0 then
-          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
-        b);
-  }
+  let first_len = ref (-1) in
+  ( {
+      base with
+      Compress.Codec.name = "lzss-bitflip";
+      decompress =
+        (fun z ->
+          let b = Bytes.copy (base.Compress.Codec.decompress z) in
+          let n = Bytes.length b in
+          if !first_len < 0 then first_len := n;
+          if n > 0 then begin
+            let i = pick n in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1))
+          end;
+          b);
+    },
+    first_len )
 
-let expect_mismatch ?line_size () =
+(* The first decompression is of the entry block (or its first line),
+   so the reported address is that unit's start plus the flipped
+   offset. *)
+let expect_mismatch ?line_size pick () =
   let w = Workloads.Suite.find_exn "crc32" in
-  match
-    Runtime.run ~k:8 ~codec:corrupting_codec ?line_size
-      (Eris.Asm.assemble_exn w.Workloads.Common.source)
-  with
+  let prog = Eris.Asm.assemble_exn w.Workloads.Common.source in
+  let graph = Cfg.Build.of_program prog in
+  let entry = Cfg.Graph.entry graph in
+  let unit_addr =
+    match line_size with
+    | None -> (Cfg.Graph.block graph entry).Cfg.Graph.addr
+    | Some line_size ->
+      let lmap = Residency.Linemap.build ~line_size graph in
+      lmap.Residency.Linemap.addr.(lmap.Residency.Linemap.of_block.(entry).(0))
+  in
+  let codec, first_len = corrupting_codec pick in
+  match Runtime.run ~k:8 ~codec ?line_size prog with
   | Error (Runtime.Machine_fault { message; stats; _ }) ->
-    let prefix = "decompressed bytes differ from the image" in
-    checkb
-      (Printf.sprintf "mismatch reported (got %S)" message)
-      true
-      (String.length message >= String.length prefix
-      && String.sub message 0 (String.length prefix) = prefix);
+    Alcotest.check Alcotest.string "mismatch reported at the flipped byte"
+      (Printf.sprintf "decompressed bytes differ from the image at %d"
+         (unit_addr + pick !first_len))
+      message;
     checki "nothing executed" 0 stats.Runtime.instructions
   | Ok _ -> Alcotest.fail "corrupted decompression ran to completion"
   | Error (Runtime.Out_of_fuel _) ->
     Alcotest.fail "expected a fault, got out of fuel"
 
-let test_corruption_block () = expect_mismatch ()
-let test_corruption_line () = expect_mismatch ~line_size:32 ()
+(* The first byte, a middle one and the last: the image check compares
+   whole words and then a tail, and must name the same first differing
+   byte wherever it falls. *)
+let first_byte _ = 0
+let middle_byte n = n / 2
+let last_byte n = n - 1
 
 (* The runtime and the model (Core.Engine) must agree on the shape:
    runtime trap counts move with k the same way the engine's demand
@@ -474,7 +494,11 @@ let () =
           Alcotest.test_case "agrees with the model" `Quick
             test_runtime_engine_agreement;
           Alcotest.test_case "corrupt decompression faults" `Quick
-            test_corruption_block;
+            (expect_mismatch first_byte);
+          Alcotest.test_case "corrupt middle byte faults" `Quick
+            (expect_mismatch middle_byte);
+          Alcotest.test_case "corrupt last byte faults" `Quick
+            (expect_mismatch last_byte);
         ] );
       ( "line-mode",
         [
@@ -485,7 +509,11 @@ let () =
           Alcotest.test_case "line codec" `Quick test_line_mode_line_codec;
           Alcotest.test_case "validation" `Quick test_line_mode_validation;
           Alcotest.test_case "corrupt line decompression faults" `Quick
-            test_corruption_line;
+            (expect_mismatch ~line_size:32 first_byte);
+          Alcotest.test_case "corrupt middle line byte faults" `Quick
+            (expect_mismatch ~line_size:32 middle_byte);
+          Alcotest.test_case "corrupt last line byte faults" `Quick
+            (expect_mismatch ~line_size:32 last_byte);
         ] );
       ( "fixture",
         [
