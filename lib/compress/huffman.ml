@@ -158,34 +158,6 @@ let decoder_of_lengths lengths =
   done;
   { max_len; root_bits; table; count; first_code; first_rank; sym_by_rank }
 
-(* Code longer than the root table (or an unowned prefix): one
-   [max_len]-bit peek, then the canonical scan over the remaining
-   lengths. Out of the per-symbol hot loop so that loop stays small. *)
-let decode_long d reader l =
-  if l = 0 then raise (Codec.Corrupt "huffman: bad bitstream");
-  let bits = Bitio.Reader.peek reader d.max_len in
-  let rec scan l =
-    if l > d.max_len then raise (Codec.Corrupt "huffman: bad bitstream")
-    else
-      let code = bits lsr (d.max_len - l) in
-      let idx = code - d.first_code.(l) in
-      if idx >= 0 && idx < d.count.(l) then begin
-        Bitio.Reader.consume reader l;
-        d.sym_by_rank.(d.first_rank.(l) + idx)
-      end
-      else scan (l + 1)
-  in
-  scan (d.root_bits + 1)
-
-let decode_symbol d reader =
-  let e = Array.unsafe_get d.table (Bitio.Reader.peek reader d.root_bits) in
-  let l = e land 31 in
-  if l <> 0 && l <= d.root_bits then begin
-    Bitio.Reader.consume reader l;
-    e lsr 5
-  end
-  else decode_long d reader l
-
 (* ------------------------------------------------------------------ *)
 (* Wire format helpers                                                 *)
 
@@ -218,14 +190,39 @@ let encode_payload codes b =
     b;
   Bitio.Writer.contents w
 
-let decode_payload d b ~pos orig_len =
+(* The root table's miss: a code longer than [root_bits] (entry
+   length 31), or a prefix no code owns (0). One [max_len]-bit peek at
+   the accumulator's next bits (zero-padded past its end), then the
+   canonical scan over the longer lengths. Returns the entry the table
+   would hold, [(sym lsl 5) lor len]. Out of the loop, so the loop
+   stays small. *)
+let long_entry d acc nbits l =
+  if l = 0 then raise (Codec.Corrupt "huffman: bad bitstream");
+  let bits =
+    if nbits >= d.max_len then acc lsr (nbits - d.max_len)
+    else acc lsl (d.max_len - nbits)
+  in
+  let rec scan l =
+    if l > d.max_len then raise (Codec.Corrupt "huffman: bad bitstream")
+    else
+      let idx = (bits lsr (d.max_len - l)) - d.first_code.(l) in
+      if idx >= 0 && idx < d.count.(l) then
+        (d.sym_by_rank.(d.first_rank.(l) + idx) lsl 5) lor l
+      else scan (l + 1)
+  in
+  scan (d.root_bits + 1)
+
+(* The one decode loop of all three codecs: symbol [i] is coded with
+   [ds.(i mod Array.length ds)], where the length is a power of two
+   (one shared or per-block model, or one per byte position). *)
+let decode_payload ds b ~pos orig_len =
   (* Every symbol takes at least one bit, so a length prefix claiming
      more symbols than the payload has bits is corrupt — reject it
      before allocating the output. *)
   if orig_len > 8 * (Bytes.length b - pos) then
     raise (Codec.Corrupt "huffman: truncated payload");
   let out = Bytes.create orig_len in
-  let table = d.table and root_bits = d.root_bits in
+  let mask = Array.length ds - 1 in
   let n = Bytes.length b in
   (* The bit accumulator is kept in locals rather than behind
      [Bitio.Reader] calls: without flambda the per-symbol peek/consume
@@ -240,38 +237,22 @@ let decode_payload d b ~pos orig_len =
       incr bp;
       nbits := !nbits + 8
     done;
+    let d = Array.unsafe_get ds (i land mask) in
+    let root_bits = d.root_bits in
     let p =
       if !nbits >= root_bits then !acc lsr (!nbits - root_bits)
       else !acc lsl (root_bits - !nbits)
     in
-    let e = Array.unsafe_get table p in
-    let l = e land 31 in
-    let sym, l =
-      if l <> 0 && l <= root_bits then (e lsr 5, l)
-      else if l = 0 then raise (Codec.Corrupt "huffman: bad bitstream")
-      else begin
-        (* Code longer than the root table: one [max_len]-bit peek,
-           then the canonical scan over the remaining lengths. *)
-        let bits =
-          if !nbits >= d.max_len then !acc lsr (!nbits - d.max_len)
-          else !acc lsl (d.max_len - !nbits)
-        in
-        let rec scan l =
-          if l > d.max_len then raise (Codec.Corrupt "huffman: bad bitstream")
-          else
-            let code = bits lsr (d.max_len - l) in
-            let idx = code - d.first_code.(l) in
-            if idx >= 0 && idx < d.count.(l) then
-              (d.sym_by_rank.(d.first_rank.(l) + idx), l)
-            else scan (l + 1)
-        in
-        scan (d.root_bits + 1)
-      end
+    let e = Array.unsafe_get d.table p in
+    let e =
+      if e land 31 <> 0 && e land 31 <= root_bits then e
+      else long_entry d !acc !nbits (e land 31)
     in
+    let l = e land 31 in
     if l > !nbits then raise (Codec.Corrupt "Bitio: out of bits");
     nbits := !nbits - l;
     acc := !acc land ((1 lsl !nbits) - 1);
-    Bytes.unsafe_set out i (Char.unsafe_chr sym)
+    Bytes.unsafe_set out i (Char.unsafe_chr (e lsr 5))
   done;
   out
 
@@ -317,8 +298,7 @@ let decompress b =
       if lengths.(s) <> 0 then raise (Codec.Corrupt "huffman: duplicate symbol");
       lengths.(s) <- l
     done;
-    let d = decoder_of_lengths lengths in
-    decode_payload d b ~pos:table_end orig_len
+    decode_payload [| decoder_of_lengths lengths |] b ~pos:table_end orig_len
   end
 
 let codec =
@@ -348,7 +328,7 @@ let shared ~corpus =
   let freqs = Array.map (fun f -> (f * 256) + 1) freqs in
   let lengths = code_lengths freqs in
   let codes = canonical_codes lengths in
-  let d = decoder_of_lengths lengths in
+  let ds = [| decoder_of_lengths lengths |] in
   let compress b =
     check_block_len b;
     let buf = Buffer.create (Bytes.length b + 2) in
@@ -358,7 +338,7 @@ let shared ~corpus =
   in
   let decompress b =
     let orig_len = read_u16 b 0 in
-    decode_payload d b ~pos:2 orig_len
+    decode_payload ds b ~pos:2 orig_len
   in
   Codec.make ~name:"huffman-shared" ~dec_cycles_per_byte:6
     ~comp_cycles_per_byte:7 ~compress ~decompress ()
@@ -376,13 +356,9 @@ let shared_positional ~corpus =
       let s = Char.code c in
       freqs.(pos).(s) <- freqs.(pos).(s) + 256)
     corpus;
-  let models =
-    Array.map
-      (fun f ->
-        let lengths = code_lengths f in
-        (canonical_codes lengths, decoder_of_lengths lengths))
-      freqs
-  in
+  let lengths = Array.map code_lengths freqs in
+  let codes = Array.map canonical_codes lengths in
+  let ds = Array.map decoder_of_lengths lengths in
   let compress b =
     check_block_len b;
     let buf = Buffer.create (Bytes.length b + 2) in
@@ -390,24 +366,12 @@ let shared_positional ~corpus =
     let w = Bitio.Writer.create () in
     Bytes.iteri
       (fun i c ->
-        let codes, _ = models.(i mod num_positions) in
-        let code, len = codes.(Char.code c) in
+        let code, len = codes.(i mod num_positions).(Char.code c) in
         Bitio.Writer.add_bits w ~value:code ~bits:len)
       b;
     Buffer.add_bytes buf (Bitio.Writer.contents w);
     Bytes.of_string (Buffer.contents buf)
   in
-  let decompress b =
-    let orig_len = read_u16 b 0 in
-    if orig_len > 8 * (Bytes.length b - 2) then
-      raise (Codec.Corrupt "huffman: truncated payload");
-    let reader = Bitio.Reader.create ~pos:2 b in
-    let out = Bytes.create orig_len in
-    for i = 0 to orig_len - 1 do
-      let _, d = models.(i mod num_positions) in
-      Bytes.unsafe_set out i (Char.unsafe_chr (decode_symbol d reader))
-    done;
-    out
-  in
+  let decompress b = decode_payload ds b ~pos:2 (read_u16 b 0) in
   Codec.make ~name:"huffman-positional" ~dec_cycles_per_byte:6
     ~comp_cycles_per_byte:7 ~compress ~decompress ()

@@ -45,6 +45,12 @@ type slot =
 
 type layout = {
   slots : slot array;
+  template : Eris.Types.instruction array;
+      (* a copy's instructions before relocation: [Plain] as is, [Skip]
+         as its branch over the next slot, a placeholder at each jump *)
+  jumps : int array;  (* the [Jump] slots, the only base-dependent ones *)
+  mutable checked : bool;
+      (* the template has passed validation (in its first copy) *)
   first_slot : int array;
       (* per home word of the block, the first slot carrying it (for a
          branch pair the skip-branch, for a call sequence the lui): the
@@ -99,15 +105,28 @@ let layout_of_block (b : Cfg.Graph.block) decoded =
     let off = snd pairs.(i) in
     if off < b.byte_size then first_slot.(off / 4) <- i
   done;
-  { slots = Array.map fst pairs; first_slot }
+  let slots = Array.map fst pairs in
+  let template =
+    Array.map
+      (function
+        | Plain i -> i
+        | Skip (c, rs1, rs2) -> Eris.Types.Branch (c, rs1, rs2, 1)
+        | Jump _ -> Eris.Types.Halt)
+      slots
+  in
+  let jumps =
+    List.init (Array.length slots) Fun.id
+    |> List.filter (fun i -> match slots.(i) with Jump _ -> true | _ -> false)
+    |> Array.of_list
+  in
+  { slots; template; jumps; checked = false; first_slot }
 
 (* The instruction a slot holds when (re)targeted at its home address. *)
 let materialize layout ~base idx =
   match layout.slots.(idx) with
-  | Plain i -> i
-  | Skip (c, rs1, rs2) -> Eris.Types.Branch (c, rs1, rs2, 1)
   | Jump home_target ->
     Eris.Types.Jal (Eris.Types.r0, (home_target - (base + (4 * idx) + 4)) / 4)
+  | Plain _ | Skip _ -> layout.template.(idx)
 
 (* ------------------------------------------------------------------ *)
 (* Copies                                                              *)
@@ -130,10 +149,9 @@ type linestate = {
   lmap : Residency.Linemap.t;
   line_z : bytes array;  (* per-line compressed streams *)
   line_refs : int array;  (* live copies referencing each line *)
-  line_bytes : bytes array;
-      (* a resident line's decompressed bytes, kept while it has
-         references and dropped (to [Bytes.empty]) when the last one
-         goes *)
+  line_held : bool array;
+      (* a line's decompressed bytes are held: set when it is
+         decompressed, cleared when its last reference goes *)
 }
 
 type state = {
@@ -161,12 +179,10 @@ type state = {
       (* the same sites as (copy, slot), most recent first *)
   home_block : int array;  (* block of each home word *)
   by_block : copy array;  (* live copy per block, or [no_copy] *)
-  mutable copies : copy array;
-      (* every copy made this epoch, dead ones included, base-ordered *)
-  mutable ncopies : int;
   mutable current : copy;
-      (* the copy the last lookup found: nearly every instruction
-         executes in the copy its predecessor did *)
+      (* the copy executing. Only a trap or a patched jump enters a
+         copy, and each sets this: return addresses are home addresses
+         and no instruction exposes a copy address. *)
   copy_base : int;
   copy_limit : int;
   mutable copy_ptr : int;
@@ -207,36 +223,17 @@ let no_copy = { block = -1; base = -1; instrs = [||]; live = false }
 
 let holds c pc = c.live && pc >= c.base && pc < c.base + copy_bytes c
 
-(* Index of the greatest current-epoch copy with base <= pc, or -1. *)
-let copy_index st pc =
-  let lo = ref 0 and hi = ref (st.ncopies - 1) and found = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if st.copies.(mid).base <= pc then begin
-      found := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  !found
-
-(* The live copy whose slot [pc] addresses, or [no_copy]. Copies of one
-   epoch are disjoint, so a live copy holding [pc] is the one a search
-   would find; the cached one is checked first. *)
-let exec_copy st pc =
-  if pc land 3 <> 0 then no_copy
-  else if holds st.current pc then st.current
-  else
-    let i = copy_index st pc in
-    if i >= 0 && holds st.copies.(i) pc then begin
-      st.current <- st.copies.(i);
-      st.current
-    end
-    else no_copy
-
 (* With home return addresses and deletion-time un-patching, every
    valid pc outside a live copy is a home address. *)
 let is_home st pc = pc >= 0 && pc < image_size st && pc land 3 = 0
+
+(* The live copy of the block at home address [home], or [no_copy]:
+   the only copy a jump slot targeting [home] can have been patched
+   to, since deleting a copy patches its remember set back. *)
+let copy_of_home st home =
+  if is_home st home && st.home_block.(home / 4) >= 0 then
+    st.by_block.(st.home_block.(home / 4))
+  else no_copy
 
 (* ------------------------------------------------------------------ *)
 (* Patching and the remember sets                                      *)
@@ -289,7 +286,7 @@ let line_release st block_id =
     Array.iter
       (fun l ->
         ls.line_refs.(l) <- ls.line_refs.(l) - 1;
-        if ls.line_refs.(l) = 0 then ls.line_bytes.(l) <- Bytes.empty)
+        if ls.line_refs.(l) = 0 then ls.line_held.(l) <- false)
       ls.lmap.Residency.Linemap.of_block.(block_id)
 
 let line_acquire st block_id =
@@ -343,8 +340,6 @@ let flush st =
         incr retired
       end)
     st.by_block;
-  st.copies <- [||];
-  st.ncopies <- 0;
   st.copy_ptr <- st.copy_base;
   st.live_bytes <- 0;
   st.flushes <- st.flushes + 1;
@@ -355,10 +350,21 @@ let flush st =
 (* Copy creation (the real decompression path)                         *)
 
 (* A decompression is trusted only if it reproduces the image bytes at
-   [addr] exactly; anything else is a codec bug. *)
+   [addr] exactly; anything else is a codec bug. Eight bytes at a time,
+   then byte by byte from the first differing word (or the tail), so
+   the first differing byte is the one reported. *)
 let check_image st bytes ~addr =
   let image = st.prog.Eris.Program.image in
-  for i = 0 to Bytes.length bytes - 1 do
+  let n = Bytes.length bytes in
+  let i = ref 0 in
+  while
+    !i + 8 <= n
+    && (Bytes.get_int64_ne bytes !i : int64)
+       = Bytes.get_int64_ne image (addr + !i)
+  do
+    i := !i + 8
+  done;
+  for i = !i to n - 1 do
     if Bytes.get bytes i <> Bytes.get image (addr + i) then
       raise
         (Runtime_bug
@@ -371,21 +377,21 @@ let check_image st bytes ~addr =
    keeps its bytes and is read back for free, like a cache hit. A line
    can hold references but no bytes when a flush released it after a
    trap had decompressed it; it is decompressed again, uncharged.
-   Returns the cycles charged. *)
+   The check is what the bytes are for, so they are not kept: a flag
+   says whether a resident line would hold them. Returns the cycles
+   charged. *)
 let decompress_block_lines st ls block_id =
   let cycles = ref 0 in
   Array.iter
     (fun l ->
       let len = ls.lmap.Residency.Linemap.len.(l) in
-      let resident =
-        ls.line_refs.(l) > 0 && Bytes.length ls.line_bytes.(l) = len
-      in
+      let resident = ls.line_refs.(l) > 0 && ls.line_held.(l) in
       if not resident then begin
         let lbytes = st.codec.Compress.Codec.decompress ls.line_z.(l) in
         if Bytes.length lbytes <> len then
           raise (Runtime_bug "line decompressed size mismatch");
         check_image st lbytes ~addr:ls.lmap.Residency.Linemap.addr.(l);
-        ls.line_bytes.(l) <- lbytes;
+        ls.line_held.(l) <- true;
         if ls.line_refs.(l) = 0 then begin
           st.decompressions <- st.decompressions + 1;
           let charge =
@@ -428,23 +434,27 @@ let make_copy st block_id =
   (* guard word between copies keeps one-past-the-end unambiguous *)
   if st.copy_ptr + (4 * slots) + 4 > st.copy_limit then flush st;
   let base = st.copy_ptr in
-  let instrs = Array.make slots Eris.Types.Halt in
-  for i = 0 to slots - 1 do
-    let instr = materialize layout ~base i in
-    (match Eris.Types.validate instr with
-    | Ok () -> ()
-    | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg)));
-    instrs.(i) <- instr
+  (* Relocation: the template with each jump aimed at its home target.
+     Only the jumps depend on [base]; the rest is validated once. *)
+  let instrs = Array.copy layout.template in
+  let jumps = layout.jumps in
+  for j = 0 to Array.length jumps - 1 do
+    instrs.(jumps.(j)) <- materialize layout ~base jumps.(j)
   done;
+  let validate i =
+    match Eris.Types.validate instrs.(i) with
+    | Ok () -> ()
+    | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg))
+  in
+  if layout.checked then Array.iter validate jumps
+  else begin
+    for i = 0 to slots - 1 do
+      validate i
+    done;
+    layout.checked <- true
+  end;
   let c = { block = block_id; base; instrs; live = true } in
   st.copy_ptr <- st.copy_ptr + (4 * slots) + 4;
-  if st.ncopies = Array.length st.copies then begin
-    let bigger = Array.make (max 16 (2 * st.ncopies)) c in
-    Array.blit st.copies 0 bigger 0 st.ncopies;
-    st.copies <- bigger
-  end;
-  st.copies.(st.ncopies) <- c;
-  st.ncopies <- st.ncopies + 1;
   st.by_block.(block_id) <- c;
   line_acquire st block_id;
   st.live_bytes <- st.live_bytes + (4 * slots);
@@ -499,6 +509,7 @@ let handle_trap st pc =
       (Runtime_bug
          (Printf.sprintf "no slot for home offset %d in block %d" off block));
   let target = c.base + (4 * slot) in
+  st.current <- c;
   if st.site_idx >= 0 then
     patch_site st st.site_copy st.site_idx ~target_block:block
       ~target_addr:target;
@@ -605,7 +616,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
           lmap;
           line_z;
           line_refs = Array.make lmap.Residency.Linemap.nlines 0;
-          line_bytes = Array.make lmap.Residency.Linemap.nlines Bytes.empty;
+          line_held = Array.make lmap.Residency.Linemap.nlines false;
         }
   in
   let home_block = Array.make (Eris.Program.byte_size prog / 4) (-1) in
@@ -646,8 +657,6 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       sites = Array.make n [];
       home_block;
       by_block = Array.make n no_copy;
-      copies = [||];
-      ncopies = 0;
       current = no_copy;
       copy_base;
       (* conditional branches are gone from copies (replaced by pairs),
@@ -672,19 +681,29 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
     else if budget <= 0 then Error (Out_of_fuel (stats_of st))
     else begin
       let pc = Eris.Machine.pc st.machine in
-      let c = exec_copy st pc in
-      if c.live then begin
+      let c = st.current in
+      if holds c pc then begin
         let idx = (pc - c.base) / 4 in
         Eris.Machine.execute_instruction st.machine c.instrs.(idx);
         let new_pc = Eris.Machine.pc st.machine in
         (if (not (Eris.Machine.halted st.machine)) && new_pc <> pc + 4 then
            match st.layouts.(c.block).slots.(idx) with
            | Skip _ -> st.site_idx <- -1
-           | Plain _ | Jump _ ->
+           | Plain _ | Jump _ as slot ->
              st.site_copy <- c;
              st.site_idx <- idx;
-             let tc = exec_copy st new_pc in
-             if tc.live then on_edge st ~target_block:tc.block
+             (* A patched jump enters its target's copy; every other
+                transfer (a jalr, a jump still aimed home) must land
+                on a home address. *)
+             let tc =
+               match slot with
+               | Jump home -> copy_of_home st home
+               | Plain _ | Skip _ -> no_copy
+             in
+             if holds tc new_pc then begin
+               st.current <- tc;
+               on_edge st ~target_block:tc.block
+             end
              else if is_home st new_pc then
                on_edge st ~target_block:(block_of_home st new_pc)
              else

@@ -105,6 +105,23 @@ let test_wild_jump_faults () =
     checkb "wild pc reported" true (String.length message > 0)
   | Ok _ | Error (Runtime.Out_of_fuel _) -> Alcotest.fail "expected fault"
 
+(* Only a patched jump or a trap enters a copy: any other transfer to a
+   copy address, even to the running copy's own first slot, is a fault.
+   Both images are below 4096 bytes, so 4096 is the first copy's base:
+   a computed jump there, and a jump whose static target (1023 words
+   on from pc 4) lies past the image. *)
+let test_computed_jump_into_copy_faults () =
+  List.iter
+    (fun source ->
+      match Runtime.run_source ~fuel:10_000 source with
+      | Error (Runtime.Machine_fault { message; _ }) ->
+        Alcotest.check Alcotest.string source "transfer to unknown address"
+          message
+      | Ok _ -> Alcotest.failf "%S ran to completion" source
+      | Error (Runtime.Out_of_fuel _) ->
+        Alcotest.failf "%S: expected a fault, got out of fuel" source)
+    [ "li r1, 4096\njalr r0, r1, 0\nhalt"; "j 1023\nhalt" ]
+
 let test_codec_choice () =
   (* The runtime works with any registered codec, including ones that
      expand blocks (null) — correctness must not depend on ratios. *)
@@ -490,6 +507,8 @@ let () =
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
           Alcotest.test_case "wild jump faults" `Quick test_wild_jump_faults;
+          Alcotest.test_case "computed jump into a copy faults" `Quick
+            test_computed_jump_into_copy_faults;
           Alcotest.test_case "codec independence" `Quick test_codec_choice;
           Alcotest.test_case "agrees with the model" `Quick
             test_runtime_engine_agreement;
