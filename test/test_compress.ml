@@ -783,11 +783,30 @@ let ref_corpus =
 
 (* Word-aligned slices of a real image, synthetic code blocks of the
    kind the engine prices, and a few uniform-random blocks whose rare
-   bytes take the codes longer than the root table. *)
+   bytes take the codes longer than the root table. The last block
+   holds byte k 2^k times (k < 14), shuffled: its own Huffman code has
+   every length from 1 to 13, so the codes past the 9-bit root table
+   come in every length. *)
 let ref_blocks =
   let st = Random.State.make [| 0x4EF |] in
   let image = ref_corpus in
-  List.init 120 (fun i ->
+  let dyadic =
+    let b = Bytes.create ((1 lsl 14) - 1) in
+    let pos = ref 0 in
+    for k = 0 to 13 do
+      Bytes.fill b !pos (1 lsl k) (Char.chr k);
+      pos := !pos + (1 lsl k)
+    done;
+    for i = Bytes.length b - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let c = Bytes.get b i in
+      Bytes.set b i (Bytes.get b j);
+      Bytes.set b j c
+    done;
+    b
+  in
+  dyadic
+  :: List.init 120 (fun i ->
       match i mod 4 with
       | 0 | 1 ->
         let words = 1 + Random.State.int st 24 in
