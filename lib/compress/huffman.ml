@@ -336,10 +336,7 @@ let shared ~corpus =
     Buffer.add_bytes buf (encode_payload codes b);
     Bytes.of_string (Buffer.contents buf)
   in
-  let decompress b =
-    let orig_len = read_u16 b 0 in
-    decode_payload ds b ~pos:2 orig_len
-  in
+  let decompress b = decode_payload ds b ~pos:2 (read_u16 b 0) in
   Codec.make ~name:"huffman-shared" ~dec_cycles_per_byte:6
     ~comp_cycles_per_byte:7 ~compress ~decompress ()
 

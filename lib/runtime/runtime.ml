@@ -406,6 +406,11 @@ let decompress_block_lines st ls block_id =
     ls.lmap.Residency.Linemap.of_block.(block_id);
   !cycles
 
+let check_slot instrs i =
+  match Eris.Types.validate instrs.(i) with
+  | Ok () -> ()
+  | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg))
+
 let make_copy st block_id =
   let b = Cfg.Graph.block st.graph block_id in
   (* Really decompress and check; any codec bug surfaces here. *)
@@ -441,15 +446,13 @@ let make_copy st block_id =
   for j = 0 to Array.length jumps - 1 do
     instrs.(jumps.(j)) <- materialize layout ~base jumps.(j)
   done;
-  let validate i =
-    match Eris.Types.validate instrs.(i) with
-    | Ok () -> ()
-    | Error msg -> raise (Runtime_bug ("relocation overflow: " ^ msg))
-  in
-  if layout.checked then Array.iter validate jumps
+  if layout.checked then
+    for j = 0 to Array.length jumps - 1 do
+      check_slot instrs jumps.(j)
+    done
   else begin
     for i = 0 to slots - 1 do
-      validate i
+      check_slot instrs i
     done;
     layout.checked <- true
   end;
@@ -696,9 +699,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
                 transfer (a jalr, a jump still aimed home) must land
                 on a home address. *)
              let tc =
-               match slot with
-               | Jump home -> copy_of_home st home
-               | Plain _ | Skip _ -> no_copy
+               match slot with Jump home -> copy_of_home st home | _ -> no_copy
              in
              if holds tc new_pc then begin
                st.current <- tc;

@@ -18,7 +18,10 @@
       remembered site back to its home target first (§5's patch-back);
       calls materialize {e home} return addresses, so no reference to
       a deleted copy can survive anywhere — which is also what makes
-      recycling the copy address space safe.
+      recycling the copy address space safe. Only the handler and a
+      patched jump enter a copy: any other transfer (a [jalr], or a
+      jump aimed past the image) must land on a home address, or the
+      run ends in a [Machine_fault "transfer to unknown address"].
 
     Because the machine executes the relocated copies for real, a
     workload's checksum coming out right under any k is end-to-end

@@ -4,8 +4,9 @@
 # end-to-end benchmark's smoke run, a bench-serve load-generator
 # smoke, generator, engine, runtime, trace and experiment determinism
 # smokes (the engine's: two timing runs, each in two processes, with
-# byte-identical event traces; the runtime's: one compressed execution
-# in two processes, same checksum and byte-identical event traces), a
+# byte-identical event traces; the runtime's: two compressed
+# executions, block and line granularity, each in two processes, same
+# checksum and byte-identical event traces), a
 # fleet sweep smoke (parallel run against a cold cache, then the same
 # sweep warm — the second run must be served entirely from cache and
 # print identical tables), a fuel smoke (a sweep job short of fuel
@@ -74,24 +75,31 @@ for t in od mix; do
 done
 rm -rf "$sim_dir"
 
-# Runtime determinism: the same compressed execution (life, k=2,
-# clock retention, 32-byte lines) in two separate processes must match
-# its reference checksum both times and write byte-identical, non-empty
-# event traces.
+# Runtime determinism: two compressed executions of life at k=2 — block
+# granularity with k-edge retention, and clock retention over 32-byte
+# lines — each in two separate processes, must match the reference
+# checksum every time and write byte-identical, non-empty event traces.
 run_dir=$(mktemp -d)
 for i in 1 2; do
+  "$ccomp" run life -k 2 \
+    --trace-out "$run_dir/block.$i.jsonl" > "$run_dir/block.$i.out"
   "$ccomp" run life -k 2 --retention clock --line-size 32 \
-    --trace-out "$run_dir/$i.jsonl" > "$run_dir/$i.out"
-  grep -q 'matches reference' "$run_dir/$i.out" || {
-    echo "check: FAIL — ccomp run life did not match its reference" >&2
-    cat "$run_dir/$i.out" >&2
-    exit 1
-  }
+    --trace-out "$run_dir/line.$i.jsonl" > "$run_dir/line.$i.out"
+  for t in block line; do
+    grep -q 'matches reference' "$run_dir/$t.$i.out" || {
+      echo "check: FAIL — ccomp run life ($t) did not match its reference" >&2
+      cat "$run_dir/$t.$i.out" >&2
+      exit 1
+    }
+  done
 done
-if [ ! -s "$run_dir/1.jsonl" ] || ! cmp -s "$run_dir/1.jsonl" "$run_dir/2.jsonl"; then
-  echo "check: FAIL — runtime event traces are empty or differ across processes" >&2
-  exit 1
-fi
+for t in block line; do
+  if [ ! -s "$run_dir/$t.1.jsonl" ] \
+    || ! cmp -s "$run_dir/$t.1.jsonl" "$run_dir/$t.2.jsonl"; then
+    echo "check: FAIL — runtime event traces ($t) are empty or differ across processes" >&2
+    exit 1
+  fi
+done
 rm -rf "$run_dir"
 
 # E20 smoke: a small generated corpus through the fleet cache, cold
