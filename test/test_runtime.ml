@@ -237,7 +237,8 @@ let expect_mismatch ?line_size pick () =
 
 (* The first byte, a middle one and the last: the image check compares
    whole words and then a tail, and must name the same first differing
-   byte wherever it falls. *)
+   byte wherever it falls. crc32's entry block is 12 bytes, one word and
+   a 4-byte tail; its first 32-byte line is four whole words. *)
 let first_byte _ = 0
 let middle_byte n = n / 2
 let last_byte n = n - 1
