@@ -1102,7 +1102,20 @@ let fixture_cases =
         [ Core.Policy.Discard; Core.Policy.Recompress ])
     fixture_strategies
 
-let fixture_run case (strategy, mode, budgeted, retention, k) =
+(* One run's metrics and full event stream, hashed together: the
+   digest both fixtures pin. *)
+let run_digest sc policy =
+  let buf = Buffer.create 4096 in
+  let m =
+    Core.Scenario.run
+      ~log:(fun e ->
+        Buffer.add_string buf (Sim.Events.to_json e);
+        Buffer.add_char buf '\n')
+      sc policy
+  in
+  Digest.to_hex (Digest.string (Marshal.to_string m [] ^ Buffer.contents buf))
+
+let fixture_scenario case (strategy, mode, budgeted, retention, k) =
   let rng = Random.State.make [| 7919; case |] in
   let blocks = 4 + Random.State.int rng 11 in
   let extra =
@@ -1152,18 +1165,11 @@ let fixture_run case (strategy, mode, budgeted, retention, k) =
       Some (max (total / 3) pinned_bytes)
     else None
   in
-  let policy =
-    Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ()
-  in
-  let buf = Buffer.create 4096 in
-  let m =
-    Core.Scenario.run
-      ~log:(fun e ->
-        Buffer.add_string buf (Sim.Events.to_json e);
-        Buffer.add_char buf '\n')
-      sc policy
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string m [] ^ Buffer.contents buf))
+  (sc, Core.Policy.make ~mode ~strategy ?budget ~retention ~compress_k:k ())
+
+let fixture_run case params =
+  let sc, policy = fixture_scenario case params in
+  run_digest sc policy
 
 let fixture_expected =
   [|
@@ -1368,25 +1374,14 @@ let prop_kedge_model =
    Markov trace at k=2 and k=8 (long runs reach states the short ones
    never do), and one graph of more than 1024 blocks. *)
 
-let run_digest sc policy =
-  let buf = Buffer.create 4096 in
-  let m =
-    Core.Scenario.run
-      ~log:(fun e ->
-        Buffer.add_string buf (Sim.Events.to_json e);
-        Buffer.add_char buf '\n')
-      sc policy
-  in
-  Digest.to_hex (Digest.string (Marshal.to_string m [] ^ Buffer.contents buf))
-
-let on_demand_case case =
+let on_demand_scenario case =
   let markov_case ~blocks ~extra ~len ~seed ~k =
     let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
     let g =
       Cfg.Graph.synthetic blocks (List.sort_uniq compare (ring @ extra))
     in
     let trace = Trace.Synthetic.markov ~seed g ~length:len in
-    run_digest (Core.Scenario.of_graph g ~trace) (Core.Policy.on_demand ~k)
+    (Core.Scenario.of_graph g ~trace, Core.Policy.on_demand ~k)
   in
   if case < 64 then begin
     let rng = Random.State.make [| 4099; case |] in
@@ -1405,9 +1400,8 @@ let on_demand_case case =
         ~cold_visit_every:16 ()
     in
     let trace = Trace.Synthetic.markov ~seed:1 g ~length:20_000 in
-    run_digest
-      (Core.Scenario.of_graph g ~trace)
-      (Core.Policy.on_demand ~k:(if case = 64 then 2 else 8))
+    ( Core.Scenario.of_graph g ~trace,
+      Core.Policy.on_demand ~k:(if case = 64 then 2 else 8) )
   end
   else begin
     let rng = Random.State.make [| 4099; case |] in
@@ -1457,13 +1451,39 @@ let on_demand_expected =
   |]
 
 let test_on_demand_fixture () =
-  let got = Array.init 67 on_demand_case in
+  let got =
+    Array.init 67 (fun case ->
+        let sc, policy = on_demand_scenario case in
+        run_digest sc policy)
+  in
   checki "cases" (Array.length on_demand_expected) (Array.length got);
   Array.iteri
     (fun i d ->
       Alcotest.check Alcotest.string (Printf.sprintf "case %d" i)
         on_demand_expected.(i) d)
     got
+
+(* Events are built only for a listener, so a run with none must
+   compute exactly what a run with a counting sink or a log computes,
+   over every configuration both fixtures pin. *)
+let test_listener_independence () =
+  let check name (sc, policy) =
+    let quiet = Core.Scenario.run sc policy in
+    let counted =
+      Core.Scenario.run ~sink:(Sim.Events.counting (Sim.Events.counters ())) sc
+        policy
+    in
+    let logged = Core.Scenario.run ~log:ignore sc policy in
+    checkb (name ^ ": sink") true (quiet = counted);
+    checkb (name ^ ": log") true (quiet = logged)
+  in
+  List.iteri
+    (fun i params ->
+      check (Printf.sprintf "design-space case %d" i) (fixture_scenario i params))
+    fixture_cases;
+  for i = 0 to 66 do
+    check (Printf.sprintf "on-demand case %d" i) (on_demand_scenario i)
+  done
 
 let () =
   Alcotest.run "core-fixture"
@@ -1474,6 +1494,8 @@ let () =
             test_general_path_fixture;
           Alcotest.test_case "on-demand fixture" `Quick
             test_on_demand_fixture;
+          Alcotest.test_case "results do not depend on a listener" `Quick
+            test_listener_independence;
           qcheck prop_pick_matches_choose;
           qcheck prop_kedge_model;
         ] );

@@ -317,6 +317,19 @@ let adaptive_configs =
         Pin_hot { pinned = [ 0; 2 ] };
       ]
 
+(* A run's stats and the digest of its final data memory (or how it
+   failed), as one string. *)
+let outcome = function
+  | Ok (m, stats) ->
+    let mem = Buffer.create 65536 in
+    for w = 0 to (65536 / 4) - 1 do
+      Buffer.add_int32_le mem (Int32.of_int (Eris.Machine.read_word m (4 * w)))
+    done;
+    Marshal.to_string stats [] ^ Digest.string (Buffer.contents mem)
+  | Error (Runtime.Out_of_fuel stats) -> "fuel" ^ Marshal.to_string stats []
+  | Error (Runtime.Machine_fault { pc; message; stats }) ->
+    Printf.sprintf "fault %d %s" pc message ^ Marshal.to_string stats []
+
 (* The event stream is hashed in 64 KiB pieces, each folded into the
    running digest, so a long run never holds its whole JSON text. *)
 let fixture_run (k, retention, line_size) prog =
@@ -333,20 +346,7 @@ let fixture_run (k, retention, line_size) prog =
   in
   let result = Runtime.run ~k ~retention ?line_size ~sink prog in
   fold ();
-  let outcome =
-    match result with
-    | Ok (m, stats) ->
-      let mem = Buffer.create 65536 in
-      for w = 0 to (65536 / 4) - 1 do
-        Buffer.add_int32_le mem
-          (Int32.of_int (Eris.Machine.read_word m (4 * w)))
-      done;
-      Marshal.to_string stats [] ^ Digest.string (Buffer.contents mem)
-    | Error (Runtime.Out_of_fuel stats) -> "fuel" ^ Marshal.to_string stats []
-    | Error (Runtime.Machine_fault { pc; message; stats }) ->
-      Printf.sprintf "fault %d %s" pc message ^ Marshal.to_string stats []
-  in
-  Digest.to_hex (Digest.string (outcome ^ !d))
+  Digest.to_hex (Digest.string (outcome result ^ !d))
 
 let fixture_expected =
   [|
@@ -495,6 +495,31 @@ let check_fixture configs expected () =
         expected.(i) d)
     got
 
+(* Events are built only for a sink, so a run without one must end
+   with the same stats and final memory as a run with one, over every
+   configuration the fixture pins. *)
+let test_sink_independence () =
+  List.iter
+    (fun (k, retention, line_size) ->
+      List.iter
+        (fun (name, prog) ->
+          let quiet = Runtime.run ~k ~retention ?line_size prog in
+          let counted =
+            Runtime.run ~k ~retention ?line_size
+              ~sink:(Sim.Events.counting (Sim.Events.counters ()))
+              prog
+          in
+          checkb
+            (Printf.sprintf "%s k=%d %s %s" name k
+               (Residency.Policy.spec_name retention)
+               (match line_size with
+               | None -> "block"
+               | Some l -> Printf.sprintf "line%d" l))
+            true
+            (outcome quiet = outcome counted))
+        (Lazy.force fixture_programs))
+    (fixture_configs @ adaptive_configs)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -541,5 +566,7 @@ let () =
             (check_fixture fixture_configs fixture_expected);
           Alcotest.test_case "80 loop-aware and pin-hot runs" `Quick
             (check_fixture adaptive_configs adaptive_expected);
+          Alcotest.test_case "results do not depend on a sink" `Quick
+            test_sink_independence;
         ] );
     ]

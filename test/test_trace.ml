@@ -332,6 +332,113 @@ let test_binary_bitflips_exhaustive () =
       [| -1_000_000_000; 3; 3; -64; 64 |];
     ]
 
+(* What [decode] and [read_file] make of every truncation and every
+   single-bit flip of a few multi-frame traces, pinned by MD5 of the
+   list of (position, result or exact error message): any change to
+   which error a malformed stream gets, or to what a harmless flip
+   decodes to, moves the digest. *)
+let pin_traces =
+  [
+    (false, Array.init 40 (fun i -> (i * 7) mod 13));
+    (true, Array.init 40 (fun i -> (i * 7) mod 13));
+    ( false,
+      Array.init 35 (fun i ->
+          match i mod 5 with
+          | 0 -> -i
+          | 1 -> 1_000_000 * i
+          | 2 -> -1_000_000_000 + i
+          | 3 -> max_int - i
+          | _ -> i) );
+    (true, Array.init 50 (fun i -> if i mod 3 = 0 then -1_000_003 * i else i / 4));
+  ]
+
+let show_result = function
+  | Ok ids ->
+    "ok " ^ String.concat "," (Array.to_list (Array.map string_of_int ids))
+  | Error e -> "error " ^ e
+
+let pin_digest () =
+  let path = Filename.temp_file "ccomp" ".ctb" in
+  let buf = Buffer.create 65536 in
+  let record tag pos bytes =
+    let oc = open_out_bin path in
+    output_string oc bytes;
+    close_out oc;
+    Printf.bprintf buf "%s %d: %s | %s\n" tag pos
+      (show_result (Trace.Binary.decode bytes))
+      (show_result (Trace.Binary.read_file path))
+  in
+  List.iter
+    (fun (lzss, ids) ->
+      let enc = Trace.Binary.encode ~lzss ~frame:16 ids in
+      for cut = 0 to String.length enc - 1 do
+        record "cut" cut (String.sub enc 0 cut)
+      done;
+      for pos = 0 to String.length enc - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string enc in
+          Bytes.set b pos (Char.chr (Char.code enc.[pos] lxor (1 lsl bit)));
+          record "flip" ((8 * pos) + bit) (Bytes.to_string b)
+        done
+      done)
+    pin_traces;
+  Sys.remove path;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_binary_error_pin () =
+  Alcotest.check Alcotest.string "decode results"
+    "5a675a31f31dd36f5d76d7d7edb7ebcf" (pin_digest ())
+
+(* The header's count, overwritten: the stream's true length must
+   still be reported. *)
+let with_count enc c =
+  let b = Bytes.of_string enc in
+  Bytes.set_int64_le b 6 (Int64.of_int c);
+  Bytes.to_string b
+
+let test_binary_header_lies () =
+  let ids = Array.init 40 (fun i -> (i * 7) mod 13) in
+  let enc = Trace.Binary.encode ~frame:16 ids in
+  List.iter
+    (fun c ->
+      let expect =
+        Error (Printf.sprintf "header promises %d ids, stream holds 40" c)
+      in
+      let lying = with_count enc c in
+      checkb (Printf.sprintf "decode, count %d" c) true
+        (Trace.Binary.decode lying = expect);
+      let path = Filename.temp_file "ccomp" ".ctb" in
+      let oc = open_out_bin path in
+      output_string oc lying;
+      close_out oc;
+      checkb (Printf.sprintf "read_file, count %d" c) true
+        (Trace.Binary.read_file path = expect);
+      Sys.remove path)
+    [ 39; 1; 41; 1_000_000 ]
+
+(* A writer on a channel that cannot seek leaves the count at -1: the
+   stream still decodes, whole and through [read_file]. *)
+let test_binary_unknown_count () =
+  let ids = Array.init 100 (fun i -> (i * 37) mod 23 - 5) in
+  let rd, wr = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr wr in
+  let w = Trace.Binary.Writer.create ~frame:16 oc in
+  Array.iter (Trace.Binary.Writer.push w) ids;
+  Trace.Binary.Writer.close w;
+  close_out oc;
+  let ic = Unix.in_channel_of_descr rd in
+  let enc = In_channel.input_all ic in
+  close_in ic;
+  checkb "count is -1" true
+    (String.sub enc 6 8 = String.make 8 '\255');
+  checkb "decodes" true (Trace.Binary.decode enc = Ok ids);
+  let path = Filename.temp_file "ccomp" ".ctb" in
+  let oc = open_out_bin path in
+  output_string oc enc;
+  close_out oc;
+  checkb "read_file" true (Trace.Binary.read_file path = Ok ids);
+  Sys.remove path
+
 let test_binary_empty () =
   let enc = Trace.Binary.encode [||] in
   checkb "magic" true (Trace.Binary.is_binary enc);
@@ -485,6 +592,11 @@ let () =
             test_binary_sign_flip_detected;
           Alcotest.test_case "every single-bit flip" `Quick
             test_binary_bitflips_exhaustive;
+          Alcotest.test_case "decode errors pinned" `Quick
+            test_binary_error_pin;
+          Alcotest.test_case "header count lies" `Quick
+            test_binary_header_lies;
+          Alcotest.test_case "unknown count" `Quick test_binary_unknown_count;
         ] );
       ( "io-strict",
         [
