@@ -86,7 +86,9 @@ type state = {
   policy : Policy.t;
   retention : Residency.Policy.t;
   lookahead : lookahead;
-  (* packed event stream, handed to [deliver] a chunk at a time *)
+  (* packed event stream, handed to [deliver] a chunk at a time; built
+     only when [listen] (a log or a sink was given) *)
+  listen : bool;
   ev : Packed.chunk;
   deliver : Packed.chunk -> unit;
   stat : int array;  (* int-coded status, see the tag_/bit_ constants *)
@@ -151,7 +153,8 @@ type state = {
 (* The loop pushes a step's own events (at most [step_events]) without
    a capacity check after one room check at the step's start. Every
    other push goes through [chunk], which flushes early enough to
-   leave that many slots free behind it. *)
+   leave that many slots free behind it. Nothing is pushed unless
+   [st.listen]. *)
 let step_events = 5
 
 let emit_flush st =
@@ -320,14 +323,16 @@ let delete_copy st ~now ~eviction b =
     else occ_post o ~time:now ~delta:(-u);
     st.stat.(b) <- tag_recompressing;
     st.aux.(b) <- done_at;
-    Packed.push_recompress_queued (chunk st) ~at:now ~block:b ~done_at);
+    if st.listen then
+      Packed.push_recompress_queued (chunk st) ~at:now ~block:b ~done_at);
   if eviction then begin
     st.evictions <- st.evictions + 1;
-    Packed.push_evict (chunk st) ~at:now ~block:b
+    if st.listen then Packed.push_evict (chunk st) ~at:now ~block:b
   end
   else begin
     st.discards <- st.discards + 1;
-    Packed.push_discard (chunk st) ~at:now ~block:b ~patched_back ~wasted
+    if st.listen then
+      Packed.push_discard (chunk st) ~at:now ~block:b ~patched_back ~wasted
   end
 
 let rec evict_until st ~now cap bytes =
@@ -356,7 +361,8 @@ let make_room st ~now ~spare1 ~spare2 ~spare3 bytes =
 let stall st b ~now t =
   if t > now then begin
     st.stall_cycles <- st.stall_cycles + (t - now);
-    Packed.push_stall (chunk st) ~at:t ~block:b ~cycles:(t - now);
+    if st.listen then
+      Packed.push_stall (chunk st) ~at:t ~block:b ~cycles:(t - now);
     t
   end
   else now
@@ -372,7 +378,7 @@ let arrive_in_flight st ~prev b ~now =
   if s land 3 = tag_decompressing then begin
     st.exceptions <- st.exceptions + 1;
     let now = now + st.exc_cyc in
-    Packed.push_exception (chunk st) ~at:now ~block:b;
+    if st.listen then Packed.push_exception (chunk st) ~at:now ~block:b;
     let now = stall st b ~now st.aux.(b) in
     (* only a prefetch is in flight, and it executes next: first use *)
     st.useful_prefetches <- st.useful_prefetches + 1;
@@ -382,7 +388,8 @@ let arrive_in_flight st ~prev b ~now =
       record st ~target:b ~site:prev;
       st.patches <- st.patches + 1;
       let now = now + st.patch_cyc in
-      Packed.push_patch (chunk st) ~at:now ~target:b ~site:prev;
+      if st.listen then
+        Packed.push_patch (chunk st) ~at:now ~target:b ~site:prev;
       now
     end
     else now
@@ -410,7 +417,8 @@ let issue_prefetch st ~now ~step ~b ~next c =
       Residency.Policy.on_materialize st.retention ~block:c ~step;
       st.prefetch_energy <- st.prefetch_energy + st.prefetch_nj.(c);
       st.prefetch_decompressions <- st.prefetch_decompressions + 1;
-      Packed.push_prefetch (chunk st) ~at:now ~block:c ~ready_at
+      if st.listen then
+        Packed.push_prefetch (chunk st) ~at:now ~block:c ~ready_at
     end
 
 (* The edge from [b] to [next], reaching step [step], for the policies
@@ -458,7 +466,7 @@ let return_only_sites graph n =
   Array.init n (fun t ->
       Array.of_list (List.filter (fun s -> not (List.mem s other.(t))) ret.(t)))
 
-let create ~config ~deliver ~graph ~info policy =
+let create ~config ~listen ~deliver ~graph ~info policy =
   let n = Cfg.Graph.num_blocks graph in
   let costs = config.Config.costs in
   let per_block f = Array.map f info in
@@ -488,6 +496,7 @@ let create ~config ~deliver ~graph ~info policy =
     (* 256 slots keep each plane within the minor heap's largest block
        (Max_young_wosize): a run's chunk dies young instead of costing
        a major-heap allocation per run *)
+    listen;
     ev = Packed.create ~capacity:256 ();
     deliver;
     stat;
@@ -594,17 +603,20 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
     if b < 0 || b >= n then
       invalid_arg "Core.Engine.run: trace mentions unknown block"
   done;
-  let deliver =
+  (* Events exist only for a listener: with neither a log nor a sink
+     the run builds none, and computes the same metrics. *)
+  let listen, deliver =
     match (log, sink) with
-    | None, None -> fun _ -> ()
-    | Some f, None -> fun ch -> Packed.iter f ch
-    | None, Some (s : Sim.Events.sink) -> s.Sim.Events.emit_chunk
+    | None, None -> (false, fun _ -> ())
+    | Some f, None -> (true, fun ch -> Packed.iter f ch)
+    | None, Some (s : Sim.Events.sink) -> (true, s.Sim.Events.emit_chunk)
     | Some f, Some s ->
-      fun ch ->
-        Packed.iter f ch;
-        s.Sim.Events.emit_chunk ch
+      ( true,
+        fun ch ->
+          Packed.iter f ch;
+          s.Sim.Events.emit_chunk ch )
   in
-  let st = create ~config ~deliver ~graph ~info policy in
+  let st = create ~config ~listen ~deliver ~graph ~info policy in
   (* On demand, with uniform-k k-edge retention and no budget, a copy
      is (re)tracked only when it executes, so the one copy that can
      fall due at step [s] is [trace.(s - k)]'s, live iff its [base] is
@@ -639,7 +651,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
   for i = 0 to len - 1 do
     let b = Array.unsafe_get trace i in
     let prev = if i = 0 then -1 else Array.unsafe_get trace (i - 1) in
-    if Packed.room ev < step_events then emit_flush st;
+    if listen && Packed.room ev < step_events then emit_flush st;
     if st.settle_at <= !clk then settle st ~now:!clk;
     (* arrive: no cost when the branch already targets the copy;
        otherwise the exception fires and the handler patches (Fig. 5,
@@ -655,12 +667,13 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
       if not (recorded st ~target:b ~site:prev) then begin
         incr n_exc;
         clk := !clk + exc_cyc;
-        Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
+        if listen then Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
         if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
           record st ~target:b ~site:prev;
           incr n_patch;
           clk := !clk + patch_cyc;
-          Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
+          if listen then
+            Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
         end
       end
     end
@@ -670,7 +683,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
         (* demand miss: exception, allocate, decompress, patch *)
         incr n_exc;
         clk := !clk + exc_cyc;
-        Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
+        if listen then Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
         let u = Array.unsafe_get u_size b in
         if budgeted
            && not (make_room st ~now:!clk ~spare1:b ~spare2:b ~spare3:b u)
@@ -687,13 +700,14 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
           Residency.Policy.on_materialize st.retention ~block:b ~step:i;
           Residency.Policy.on_ready st.retention ~block:b ~time:!clk
         end;
-        Packed.unsafe_push_kab ev ~kind:2 ~at:!clk ~a:b ~b:dc;
+        if listen then Packed.unsafe_push_kab ev ~kind:2 ~at:!clk ~a:b ~b:dc;
         (* a copy's remember set starts empty *)
         if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
           record st ~target:b ~site:prev;
           incr n_patch;
           clk := !clk + patch_cyc;
-          Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
+          if listen then
+            Packed.unsafe_push_kab ev ~kind:5 ~at:!clk ~a:b ~b:prev
         end
       end
     end;
@@ -701,7 +715,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
     Array.unsafe_set base b i;
     if not candidate then
       Residency.Policy.on_execute st.retention ~block:b ~step:i ~time:!clk;
-    Packed.unsafe_push_ka ev ~kind:0 ~at:!clk ~a:b;
+    if listen then Packed.unsafe_push_ka ev ~kind:0 ~at:!clk ~a:b;
     let cyc =
       if use_sc then Array.unsafe_get sc i else Array.unsafe_get def_cycles b
     in
@@ -735,7 +749,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
             occ_post occ ~time:!clk ~delta:(-u);
             Array.unsafe_set stat d tag_compressed;
             incr n_disc;
-            Packed.unsafe_push_kabc ev ~kind:7 ~at:!clk ~a:d ~b:nsites ~c:0
+            if listen then
+              Packed.unsafe_push_kabc ev ~kind:7 ~at:!clk ~a:d ~b:nsites ~c:0
           end
       end
     end

@@ -164,6 +164,7 @@ type state = {
          [at] is the executed-instruction count) *)
   acc : Sim.Cost.Acc.acc;
   snk : Sim.Events.sink;
+  listen : bool;  (* a sink was given: only then are events built *)
   ev : Sim.Events.Packed.chunk;
       (* every event funnels through this one chunk, so stream order
          survives batching *)
@@ -205,12 +206,17 @@ let image_size st = Eris.Program.byte_size st.prog
 let copy_bytes c = 4 * Array.length c.instrs
 let at st = Eris.Machine.instr_count st.machine
 
-(* Make room for one more packed event (flush the chunk if full). *)
+(* Whether to push an event: with a sink, after making room for one
+   more (flushing the chunk if full); without one, never. *)
 let emit_room st =
-  if Sim.Events.Packed.is_full st.ev then begin
-    st.snk.Sim.Events.emit_chunk st.ev;
-    Sim.Events.Packed.clear st.ev
-  end
+  st.listen
+  && begin
+       if Sim.Events.Packed.is_full st.ev then begin
+         st.snk.Sim.Events.emit_chunk st.ev;
+         Sim.Events.Packed.clear st.ev
+       end;
+       true
+     end
 
 let emit_drain st =
   if Sim.Events.Packed.length st.ev > 0 then begin
@@ -254,9 +260,9 @@ let patch_site st c idx ~target_block ~target_addr =
           st.patches <- st.patches + 1;
           Sim.Cost.Acc.charge st.acc Sim.Cost.Patch
             (Sim.Cost.patch_charge st.cost);
-          emit_room st;
-          Sim.Events.Packed.push_patch st.ev ~at:(at st) ~target:target_block
-            ~site:c.block
+          if emit_room st then
+            Sim.Events.Packed.push_patch st.ev ~at:(at st)
+              ~target:target_block ~site:c.block
         end
       | Error _ -> () (* out of reach: leave it faulting *))
     | Plain _ | Skip _ -> () (* jalr sites and the like: not patchable *)
@@ -270,8 +276,8 @@ let unpatch_site st ~target (c, idx) =
     st.unpatches <- st.unpatches + 1;
     Sim.Cost.Acc.charge st.acc Sim.Cost.Patch_back
       (Sim.Cost.patch_back_charge st.cost ~sites:1);
-    emit_room st;
-    Sim.Events.Packed.push_unpatch st.ev ~at:(at st) ~target ~site:c.block;
+    if emit_room st then
+      Sim.Events.Packed.push_unpatch st.ev ~at:(at st) ~target ~site:c.block;
     true
   end
   else false
@@ -313,9 +319,9 @@ let release st block =
 
 let delete_copy st c =
   let patched_back = release st c.block in
-  emit_room st;
-  Sim.Events.Packed.push_discard st.ev ~at:(at st) ~block:c.block
-    ~patched_back ~wasted:false;
+  if emit_room st then
+    Sim.Events.Packed.push_discard st.ev ~at:(at st) ~block:c.block
+      ~patched_back ~wasted:false;
   c.live <- false;
   st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
@@ -343,8 +349,8 @@ let flush st =
   st.copy_ptr <- st.copy_base;
   st.live_bytes <- 0;
   st.flushes <- st.flushes + 1;
-  emit_room st;
-  Sim.Events.Packed.push_flush st.ev ~at:(at st) ~copies:!retired
+  if emit_room st then
+    Sim.Events.Packed.push_flush st.ev ~at:(at st) ~copies:!retired
 
 (* ------------------------------------------------------------------ *)
 (* Copy creation (the real decompression path)                         *)
@@ -431,9 +437,9 @@ let make_copy st block_id =
       charge.Sim.Cost.cycles
     | Some ls -> decompress_block_lines st ls block_id
   in
-  emit_room st;
-  Sim.Events.Packed.push_demand st.ev ~at:(at st) ~block:block_id
-    ~cycles:dec_cycles;
+  if emit_room st then
+    Sim.Events.Packed.push_demand st.ev ~at:(at st) ~block:block_id
+      ~cycles:dec_cycles;
   let layout = st.layouts.(block_id) in
   let slots = Array.length layout.slots in
   (* guard word between copies keeps one-past-the-end unambiguous *)
@@ -485,8 +491,8 @@ let on_edge st ~target_block =
   done;
   Residency.Policy.on_execute st.policy ~block:target_block ~step:st.edges
     ~time:(at st);
-  emit_room st;
-  Sim.Events.Packed.push_exec st.ev ~at:(at st) ~block:target_block
+  if emit_room st then
+    Sim.Events.Packed.push_exec st.ev ~at:(at st) ~block:target_block
 
 (* ------------------------------------------------------------------ *)
 (* The trap handler (§5's memory-protection exception)                 *)
@@ -499,8 +505,8 @@ let handle_trap st pc =
   Sim.Cost.Acc.charge st.acc Sim.Cost.Exception
     (Sim.Cost.exception_charge st.cost);
   let block = block_of_home st pc in
-  emit_room st;
-  Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
+  if emit_room st then
+    Sim.Events.Packed.push_exception st.ev ~at:(at st) ~block;
   let c =
     if st.by_block.(block).live then st.by_block.(block)
     else make_copy st block
@@ -583,6 +589,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   in
   let acc = Sim.Cost.Acc.create () in
   let snk = match sink with Some s -> s | None -> Sim.Events.null in
+  let listen = Option.is_some sink in
   let ev = Sim.Events.Packed.create () in
   let compressed =
     Array.map
@@ -650,6 +657,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       cost;
       acc;
       snk;
+      listen;
       ev;
       compressed;
       lines;
@@ -723,8 +731,8 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
   in
   Residency.Policy.on_execute st.policy ~block:(Cfg.Graph.entry graph)
     ~step:0 ~time:0;
-  emit_room st;
-  Sim.Events.Packed.push_exec st.ev ~at:0 ~block:(Cfg.Graph.entry graph);
+  if emit_room st then
+    Sim.Events.Packed.push_exec st.ev ~at:0 ~block:(Cfg.Graph.entry graph);
   let finish result =
     emit_drain st;
     (match registry with

@@ -135,7 +135,8 @@ let src_of_string s =
       (fun k ->
         if k < 0 || !pos + k > n then None
         else begin
-          let b = Bytes.of_string (String.sub s !pos k) in
+          let b = Bytes.create k in
+          Bytes.blit_string s !pos b 0 k;
           pos := !pos + k;
           Some b
         end);
@@ -215,36 +216,36 @@ let read_header src =
           let c = (raw64 lsl 1) asr 1 in
           if c < 0 then Ok (lzss, None) else Ok (lzss, Some c)))
 
-(* Decode a frame payload into [out] (length n), returning the last id. *)
-let decode_payload payload n prev out =
-  let r = Compress.Bitio.Reader.create payload in
-  let p = ref prev in
-  let err = ref None in
-  (try
-     for i = 0 to n - 1 do
-       let z = ref 0 and shift = ref 0 and continue = ref true in
-       while !continue do
-         if !shift >= 7 * max_varint_bytes then begin
-           err := Some "varint too long in frame payload";
-           raise Exit
-         end;
-         let b = Compress.Bitio.Reader.read_bits r 8 in
-         z := !z lor ((b land 0x7F) lsl !shift);
-         shift := !shift + 7;
-         if b land 0x80 = 0 then continue := false
-       done;
-       p := !p + unzigzag !z;
-       Array.unsafe_set out i !p
-     done;
-     if Compress.Bitio.Reader.bits_left r <> 0 then
-       err := Some "trailing bytes in frame payload"
-   with
-  | Exit -> ()
-  | Compress.Codec.Corrupt _ -> err := Some "truncated frame payload");
-  match !err with Some e -> Error e | None -> Ok !p
+exception Bad_payload of string
 
-(* Parse the next frame. [Ok None] = end marker reached. *)
-let read_frame src ~lzss ~prev =
+(* Decode a frame payload into [out.(pos .. pos + n - 1)], returning
+   the last id. The caller guarantees the room. *)
+let decode_payload payload n prev out pos =
+  let len = Bytes.length payload in
+  let j = ref 0 and p = ref prev in
+  match
+    for i = pos to pos + n - 1 do
+      let z = ref 0 and shift = ref 0 and continue = ref true in
+      while !continue do
+        if !shift >= 7 * max_varint_bytes then
+          raise_notrace (Bad_payload "varint too long in frame payload");
+        if !j >= len then raise_notrace (Bad_payload "truncated frame payload");
+        let b = Char.code (Bytes.unsafe_get payload !j) in
+        incr j;
+        z := !z lor ((b land 0x7F) lsl !shift);
+        shift := !shift + 7;
+        if b land 0x80 = 0 then continue := false
+      done;
+      p := !p + unzigzag !z;
+      Array.unsafe_set out i !p
+    done
+  with
+  | () -> if !j <> len then Error "trailing bytes in frame payload" else Ok !p
+  | exception Bad_payload e -> Error e
+
+(* Parse the next frame into [!out] at [pos], first growing [!out] with
+   [grow] if the frame does not fit. [Ok None] = end marker reached. *)
+let read_frame src ~lzss ~prev ~grow ~out ~pos =
   match read_varint src with
   | Error e -> Error e
   | Ok 0 -> Ok None
@@ -281,45 +282,68 @@ let read_frame src ~lzss ~prev =
               (Printf.sprintf "frame decompressed to %d bytes, header says %d"
                  (Bytes.length raw) raw_len)
           | Ok raw -> (
-            let out = Array.make n 0 in
-            match decode_payload raw n prev out with
+            if pos + n > Array.length !out then out := grow !out (pos + n);
+            match decode_payload raw n prev !out pos with
             | Error e -> Error e
             | Ok last -> (
               match read_varint src with
               | Error e -> Error e
-              | Ok check when check <> frame_check out 0 n ->
+              | Ok check when check <> frame_check !out pos n ->
                 Error "frame checksum mismatch"
-              | Ok _ -> Ok (Some (out, last, raw_len, stored_len))))))))
+              | Ok _ -> Ok (Some (n, last, raw_len, stored_len))))))))
+
+(* A fresh array for each frame, exactly its size. *)
+let frame_array _ need = Array.make need 0
+
+(* Every frame of [src] into one array: [Ok (ids, total)] with the ids
+   in [ids.(0 .. total - 1)], once the header's [count] is checked. The
+   array is sized once from [hint] and grows, by doubling, only when the
+   count is unknown or wrong. *)
+let read_all src ~lzss ~count ~hint =
+  let grow a need =
+    let len = max need (2 * Array.length a) in
+    let len =
+      match count with Some c when need <= c -> min len c | _ -> len
+    in
+    let b = Array.make len 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  let out = ref (Array.make hint 0) in
+  let rec frames total prev =
+    match read_frame src ~lzss ~prev ~grow ~out ~pos:total with
+    | Error e -> Error e
+    | Ok (Some (n, last, _, _)) -> frames (total + n) last
+    | Ok None -> (
+      match count with
+      | Some c when c <> total ->
+        Error (Printf.sprintf "header promises %d ids, stream holds %d" c total)
+      | _ -> Ok (!out, total))
+  in
+  frames 0 0
+
+(* The result array's first size: the header's count, but never more
+   than a frame's cap or the input's length in bytes, since every id
+   takes at least one payload byte before frame compression. A lying
+   header thus cannot make a short input allocate much. *)
+let size_hint ~count ~bytes =
+  let cap = min max_frame_ids bytes in
+  match count with Some c -> min c cap | None -> cap
+
+let exact (ids, total) =
+  if Array.length ids = total then ids else Array.sub ids 0 total
 
 let decode s =
   let src = src_of_string s in
   match read_header src with
   | Error e -> Error e
-  | Ok (lzss, count) ->
-    let rec frames acc total prev =
-      match read_frame src ~lzss ~prev with
-      | Error e -> Error e
-      | Ok (Some (ids, last, _, _)) ->
-        frames (ids :: acc) (total + Array.length ids) last
-      | Ok None -> (
-        match count with
-        | Some c when c <> total ->
-          Error
-            (Printf.sprintf "header promises %d ids, stream holds %d" c total)
-        | _ ->
-          if src.byte () <> -1 then Error "trailing garbage after end marker"
-          else begin
-            let out = Array.make total 0 in
-            let pos = ref total in
-            List.iter
-              (fun ids ->
-                pos := !pos - Array.length ids;
-                Array.blit ids 0 out !pos (Array.length ids))
-              acc;
-            Ok out
-          end)
-    in
-    frames [] 0 0
+  | Ok (lzss, count) -> (
+    let hint = size_hint ~count ~bytes:(String.length s) in
+    match read_all src ~lzss ~count ~hint with
+    | Error e -> Error e
+    | Ok r ->
+      if src.byte () <> -1 then Error "trailing garbage after end marker"
+      else Ok (exact r))
 
 (* ------------------------------------------------------------------ *)
 (* Streaming                                                           *)
@@ -410,12 +434,16 @@ module Reader = struct
   let next t =
     if t.ended then Ok None
     else
-      match read_frame t.src ~lzss:t.lzss ~prev:t.prev with
+      let out = ref [||] in
+      match
+        read_frame t.src ~lzss:t.lzss ~prev:t.prev ~grow:frame_array ~out
+          ~pos:0
+      with
       | Error e -> Error e
-      | Ok (Some (ids, last, _, _)) ->
+      | Ok (Some (n, last, _, _)) ->
         t.prev <- last;
-        t.seen <- t.seen + Array.length ids;
-        Ok (Some ids)
+        t.seen <- t.seen + n;
+        Ok (Some !out)
       | Ok None -> (
         t.ended <- true;
         match t.count with
@@ -453,20 +481,23 @@ let fold_file path ~init ~f =
           go init)
 
 let read_file path =
-  match
-    fold_file path ~init:[] ~f:(fun acc ids -> (ids, Array.length ids) :: acc)
-  with
-  | Error e -> Error e
-  | Ok chunks ->
-    let total = List.fold_left (fun a (_, n) -> a + n) 0 chunks in
-    let out = Array.make total 0 in
-    let pos = ref total in
-    List.iter
-      (fun (ids, n) ->
-        pos := !pos - n;
-        Array.blit ids 0 out !pos n)
-      chunks;
-    Ok out
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let src = src_of_channel ic in
+        match read_header src with
+        | Error e -> Error e
+        | Ok (lzss, count) ->
+          let bytes =
+            match in_channel_length ic with
+            | n -> n
+            | exception Sys_error _ -> 0
+          in
+          let hint = size_hint ~count ~bytes in
+          Result.map exact (read_all src ~lzss ~count ~hint))
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -488,11 +519,11 @@ let info s =
   | Ok (lzss, header_count) ->
     (* structural walk: same frame validation as [decode], but only
        per-frame buffers are ever live *)
+    let out = ref [||] in
     let rec go ids frames stored raw prev =
-      match read_frame src ~lzss ~prev with
+      match read_frame src ~lzss ~prev ~grow:frame_array ~out ~pos:0 with
       | Error e -> Error e
-      | Ok (Some (frame_ids, last, raw_len, stored_len)) ->
-        let n = Array.length frame_ids in
+      | Ok (Some (n, last, raw_len, stored_len)) ->
         go (ids + n) (frames + 1) (stored + stored_len) (raw + raw_len) last
       | Ok None -> (
         match header_count with
