@@ -1,11 +1,5 @@
 type edge_kind = Fallthrough | Taken | Call | Return
 
-let edge_kind_name = function
-  | Fallthrough -> "fallthrough"
-  | Taken -> "taken"
-  | Call -> "call"
-  | Return -> "return"
-
 type block = {
   id : int;
   addr : int;

@@ -11,8 +11,6 @@ type edge_kind =
   | Call  (** [jal] with a live link register *)
   | Return  (** [jalr]-based return (conservative) *)
 
-val edge_kind_name : edge_kind -> string
-
 type block = {
   id : int;
   addr : int;  (** byte address of the first instruction *)

@@ -20,6 +20,3 @@ let image ?(base = 0) b =
       loop ((base + (i * 4), instruction w) :: acc) (i + 1)
   in
   loop [] 0
-
-let pp_image ppf b =
-  List.iter (fun (addr, s) -> Format.fprintf ppf "%04x:  %s@." addr s) (image b)

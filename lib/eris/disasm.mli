@@ -8,5 +8,3 @@ val image : ?base:int -> bytes -> (int * string) list
 (** [image b] is the [(address, text)] disassembly of a binary image;
     [base] (default 0) offsets the printed addresses. Trailing bytes
     that do not fill a word are reported as [".byte …"] entries. *)
-
-val pp_image : Format.formatter -> bytes -> unit

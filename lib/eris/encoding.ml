@@ -99,9 +99,6 @@ let decode w =
       | n -> Error (Printf.sprintf "unknown opcode %d" n)
     with Decode_error msg -> Error msg
 
-let decode_exn w =
-  match decode w with Ok i -> i | Error msg -> raise (Decode_error msg)
-
 let read_word b off =
   Char.code (Bytes.get b off)
   lor (Char.code (Bytes.get b (off + 1)) lsl 8)

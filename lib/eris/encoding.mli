@@ -24,9 +24,6 @@ val encode : Types.instruction -> int
 val decode : int -> (Types.instruction, string) result
 (** [decode w] decodes the 32-bit word [w]. *)
 
-val decode_exn : int -> Types.instruction
-(** @raise Decode_error on invalid words. *)
-
 val encode_program : Types.instruction array -> bytes
 (** Little-endian concatenation of the encoded words. *)
 

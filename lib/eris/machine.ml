@@ -55,7 +55,6 @@ let norm v = v land 0xFFFFFFFF
 let signed v = if v > 0x7FFFFFFF then v - 0x100000000 else v
 
 let get_reg t r = t.regs.(Types.reg_index r)
-let get_reg_signed t r = signed (get_reg t r)
 
 let set_reg t r v =
   let i = Types.reg_index r in

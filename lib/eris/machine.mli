@@ -29,7 +29,6 @@ val cycle_count : t -> int
 val get_reg : t -> Types.reg -> int
 (** Value in [0, 2{^32}). *)
 
-val get_reg_signed : t -> Types.reg -> int
 val set_reg : t -> Types.reg -> int -> unit
 
 val read_word : t -> int -> int

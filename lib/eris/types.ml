@@ -97,8 +97,6 @@ let validate i =
   | Branch (_, _, _, off) -> check (imm18_fits off) "imm18" off
   | Jal (_, off) -> check (imm22_fits off) "imm22" off
 
-let instruction_size = 4
-
 let is_control_transfer = function
   | Branch _ | Jal _ | Jalr _ | Halt -> true
   | Alu _ | Alui _ | Lui _ | Load _ | Store _ -> false

@@ -97,9 +97,6 @@ val alui_imm_fits : alu_op -> int -> bool
 val validate : instruction -> (unit, string) result
 (** [validate i] checks that every immediate fits its encoding field. *)
 
-val instruction_size : int
-(** Size of one encoded instruction in bytes (4). *)
-
 val is_control_transfer : instruction -> bool
 (** Branches, jumps and [Halt]: instructions that can end a basic
     block. *)

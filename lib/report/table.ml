@@ -15,8 +15,6 @@ let add_row t row =
          (List.length row) (List.length t.columns));
   t.rev_rows <- row :: t.rev_rows
 
-let add_rows t rows = List.iter (add_row t) rows
-
 let title t = t.title
 let columns t = List.map fst t.columns
 let rows t = List.rev t.rev_rows

@@ -12,8 +12,6 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the arity does not match the columns. *)
 
-val add_rows : t -> string list list -> unit
-
 val title : t -> string
 val columns : t -> string list
 val rows : t -> string list list

@@ -260,7 +260,6 @@ let source_names =
   |]
 
 let num_sources = Array.length source_names
-let source_name s = source_names.(source_index s)
 
 module Acc = struct
   (* Flat int arrays, one cell per (dimension, source): charging is a

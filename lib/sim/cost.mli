@@ -130,8 +130,6 @@ type source =
   | Stall
   | Ram_static
 
-val source_name : source -> string
-
 (** Per-dimension, per-source accumulation of charge vectors: the
     per-dimension totals are the sum of the charges by construction.
     The runtime and the cold-code baseline charge through one; the
