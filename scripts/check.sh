@@ -6,7 +6,8 @@
 # smokes (the engine's: two timing runs, each in two processes, with
 # byte-identical event traces; the runtime's: two compressed
 # executions, block and line granularity, each in two processes, same
-# checksum and byte-identical event traces), a
+# checksum and byte-identical event traces; in both, a run without
+# --trace-out prints the same report as one with it), a
 # fleet sweep smoke (parallel run against a cold cache, then the same
 # sweep warm — the second run must be served entirely from cache and
 # print identical tables), a fuel smoke (a sweep job short of fuel
@@ -58,10 +59,13 @@ rm -rf "$gen_dir"
 # Engine determinism: two timing runs, each in two separate processes,
 # must write byte-identical, non-empty event traces — plain on-demand,
 # and a pre-single/recompress/budget/clock run that reaches prefetches,
-# recompression and budget evictions.
+# recompression and budget evictions. The engine builds events only
+# for a listener, so the on-demand run without --trace-out must print
+# the same report, apart from the "event trace written" line.
 sim_dir=$(mktemp -d)
+"$ccomp" sim fsm -k 2 > "$sim_dir/od.quiet.out"
 for i in 1 2; do
-  "$ccomp" sim fsm -k 2 --trace-out "$sim_dir/od.$i.jsonl" > /dev/null
+  "$ccomp" sim fsm -k 2 --trace-out "$sim_dir/od.$i.jsonl" > "$sim_dir/od.$i.out"
   "$ccomp" sim dijkstra -k 4 --strategy pre-single --predictor last-taken \
     --lookahead 2 --budget 120 --recompress --retention clock \
     --trace-out "$sim_dir/mix.$i.jsonl" > /dev/null
@@ -73,13 +77,23 @@ for t in od mix; do
     exit 1
   fi
 done
+grep -v '^event trace written' "$sim_dir/od.1.out" > "$sim_dir/od.traced.out"
+if ! cmp -s "$sim_dir/od.traced.out" "$sim_dir/od.quiet.out"; then
+  echo "check: FAIL — ccomp sim fsm reports differ with and without --trace-out" >&2
+  diff "$sim_dir/od.traced.out" "$sim_dir/od.quiet.out" >&2 || true
+  exit 1
+fi
 rm -rf "$sim_dir"
 
 # Runtime determinism: two compressed executions of life at k=2 — block
 # granularity with k-edge retention, and clock retention over 32-byte
 # lines — each in two separate processes, must match the reference
 # checksum every time and write byte-identical, non-empty event traces.
+# The runtime builds events only for a sink, so the block run without
+# --trace-out must print the same report, apart from the "event trace
+# written" line.
 run_dir=$(mktemp -d)
+"$ccomp" run life -k 2 > "$run_dir/block.quiet.out"
 for i in 1 2; do
   "$ccomp" run life -k 2 \
     --trace-out "$run_dir/block.$i.jsonl" > "$run_dir/block.$i.out"
@@ -100,6 +114,12 @@ for t in block line; do
     exit 1
   fi
 done
+grep -v '^event trace written' "$run_dir/block.1.out" > "$run_dir/block.traced.out"
+if ! cmp -s "$run_dir/block.traced.out" "$run_dir/block.quiet.out"; then
+  echo "check: FAIL — ccomp run life reports differ with and without --trace-out" >&2
+  diff "$run_dir/block.traced.out" "$run_dir/block.quiet.out" >&2 || true
+  exit 1
+fi
 rm -rf "$run_dir"
 
 # E20 smoke: a small generated corpus through the fleet cache, cold
