@@ -295,11 +295,16 @@ let read_frame src ~lzss ~prev ~grow ~out ~pos =
 (* A fresh array for each frame, exactly its size. *)
 let frame_array _ need = Array.make need 0
 
-(* Every frame of [src] into one array: [Ok (ids, total)] with the ids
-   in [ids.(0 .. total - 1)], once the header's [count] is checked. The
-   array is sized once from [hint] and grows, by doubling, only when the
-   count is unknown or wrong. *)
-let read_all src ~lzss ~count ~hint =
+(* Every frame of [src], written into one array, once the header's
+   [count] is checked. The array is sized once: from the count, but
+   never beyond a frame's cap or the input's length [bytes], since every
+   id takes at least one payload byte before frame compression, so a
+   lying header cannot make a short input allocate much. It grows, by
+   doubling, only when the count is unknown or wrong (or the ids of an
+   LZSS trace outnumber its bytes). *)
+let read_all src ~lzss ~count ~bytes =
+  let cap = min max_frame_ids bytes in
+  let hint = match count with Some c -> min c cap | None -> cap in
   let grow a need =
     let len = max need (2 * Array.length a) in
     let len =
@@ -318,32 +323,21 @@ let read_all src ~lzss ~count ~hint =
       match count with
       | Some c when c <> total ->
         Error (Printf.sprintf "header promises %d ids, stream holds %d" c total)
-      | _ -> Ok (!out, total))
+      | _ ->
+        Ok (if Array.length !out = total then !out else Array.sub !out 0 total))
   in
   frames 0 0
-
-(* The result array's first size: the header's count, but never more
-   than a frame's cap or the input's length in bytes, since every id
-   takes at least one payload byte before frame compression. A lying
-   header thus cannot make a short input allocate much. *)
-let size_hint ~count ~bytes =
-  let cap = min max_frame_ids bytes in
-  match count with Some c -> min c cap | None -> cap
-
-let exact (ids, total) =
-  if Array.length ids = total then ids else Array.sub ids 0 total
 
 let decode s =
   let src = src_of_string s in
   match read_header src with
   | Error e -> Error e
   | Ok (lzss, count) -> (
-    let hint = size_hint ~count ~bytes:(String.length s) in
-    match read_all src ~lzss ~count ~hint with
+    match read_all src ~lzss ~count ~bytes:(String.length s) with
     | Error e -> Error e
-    | Ok r ->
+    | Ok ids ->
       if src.byte () <> -1 then Error "trailing garbage after end marker"
-      else Ok (exact r))
+      else Ok ids)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming                                                           *)
@@ -496,8 +490,7 @@ let read_file path =
             | n -> n
             | exception Sys_error _ -> 0
           in
-          let hint = size_hint ~count ~bytes in
-          Result.map exact (read_all src ~lzss ~count ~hint))
+          read_all src ~lzss ~count ~bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
