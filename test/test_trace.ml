@@ -439,6 +439,25 @@ let test_binary_unknown_count () =
   checkb "read_file" true (Trace.Binary.read_file path = Ok ids);
   Sys.remove path
 
+(* An LZSS trace holds more ids than bytes, so its result array must
+   grow past its first size, with the count known and with it unknown;
+   a lying count must still report the true length. *)
+let test_binary_dense_lzss () =
+  let ids = Array.init 20_000 (fun i -> (i mod 4) + (i / 5000)) in
+  let enc = Trace.Binary.encode ~lzss:true ~frame:1000 ids in
+  checkb "fewer bytes than ids" true (String.length enc < Array.length ids);
+  checkb "decodes" true (Trace.Binary.decode enc = Ok ids);
+  checkb "decodes, count -1" true (Trace.Binary.decode (with_count enc (-1)) = Ok ids);
+  checkb "count too small" true
+    (Trace.Binary.decode (with_count enc 10)
+    = Error "header promises 10 ids, stream holds 20000");
+  let path = Filename.temp_file "ccomp" ".ctb" in
+  let oc = open_out_bin path in
+  output_string oc enc;
+  close_out oc;
+  checkb "read_file" true (Trace.Binary.read_file path = Ok ids);
+  Sys.remove path
+
 let test_binary_empty () =
   let enc = Trace.Binary.encode [||] in
   checkb "magic" true (Trace.Binary.is_binary enc);
@@ -597,6 +616,7 @@ let () =
           Alcotest.test_case "header count lies" `Quick
             test_binary_header_lies;
           Alcotest.test_case "unknown count" `Quick test_binary_unknown_count;
+          Alcotest.test_case "dense lzss" `Quick test_binary_dense_lzss;
         ] );
       ( "io-strict",
         [
