@@ -493,10 +493,10 @@ let create ~config ~listen ~deliver ~graph ~info policy =
         Single
           (Predictor.plan predictor graph
              (Cfg.Dist.frontiers graph ~k:lookahead)));
+    listen;
     (* 256 slots keep each plane within the minor heap's largest block
        (Max_young_wosize): a run's chunk dies young instead of costing
        a major-heap allocation per run *)
-    listen;
     ev = Packed.create ~capacity:256 ();
     deliver;
     stat;
