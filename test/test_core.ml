@@ -1465,17 +1465,24 @@ let test_on_demand_fixture () =
 
 (* Events are built only for a listener, so a run with none must
    compute exactly what a run with a counting sink or a log computes,
-   over every configuration both fixtures pin. *)
+   over every configuration both fixtures pin. The fixtures price
+   energy at zero (paper-2005 has no energy model), so each run is
+   repeated under a profile that prices it. *)
 let test_listener_independence () =
   let check name (sc, policy) =
-    let quiet = Core.Scenario.run sc policy in
-    let counted =
-      Core.Scenario.run ~sink:(Sim.Events.counting (Sim.Events.counters ())) sc
-        policy
-    in
-    let logged = Core.Scenario.run ~log:ignore sc policy in
-    checkb (name ^ ": sink") true (quiet = counted);
-    checkb (name ^ ": log") true (quiet = logged)
+    List.iter
+      (fun profile ->
+        let run = Core.Scenario.run ~profile in
+        let quiet = run sc policy in
+        let counted =
+          run ~sink:(Sim.Events.counting (Sim.Events.counters ())) sc policy
+        in
+        let logged = run ~log:ignore sc policy in
+        checkb (Printf.sprintf "%s, %s: sink" name profile) true
+          (quiet = counted);
+        checkb (Printf.sprintf "%s, %s: log" name profile) true
+          (quiet = logged))
+      [ "paper-2005"; "cortex-m-flash" ]
   in
   List.iteri
     (fun i params ->
