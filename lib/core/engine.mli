@@ -71,8 +71,10 @@ val run :
 (** Simulates the trace. The memory image starts fully compressed
     (§5). Every event is pushed into [sink] (and [log], kept for
     callback convenience) as it happens; the engine never retains
-    events, so memory use is independent of trace length. The sink is
-    {e not} closed — the caller owns its lifecycle. When [registry]
+    events, so memory use is independent of trace length. Events exist
+    only for a listener: with neither [log] nor [sink] the run builds
+    none, and returns the same metrics. The sink is {e not} closed —
+    the caller owns its lifecycle. When [registry]
     is given, the final {!Metrics.t} is published into it via
     {!Metrics.register}. [step_cycles] overrides each
     trace step's execution cost (used by coarser-granularity

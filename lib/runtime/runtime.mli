@@ -82,8 +82,9 @@ val run :
     cycle clock, so [at] is the executed-instruction count; event
     [cycles] fields are priced by [cost], defaulting to the codec's
     per-byte rates over the named device [profile] — [paper-2005]
-    when neither is given; an explicit [cost] wins). The sink is
-    {e not} closed. [registry] receives the final {!stats} via
+    when neither is given; an explicit [cost] wins). Events exist only
+    for a sink: without one the run builds none, and returns the same
+    result. The sink is {e not} closed. [registry] receives the final {!stats} via
     {!register_stats} on both success and failure.
 
     [line_size] switches the image to compressed-I-cache accounting:
