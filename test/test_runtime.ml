@@ -495,30 +495,89 @@ let check_fixture configs expected () =
         expected.(i) d)
     got
 
+(* [paper-2005] prices energy at zero, so the fixture pins no energy;
+   this profile charges it for traps, patches, patch-backs and
+   decompressions. *)
+let energy_profile = "cortex-m-flash"
+
 (* Events are built only for a sink, so a run without one must end
    with the same stats and final memory as a run with one, over every
-   configuration the fixture pins. *)
+   configuration the fixture pins, under the default profile and under
+   one that prices energy. *)
 let test_sink_independence () =
   List.iter
-    (fun (k, retention, line_size) ->
+    (fun profile ->
       List.iter
-        (fun (name, prog) ->
-          let quiet = Runtime.run ~k ~retention ?line_size prog in
-          let counted =
-            Runtime.run ~k ~retention ?line_size
-              ~sink:(Sim.Events.counting (Sim.Events.counters ()))
-              prog
-          in
-          checkb
-            (Printf.sprintf "%s k=%d %s %s" name k
-               (Residency.Policy.spec_name retention)
-               (match line_size with
-               | None -> "block"
-               | Some l -> Printf.sprintf "line%d" l))
-            true
-            (outcome quiet = outcome counted))
-        (Lazy.force fixture_programs))
-    (fixture_configs @ adaptive_configs)
+        (fun (k, retention, line_size) ->
+          List.iter
+            (fun (name, prog) ->
+              let quiet = Runtime.run ~k ~retention ?line_size ?profile prog in
+              let counted =
+                Runtime.run ~k ~retention ?line_size ?profile
+                  ~sink:(Sim.Events.counting (Sim.Events.counters ()))
+                  prog
+              in
+              checkb
+                (Printf.sprintf "%s k=%d %s %s %s" name k
+                   (Residency.Policy.spec_name retention)
+                   (match line_size with
+                   | None -> "block"
+                   | Some l -> Printf.sprintf "line%d" l)
+                   (Option.value profile ~default:"paper-2005"))
+                true
+                (outcome quiet = outcome counted))
+            (Lazy.force fixture_programs))
+        (fixture_configs @ adaptive_configs))
+    [ None; Some energy_profile ]
+
+(* The fixture's k-edge runs under [energy_profile]: one MD5 over every
+   run's stats and final memory pins the energy charged. *)
+let test_energy_pinned () =
+  let outcomes =
+    List.concat_map
+      (fun (k, retention, line_size) ->
+        match (retention : Residency.Policy.spec) with
+        | Kedge ->
+          List.map
+            (fun (_, prog) ->
+              Runtime.run ~k ~retention ?line_size ~profile:energy_profile prog)
+            (Lazy.force fixture_programs)
+        | _ -> [])
+      fixture_configs
+  in
+  checki "runs" 80 (List.length outcomes);
+  checkb "energy is charged" true
+    (List.for_all
+       (function Ok (_, s) -> s.Runtime.energy_nj > 0 | Error _ -> false)
+       outcomes);
+  Alcotest.check Alcotest.string "digest" "4fd234813cba20075f3f05de57f4e746"
+    (Digest.to_hex (Digest.string (String.concat "" (List.map outcome outcomes))))
+
+(* Some fixture run flushes the copy window while at least two copies
+   are live, and the flush patches sites back: the order in which a
+   flush forgets its copies' patched sites reaches the digests. *)
+let test_flush_covered () =
+  let flush_unpatches (k, retention, line_size) prog =
+    (* the Unpatch events since the last other event *)
+    let unpatched = ref 0 and found = ref false in
+    let sink =
+      Sim.Events.callback (function
+        | Sim.Events.Unpatch _ -> incr unpatched
+        | Flush { copies; _ } ->
+          if copies >= 2 && !unpatched > 0 then found := true;
+          unpatched := 0
+        | _ -> unpatched := 0)
+    in
+    ignore (Runtime.run ~k ~retention ?line_size ~sink prog);
+    !found
+  in
+  checkb "a flush with two or more copies live patches back" true
+    (List.exists
+       (fun config ->
+         List.exists
+           (fun (_, prog) -> flush_unpatches config prog)
+           (Lazy.force fixture_programs))
+       (fixture_configs @ adaptive_configs))
 
 let () =
   Alcotest.run "runtime"
@@ -568,5 +627,8 @@ let () =
             (check_fixture adaptive_configs adaptive_expected);
           Alcotest.test_case "results do not depend on a sink" `Quick
             test_sink_independence;
+          Alcotest.test_case "k-edge energy pinned" `Quick test_energy_pinned;
+          Alcotest.test_case "a flush patches back with copies live" `Quick
+            test_flush_covered;
         ] );
     ]
