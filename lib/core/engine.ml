@@ -45,6 +45,67 @@ type event = Sim.Events.t =
 
 module Packed = Sim.Events.Packed
 
+(* The index of [x] in [a.(0 .. n - 1)], or [n]. *)
+let[@inline] find (a : int array) n x =
+  let j = ref 0 in
+  while !j < n && Array.unsafe_get a !j <> x do
+    incr j
+  done;
+  !j
+
+(* Remember sets (§5): per target, the sites patched to point at its
+   copy, in recording order in [sites.(t).(0 .. counts.(t) - 1)]. Sets
+   hold a handful of sites, so membership is a short scan over
+   immediates, recording is one store, and a set's array is reused
+   once grown. The runtime keeps its sets here too; they live in this
+   compilation unit because the loop tests membership on every step,
+   and a call into another library is never inlined under [-opaque]
+   (DESIGN §11). *)
+module Remember = struct
+  type t = {
+    sites : int array array;
+    counts : int array;  (* same length as [sites] *)
+  }
+
+  let create ~blocks =
+    { sites = Array.make blocks [||]; counts = Array.make blocks 0 }
+
+  let[@inline] length t ~target = t.counts.(target)
+
+  let[@inline] mem t ~target ~site =
+    let n = t.counts.(target) in
+    find (Array.unsafe_get t.sites target) n site < n
+
+  let add t ~target ~site =
+    let n = t.counts.(target) in
+    if n = Array.length t.sites.(target) then begin
+      let grown = Array.make (max 4 (2 * n)) 0 in
+      Array.blit t.sites.(target) 0 grown 0 n;
+      t.sites.(target) <- grown
+    end;
+    t.sites.(target).(n) <- site;
+    t.counts.(target) <- n + 1
+
+  let remove t ~target ~site =
+    let n = t.counts.(target) in
+    let a = Array.unsafe_get t.sites target in
+    let j = find a n site in
+    if j < n then begin
+      for i = j to n - 2 do
+        Array.unsafe_set a i (Array.unsafe_get a (i + 1))
+      done;
+      t.counts.(target) <- n - 1
+    end
+
+  let clear t ~target = t.counts.(target) <- 0
+
+  let iter f t ~target =
+    let a = t.sites.(target) in
+    for i = 0 to t.counts.(target) - 1 do
+      f a.(i)
+    done
+end
+
 (* Residency state of one block's decompressed copy, int-coded so the
    per-step transitions are plain stores. Tag in the low two bits;
    the flags above are set on prefetched copies only, so a copy the
@@ -95,13 +156,7 @@ type state = {
   aux : int array;  (* ready_at / done_at for the in-flight tags *)
   base : int array;
       (* step of each copy's last k-edge (re)start, -1 without one *)
-  (* remember sets (§5): the branch sites patched to point at each
-     target's copy, unordered in [rs.(t).(0 .. rs_len.(t) - 1)]; the
-     engine's own rather than [Memsim.Remember]'s, because the loop
-     tests membership on every step and a call into another module is
-     never inlined *)
-  rs : int array array;
-  rs_len : int array;
+  rs : Remember.t;  (* per target: the branch sites patched to its copy *)
   due_buf : int array;  (* [Residency.Policy.due]'s hand-off *)
   pred_state : Predictor.state;
   compressed : int -> bool;  (* [stat] reads as Compressed *)
@@ -207,40 +262,12 @@ let occ_close o ~now =
 
 (* --- remember sets --- *)
 
-(* The index of [x] in [a.(0 .. n - 1)], or [n]. *)
-let[@inline] find (a : int array) n x =
-  let j = ref 0 in
-  while !j < n && Array.unsafe_get a !j <> x do
-    incr j
-  done;
-  !j
-
-let[@inline] recorded st ~target ~site =
-  let n = Array.unsafe_get st.rs_len target in
-  find (Array.unsafe_get st.rs target) n site < n
-
-let record st ~target ~site =
-  let n = st.rs_len.(target) in
-  if n = Array.length st.rs.(target) then begin
-    let grown = Array.make (max 4 (2 * n)) 0 in
-    Array.blit st.rs.(target) 0 grown 0 n;
-    st.rs.(target) <- grown
-  end;
-  st.rs.(target).(n) <- site;
-  st.rs_len.(target) <- n + 1
-
 (* Branches inside [d] vanish with its copy: drop [d] from the
-   remember sets of its successors (order within a set is free). *)
+   remember sets of its successors. *)
 let forget_branches_of st d =
   let succs = st.succ_arr.(d) in
   for i = 0 to Array.length succs - 1 do
-    let t = succs.(i) in
-    let a = st.rs.(t) and n = st.rs_len.(t) in
-    let j = find a n d in
-    if j < n then begin
-      a.(j) <- a.(n - 1);
-      st.rs_len.(t) <- n - 1
-    end
+    Remember.remove st.rs ~target:succs.(i) ~site:d
   done
 
 (* [site -> target] transfers the runtime can never patch: return
@@ -296,8 +323,8 @@ let delete_copy st ~now ~eviction b =
     invalid_arg "Core.Engine.delete_copy: block not resident";
   let wasted = s land bit_prefetched <> 0 && s land bit_used = 0 in
   if wasted then st.wasted_prefetches <- st.wasted_prefetches + 1;
-  let patched_back = st.rs_len.(b) in
-  st.rs_len.(b) <- 0;
+  let patched_back = Remember.length st.rs ~target:b in
+  Remember.clear st.rs ~target:b;
   st.base.(b) <- -1;
   Residency.Policy.on_release st.retention ~block:b;
   st.patch_backs <- st.patch_backs + patched_back;
@@ -385,7 +412,7 @@ let arrive_in_flight st ~prev b ~now =
     st.stat.(b) <- tag_resident lor bit_prefetched lor bit_used;
     Residency.Policy.on_ready st.retention ~block:b ~time:now;
     if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
-      record st ~target:b ~site:prev;
+      Remember.add st.rs ~target:b ~site:prev;
       st.patches <- st.patches + 1;
       let now = now + st.patch_cyc in
       if st.listen then
@@ -502,8 +529,7 @@ let create ~config ~listen ~deliver ~graph ~info policy =
     stat;
     aux = Array.make n 0;
     base = Array.make n (-1);
-    rs = Array.make n [||];
-    rs_len = Array.make n 0;
+    rs = Remember.create ~blocks:n;
     due_buf = Array.make n 0;
     pred_state = Predictor.create_state ~blocks:n;
     compressed = (fun c -> Array.unsafe_get stat c land 3 = tag_compressed);
@@ -664,12 +690,12 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
         Array.unsafe_set stat b (s lor bit_used)
       end;
       (* return-only sites are never recorded *)
-      if not (recorded st ~target:b ~site:prev) then begin
+      if not (Remember.mem st.rs ~target:b ~site:prev) then begin
         incr n_exc;
         clk := !clk + exc_cyc;
         if listen then Packed.unsafe_push_ka ev ~kind:1 ~at:!clk ~a:b;
         if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
-          record st ~target:b ~site:prev;
+          Remember.add st.rs ~target:b ~site:prev;
           incr n_patch;
           clk := !clk + patch_cyc;
           if listen then
@@ -703,7 +729,7 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
         if listen then Packed.unsafe_push_kab ev ~kind:2 ~at:!clk ~a:b ~b:dc;
         (* a copy's remember set starts empty *)
         if prev >= 0 && not (return_only st ~site:prev ~target:b) then begin
-          record st ~target:b ~site:prev;
+          Remember.add st.rs ~target:b ~site:prev;
           incr n_patch;
           clk := !clk + patch_cyc;
           if listen then
@@ -739,8 +765,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
             (* [delete_copy], inline; its patch-back time is booked at
                the end (nothing in discard mode reads the compression
                thread's free time) *)
-            let nsites = Array.unsafe_get st.rs_len d in
-            Array.unsafe_set st.rs_len d 0;
+            let nsites = Remember.length st.rs ~target:d in
+            Remember.clear st.rs ~target:d;
             Array.unsafe_set base d (-1);
             n_pb := !n_pb + nsites;
             forget_branches_of st d;

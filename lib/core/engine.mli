@@ -40,6 +40,38 @@ val info_of_program :
   codec:Compress.Codec.t -> Eris.Program.t -> Cfg.Graph.t -> block_info array
 (** Real info: each block's image bytes compressed with [codec]. *)
 
+(** Remember sets (§5): for each target block, the branch sites that
+    currently point at its decompressed copy, in recording order. When
+    the copy is deleted, every recorded site is patched back to the
+    exception-raising compressed address. The engine records sites as
+    predecessor block ids; {!Runtime} records its patched jump slots.
+    Memory is reused: once each set has grown to its high-water mark,
+    nothing is allocated. *)
+module Remember : sig
+  type t
+
+  val create : blocks:int -> t
+  (** Empty sets for targets [0 .. blocks - 1]. *)
+
+  val length : t -> target:int -> int
+
+  val mem : t -> target:int -> site:int -> bool
+
+  val add : t -> target:int -> site:int -> unit
+  (** Records [site] last in [target]'s set. The site must not be in
+      the set already ({!mem}): a set holds each site once. *)
+
+  val remove : t -> target:int -> site:int -> unit
+  (** Drops [site] from [target]'s set, keeping the order of the rest;
+      nothing if it is absent. *)
+
+  val clear : t -> target:int -> unit
+
+  val iter : (int -> unit) -> t -> target:int -> unit
+  (** The sites of [target] in recording order. [f] must not change
+      [target]'s set. *)
+end
+
 (** The shared {!Sim.Events.t} vocabulary, re-exported so existing
     [Core.Engine.Exec]-style constructor paths keep working. The
     engine itself never emits [Unpatch] or [Flush] (those are the

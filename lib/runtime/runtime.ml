@@ -173,11 +173,11 @@ type state = {
   layouts : layout array;
   policy : Residency.Policy.t;  (* when copies die *)
   due_buf : int array;  (* [Policy.due]'s hand-off: room for every block *)
-  site_keys : Memsim.Remember.t;
+  sites : Core.Engine.Remember.t;
       (* the paper's remember sets, for real: per target block, the
-         addresses of the patched jump slots pointing at its copy *)
-  sites : (copy * int) list array;
-      (* the same sites as (copy, slot), most recent first *)
+         patched jump slots pointing at its copy, in recording order,
+         each as its [site_key]. A dying copy forgets its own slots, so
+         every recorded slot lies in a live copy. *)
   home_block : int array;  (* block of each home word *)
   by_block : copy array;  (* live copy per block, or [no_copy] *)
   mutable current : copy;
@@ -244,6 +244,10 @@ let copy_of_home st home =
 (* ------------------------------------------------------------------ *)
 (* Patching and the remember sets                                      *)
 
+(* Jump slot [idx] of [block]'s live copy, as one int: a block has at
+   most one live copy. *)
+let site_key st block idx = block + (Array.length st.by_block * idx)
+
 let patch_site st c idx ~target_block ~target_addr =
   if c.live then begin
     match st.layouts.(c.block).slots.(idx) with
@@ -252,10 +256,10 @@ let patch_site st c idx ~target_block ~target_addr =
       let patched = Eris.Types.Jal (Eris.Types.r0, (target_addr - (site_pc + 4)) / 4) in
       (match Eris.Types.validate patched with
       | Ok () ->
-        if Memsim.Remember.record st.site_keys ~target:target_block
-             ~site:site_pc
+        let site = site_key st c.block idx in
+        if not (Core.Engine.Remember.mem st.sites ~target:target_block ~site)
         then begin
-          st.sites.(target_block) <- (c, idx) :: st.sites.(target_block);
+          Core.Engine.Remember.add st.sites ~target:target_block ~site;
           c.instrs.(idx) <- patched;
           st.patches <- st.patches + 1;
           Sim.Cost.Acc.charge st.acc Sim.Cost.Patch
@@ -269,18 +273,30 @@ let patch_site st c idx ~target_block ~target_addr =
   end
 
 (* Patch one remembered site back to the home address (the §5
-   patch-back step); sites whose copy is itself gone need nothing. *)
-let unpatch_site st ~target (c, idx) =
-  if c.live then begin
-    c.instrs.(idx) <- materialize st.layouts.(c.block) ~base:c.base idx;
-    st.unpatches <- st.unpatches + 1;
-    Sim.Cost.Acc.charge st.acc Sim.Cost.Patch_back
-      (Sim.Cost.patch_back_charge st.cost ~sites:1);
-    if emit_room st then
-      Sim.Events.Packed.push_unpatch st.ev ~at:(at st) ~target ~site:c.block;
-    true
-  end
-  else false
+   patch-back step). *)
+let unpatch_site st ~target key =
+  let n = Array.length st.by_block in
+  let c = st.by_block.(key mod n) and idx = key / n in
+  c.instrs.(idx) <- materialize st.layouts.(c.block) ~base:c.base idx;
+  st.unpatches <- st.unpatches + 1;
+  Sim.Cost.Acc.charge st.acc Sim.Cost.Patch_back
+    (Sim.Cost.patch_back_charge st.cost ~sites:1);
+  if emit_room st then
+    Sim.Events.Packed.push_unpatch st.ev ~at:(at st) ~target ~site:c.block
+
+(* Jumps inside [c] vanish with it: drop its slots from the remember
+   sets of their targets. A slot is only ever patched to the block at
+   its home target. *)
+let forget_sites st c =
+  let layout = st.layouts.(c.block) in
+  Array.iter
+    (fun idx ->
+      match layout.slots.(idx) with
+      | Jump home when is_home st home && st.home_block.(home / 4) >= 0 ->
+        Core.Engine.Remember.remove st.sites ~target:st.home_block.(home / 4)
+          ~site:(site_key st c.block idx)
+      | Jump _ | Plain _ | Skip _ -> ())
+    layout.jumps
 
 (* A dying copy drops its claim on its lines; a line with no live
    claimant leaves residency and will cost a real decompression next
@@ -306,28 +322,29 @@ let line_acquire st block_id =
 (* End [block]'s copy in the bookkeeping: patch its remember set back,
    in recording order, and tell the policy. Returns the sites patched. *)
 let release st block =
-  let n =
-    List.fold_left
-      (fun n site -> if unpatch_site st ~target:block site then n + 1 else n)
-      0
-      (List.rev st.sites.(block))
-  in
-  st.sites.(block) <- [];
-  ignore (Memsim.Remember.flush st.site_keys ~target:block);
+  let n = Core.Engine.Remember.length st.sites ~target:block in
+  Core.Engine.Remember.iter (unpatch_site st ~target:block) st.sites
+    ~target:block;
+  Core.Engine.Remember.clear st.sites ~target:block;
   Residency.Policy.on_release st.policy ~block;
   n
+
+(* The copy dies: after [release], nothing points into it. *)
+let retire st c =
+  forget_sites st c;
+  c.live <- false;
+  c.instrs <- [||];
+  st.by_block.(c.block) <- no_copy;
+  line_release st c.block;
+  st.deletions <- st.deletions + 1
 
 let delete_copy st c =
   let patched_back = release st c.block in
   if emit_room st then
     Sim.Events.Packed.push_discard st.ev ~at:(at st) ~block:c.block
       ~patched_back ~wasted:false;
-  c.live <- false;
-  st.by_block.(c.block) <- no_copy;
   st.live_bytes <- st.live_bytes - copy_bytes c;
-  c.instrs <- [||];
-  line_release st c.block;
-  st.deletions <- st.deletions + 1
+  retire st c
 
 (* Retire everything and recycle the address space. Safe because
    nothing can reference a copy once its remember set is patched back
@@ -338,11 +355,7 @@ let flush st =
     (fun b c ->
       ignore (release st b);
       if c.live then begin
-        c.live <- false;
-        c.instrs <- [||];
-        st.by_block.(b) <- no_copy;
-        line_release st b;
-        st.deletions <- st.deletions + 1;
+        retire st c;
         incr retired
       end)
     st.by_block;
@@ -664,8 +677,7 @@ let run ?(fuel = 20_000_000) ?(k = 8) ?(retention = Residency.Policy.Kedge)
       layouts;
       policy;
       due_buf = Array.make n 0;
-      site_keys = Memsim.Remember.create ~blocks:n;
-      sites = Array.make n [];
+      sites = Core.Engine.Remember.create ~blocks:n;
       home_block;
       by_block = Array.make n no_copy;
       current = no_copy;

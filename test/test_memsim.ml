@@ -89,22 +89,6 @@ let prop_heap_invariants =
          = Memsim.Heap.capacity h)
 
 (* ------------------------------------------------------------------ *)
-(* Remember sets                                                       *)
-
-let test_remember () =
-  let r = Memsim.Remember.create ~blocks:4 in
-  checkb "new site" true (Memsim.Remember.record r ~target:1 ~site:0);
-  checkb "duplicate site" false (Memsim.Remember.record r ~target:1 ~site:0);
-  checkb "another site" true (Memsim.Remember.record r ~target:1 ~site:2);
-  checkb "first site kept" false (Memsim.Remember.record r ~target:1 ~site:0);
-  checkb "second site kept" false (Memsim.Remember.record r ~target:1 ~site:2);
-  checki "cardinal" 2 (Memsim.Remember.cardinal r ~target:1);
-  checki "total" 2 (Memsim.Remember.total_sites r);
-  checki "flush returns count" 2 (Memsim.Remember.flush r ~target:1);
-  checki "flush empties" 0 (Memsim.Remember.cardinal r ~target:1);
-  checki "flush empty is 0" 0 (Memsim.Remember.flush r ~target:3)
-
-(* ------------------------------------------------------------------ *)
 (* LRU                                                                 *)
 
 let test_lru () =
@@ -225,6 +209,79 @@ let prop_lru_model =
           && Memsim.Lru.cardinal l = List.length !model)
         ops)
 
+(* ------------------------------------------------------------------ *)
+(* Remember sets                                                       *)
+
+(* Random add, mem, remove and clear sequences on
+   [Core.Engine.Remember] against one list per target, in recording
+   order: after every operation each target's membership, count and
+   order all match. An add of a site already present is skipped, as
+   every caller checks [mem] first. *)
+type remember_op =
+  | Add of int * int
+  | Mem of int * int
+  | Remove of int * int
+  | Clear of int
+
+let prop_remember_model =
+  let targets = 4 and sites = 12 in
+  let op =
+    QCheck.Gen.(
+      let pair = pair (0 -- (targets - 1)) (0 -- (sites - 1)) in
+      frequency
+        [
+          (6, map (fun (t, s) -> Add (t, s)) pair);
+          (2, map (fun (t, s) -> Mem (t, s)) pair);
+          (3, map (fun (t, s) -> Remove (t, s)) pair);
+          (1, map (fun t -> Clear t) (0 -- (targets - 1)));
+        ])
+  in
+  let show = function
+    | Add (t, s) -> Printf.sprintf "add %d<-%d" t s
+    | Mem (t, s) -> Printf.sprintf "mem %d<-%d" t s
+    | Remove (t, s) -> Printf.sprintf "remove %d<-%d" t s
+    | Clear t -> Printf.sprintf "clear %d" t
+  in
+  QCheck.Test.make ~count:300 ~name:"Core.Engine.Remember = list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (0 -- 150) op))
+    (fun ops ->
+      let module R = Core.Engine.Remember in
+      let r = R.create ~blocks:targets and model = Array.make targets [] in
+      let agrees target =
+        let order = ref [] in
+        R.iter (fun s -> order := s :: !order) r ~target;
+        List.rev !order = model.(target)
+        && R.length r ~target = List.length model.(target)
+        && List.for_all
+             (fun site -> R.mem r ~target ~site = List.mem site model.(target))
+             (List.init sites Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let answered =
+            match op with
+            | Add (target, site) ->
+              if not (R.mem r ~target ~site) then begin
+                R.add r ~target ~site;
+                model.(target) <- model.(target) @ [ site ]
+              end;
+              true
+            | Mem (target, site) ->
+              R.mem r ~target ~site = List.mem site model.(target)
+            | Remove (target, site) ->
+              R.remove r ~target ~site;
+              model.(target) <- List.filter (( <> ) site) model.(target);
+              true
+            | Clear target ->
+              R.clear r ~target;
+              model.(target) <- [];
+              true
+          in
+          answered && List.for_all agrees (List.init targets Fun.id))
+        ops)
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -240,7 +297,7 @@ let () =
           Alcotest.test_case "size_of" `Quick test_heap_size_of;
           qcheck prop_heap_invariants;
         ] );
-      ("remember", [ Alcotest.test_case "sets" `Quick test_remember ]);
+      ("remember", [ qcheck prop_remember_model ]);
       ("pairheap", [ qcheck prop_pairheap_order ]);
       ( "lru",
         [
