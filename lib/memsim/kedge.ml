@@ -13,7 +13,6 @@
    how many distinct k values there are. *)
 
 type t = {
-  k : int;
   k_of : int array;  (* per-block k, validated when the block is tracked *)
   base : int array;  (* step of last reset; -1 = untracked *)
   mask : int;  (* wheel size - 1, the size a power of two *)
@@ -30,7 +29,6 @@ let create ?k_of ~blocks ~k () =
   if blocks < 1 then invalid_arg "Memsim.Kedge.create: blocks must be >= 1";
   let w = wheel_size k 8 in
   {
-    k;
     (* One call per block here instead of one per track and per due
        entry scanned: the adaptive variants' closures are not cheap. *)
     k_of =
@@ -42,8 +40,6 @@ let create ?k_of ~blocks ~k () =
     wheel = Array.make w [||];
     fill = Array.make w 0;
   }
-
-let k t = t.k
 
 let k_for t ~block =
   let kb = t.k_of.(block) in
@@ -74,10 +70,6 @@ let track t ~block ~step =
 
 let untrack t ~block = t.base.(block) <- -1
 let tracked t ~block = t.base.(block) >= 0
-
-let counter t ~block ~step =
-  let base = t.base.(block) in
-  if base < 0 then None else Some (step - base)
 
 (* Adds [b] to the sorted, duplicate-free prefix [into.(0 .. n-1)] and
    returns its new length. Due sets are a handful of blocks, so

@@ -23,12 +23,6 @@ val create : ?k_of:(int -> int) -> blocks:int -> k:int -> unit -> t
     @raise Invalid_argument if [k < 1] or [blocks < 1]; a [k_of] value
     below 1 raises when its block is tracked or asked for. *)
 
-val k : t -> int
-(** The uniform/default k. *)
-
-val k_for : t -> block:int -> int
-(** The effective k of one block. *)
-
 val track : t -> block:int -> step:int -> unit
 (** (Re)starts the block's counter at [step] — on execution, or when a
     pre-decompressed copy materializes. *)
@@ -37,9 +31,6 @@ val untrack : t -> block:int -> unit
 (** Stops tracking (the copy was deleted or evicted). *)
 
 val tracked : t -> block:int -> bool
-
-val counter : t -> block:int -> step:int -> int option
-(** Current counter value at [step]; [None] if untracked. *)
 
 val due_into : t -> step:int -> into:int array -> int
 (** Blocks whose counter reaches exactly [k] at [step], i.e. whose

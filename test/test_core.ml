@@ -17,11 +17,10 @@ let test_kedge_basic () =
   let k = Memsim.Kedge.create ~blocks:4 ~k:2 () in
   Memsim.Kedge.track k ~block:0 ~step:0;
   checkb "tracked" true (Memsim.Kedge.tracked k ~block:0);
-  checkb "counter at 1" true (Memsim.Kedge.counter k ~block:0 ~step:1 = Some 1);
+  checkb "never tracked" false (Memsim.Kedge.tracked k ~block:1);
   check_il "not due before k" [] (kedge_due k ~step:1);
   check_il "due at k" [ 0 ] (kedge_due k ~step:2);
-  checkb "untracked has no counter" true
-    (Memsim.Kedge.counter k ~block:1 ~step:5 = None)
+  check_il "untracked never due" [] (kedge_due k ~step:5)
 
 let test_kedge_reset_on_reexecution () =
   let k = Memsim.Kedge.create ~blocks:4 ~k:2 () in
@@ -48,7 +47,8 @@ let test_kedge_k1_and_multiple () =
 let test_kedge_huge_k_no_overflow () =
   let k = Memsim.Kedge.create ~blocks:2 ~k:max_int () in
   Memsim.Kedge.track k ~block:0 ~step:100;
-  checkb "counter works" true (Memsim.Kedge.counter k ~block:0 ~step:200 = Some 100);
+  checkb "tracked" true (Memsim.Kedge.tracked k ~block:0);
+  check_il "not due" [] (kedge_due k ~step:200);
   check_il "never due" [] (kedge_due k ~step:1000)
 
 let test_kedge_validation () =
@@ -908,11 +908,11 @@ let () =
 let test_kedge_per_block () =
   let k_of b = if b = 0 then 1 else 5 in
   let k = Memsim.Kedge.create ~k_of ~blocks:2 ~k:3 () in
-  checki "k_for 0" 1 (Memsim.Kedge.k_for k ~block:0);
-  checki "k_for 1" 5 (Memsim.Kedge.k_for k ~block:1);
   Memsim.Kedge.track k ~block:0 ~step:0;
   Memsim.Kedge.track k ~block:1 ~step:0;
   check_il "only block 0 due at 1" [ 0 ] (kedge_due k ~step:1);
+  check_il "neither due at the uniform k" [] (kedge_due k ~step:3);
+  check_il "block 1 not due before its k" [] (kedge_due k ~step:4);
   check_il "block 1 due at 5" [ 1 ] (kedge_due k ~step:5)
 
 let test_kedge_per_block_validation () =
