@@ -995,12 +995,13 @@ let run_real workload gen job trace_out metrics =
         Format.printf
           "@[<v>%s executed from compressed memory (k=%d)@,\
            %ainstructions: %d; traps: %d; decompressions: %d; patches: %d; \
-           deletions: %d@,\
+           unpatches: %d; deletions: %d; flushes: %d@,\
            image: %dB original, %dB compressed; copies: %dB peak, %dB at \
            halt@]@."
           name job.k pp_checksum checksum stats.Runtime.instructions
           stats.Runtime.traps stats.Runtime.decompressions
-          stats.Runtime.patches stats.Runtime.deletions
+          stats.Runtime.patches stats.Runtime.unpatches
+          stats.Runtime.deletions stats.Runtime.flushes
           stats.Runtime.original_image_bytes
           stats.Runtime.compressed_image_bytes stats.Runtime.peak_copy_bytes
           stats.Runtime.live_copy_bytes;

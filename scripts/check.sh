@@ -6,8 +6,9 @@
 # smokes (the engine's: two timing runs, each in two processes, with
 # byte-identical event traces; the runtime's: two compressed
 # executions, block and line granularity, each in two processes, same
-# checksum and byte-identical event traces; in both, a run without
-# --trace-out prints the same report as one with it), a
+# checksum, byte-identical event traces, and flushes and patch-backs
+# reported; in both, a run without --trace-out prints the same report
+# as one with it), a
 # fleet sweep smoke (parallel run against a cold cache, then the same
 # sweep warm — the second run must be served entirely from cache and
 # print identical tables), a fuel smoke (a sweep job short of fuel
@@ -107,6 +108,20 @@ for i in 1 2; do
     }
   done
 done
+# Both runs must also take the runtime's rare paths: each recycles the
+# copy window (flushes), and the clock run over lines patches sites
+# back (unpatches). The block run at k=2 reports 0 unpatches: there,
+# every copy holding a patched jump dies before the jump's target.
+require_nonzero() {
+  grep -Eq "$2: [1-9]" "$run_dir/$1.1.out" || {
+    echo "check: FAIL — ccomp run life ($1) reports no $2" >&2
+    cat "$run_dir/$1.1.out" >&2
+    exit 1
+  }
+}
+require_nonzero block flushes
+require_nonzero line flushes
+require_nonzero line unpatches
 for t in block line; do
   if [ ! -s "$run_dir/$t.1.jsonl" ] \
     || ! cmp -s "$run_dir/$t.1.jsonl" "$run_dir/$t.2.jsonl"; then
