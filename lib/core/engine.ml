@@ -86,7 +86,7 @@ module Remember = struct
     t.sites.(target).(n) <- site;
     t.counts.(target) <- n + 1
 
-  let remove t ~target ~site =
+  let[@inline] remove t ~target ~site =
     let n = t.counts.(target) in
     let a = Array.unsafe_get t.sites target in
     let j = find a n site in
@@ -156,7 +156,9 @@ type state = {
   aux : int array;  (* ready_at / done_at for the in-flight tags *)
   base : int array;
       (* step of each copy's last k-edge (re)start, -1 without one *)
-  rs : Remember.t;  (* per target: the branch sites patched to its copy *)
+  rs : Remember.t;
+      (* remember sets: per target, the predecessor blocks whose branch
+         is patched to its copy *)
   due_buf : int array;  (* [Residency.Policy.due]'s hand-off *)
   pred_state : Predictor.state;
   compressed : int -> bool;  (* [stat] reads as Compressed *)
