@@ -285,17 +285,19 @@ let unpatch_site st ~target key =
     Sim.Events.Packed.push_unpatch st.ev ~at:(at st) ~target ~site:c.block
 
 (* Jumps inside [c] vanish with it: drop its slots from the remember
-   sets of their targets. A slot is only ever patched to the block at
-   its home target. *)
+   sets of their targets. A slot is only ever patched to the copy of
+   its home target, and a dead copy's set is already empty. *)
 let forget_sites st c =
   let layout = st.layouts.(c.block) in
   Array.iter
     (fun idx ->
       match layout.slots.(idx) with
-      | Jump home when is_home st home && st.home_block.(home / 4) >= 0 ->
-        Core.Engine.Remember.remove st.sites ~target:st.home_block.(home / 4)
-          ~site:(site_key st c.block idx)
-      | Jump _ | Plain _ | Skip _ -> ())
+      | Jump home ->
+        let tc = copy_of_home st home in
+        if tc.live then
+          Core.Engine.Remember.remove st.sites ~target:tc.block
+            ~site:(site_key st c.block idx)
+      | Plain _ | Skip _ -> ())
     layout.jumps
 
 (* A dying copy drops its claim on its lines; a line with no live
