@@ -12,10 +12,13 @@
       addresses and appending a synthetic jump for fallthrough), and
       redirects the pc;
     - the jump that faulted is {e really} patched to target the copy,
-      and recorded in the target block's {e remember set}, so
+      and recorded in the target block's {e remember set} (a
+      {!Core.Engine.Remember.t}, the timing model's own), so
       steady-state re-entry costs nothing;
     - the k-edge algorithm {e really} deletes copies, patching every
-      remembered site back to its home target first (§5's patch-back);
+      remembered site back to its home target first, in recording
+      order (§5's patch-back); a deleted copy's own patched jumps leave
+      their targets' sets with it, so every remembered site is live;
       calls materialize {e home} return addresses, so no reference to
       a deleted copy can survive anywhere — which is also what makes
       recycling the copy address space safe. Only the handler and a
