@@ -161,8 +161,7 @@ let binary_event_sink path =
     | Flush { at; copies } -> p ~kind:10 ~at ~a:copies ~b:0 ~c:0
   in
   {
-    Sim.Events.emit = push;
-    emit_chunk = (fun ch -> Sim.Events.Packed.iter push ch);
+    Sim.Events.emit_chunk = Sim.Events.Packed.iter push;
     close =
       (fun () ->
         Trace.Event_log.Writer.close w;

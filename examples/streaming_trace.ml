@@ -11,7 +11,8 @@ let () =
   let w = Workloads.Suite.find_exn name in
   let prog = Eris.Asm.assemble_exn w.Workloads.Common.source in
 
-  (* A custom sink is just a record with [emit] and [close]: this one
+  (* A custom sink is just a record with [emit_chunk] and [close];
+     [callback] builds one from a per-event function. This one
      histograms demand-decompression latencies per block, so hot
      re-decompressed blocks stand out. Constant memory: one bucket
      array per block ever decompressed. *)

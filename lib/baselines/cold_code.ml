@@ -17,10 +17,12 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
   let config =
     match config with Some c -> c | None -> Core.Config.of_codec sc.codec
   in
-  let emit =
-    match sink with
-    | Some (s : Sim.Events.sink) -> s.Sim.Events.emit
-    | None -> fun _ -> ()
+  (* at most four events a step, handed to the sink a chunk at a time *)
+  let module P = Sim.Events.Packed in
+  let ch = P.create () in
+  let flush () =
+    Option.iter (fun (s : Sim.Events.sink) -> s.Sim.Events.emit_chunk ch) sink;
+    P.clear ch
   in
   let n = Cfg.Graph.num_blocks sc.graph in
   let profile = Core.Scenario.profile sc in
@@ -57,22 +59,17 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
   let occupant = ref (-1) in
   Array.iter
     (fun b ->
+      if P.room ch < 4 then flush ();
       charge Sim.Cost.Exec
         (Sim.Cost.exec_charge costs
            ~cycles:sc.info.(b).Core.Engine.exec_cycles);
-      emit (Sim.Events.Exec { block = b; at = !total });
+      P.push_exec ch ~at:!total ~block:b;
       if (not hot.(b)) && !occupant <> b then begin
         if !occupant >= 0 then
-          emit
-            (Sim.Events.Discard
-               {
-                 block = !occupant;
-                 at = !total;
-                 patched_back = 0;
-                 wasted = false;
-               });
+          P.push_discard ch ~at:!total ~block:!occupant ~patched_back:0
+            ~wasted:false;
         incr decompressions;
-        emit (Sim.Events.Exception { block = b; at = !total });
+        P.push_exception ch ~at:!total ~block:b;
         charge Sim.Cost.Exception (Sim.Cost.exception_charge costs);
         let dec_charge =
           Sim.Cost.demand_dec_charge costs
@@ -81,11 +78,10 @@ let run ?config ?sink ?(hot_fraction = 0.95) (sc : Core.Scenario.t) =
         in
         charge Sim.Cost.Demand_dec dec_charge;
         occupant := b;
-        emit
-          (Sim.Events.Demand_decompress
-             { block = b; at = !total; cycles = dec_charge.Sim.Cost.cycles })
+        P.push_demand ch ~at:!total ~block:b ~cycles:dec_charge.Sim.Cost.cycles
       end)
     sc.trace;
+  flush ();
   {
     hot_blocks = !hot_count;
     cold_blocks = n - !hot_count;

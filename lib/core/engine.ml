@@ -205,6 +205,8 @@ type state = {
   mutable discards : int;
   mutable evictions : int;
   mutable budget_overflows : int;
+  mutable stalls : int;
+  mutable recompress_queued : int;
 }
 
 (* The loop pushes a step's own events (at most [step_events]) without
@@ -223,6 +225,18 @@ let emit_flush st =
 let[@inline] chunk st =
   if Packed.room st.ev <= step_events then emit_flush st;
   st.ev
+
+(* The guard hears from a run every [guard_every] steps and after the
+   last, the events since its previous call taken from counts the run
+   keeps anyway: one [Exec] per step, the loop's own counts of
+   exceptions, patches (not patch-backs), demand decompressions and
+   discards, and the rare transitions' counts in [st]. *)
+let guard_every = 256
+
+let emitted st ~steps ~exceptions ~patches ~demands ~discards =
+  steps + exceptions + st.exceptions + patches + st.patches + demands
+  + st.prefetch_decompressions + st.stalls + discards + st.discards
+  + st.evictions + st.recompress_queued
 
 (* --- occupancy stream --- *)
 
@@ -352,6 +366,7 @@ let delete_copy st ~now ~eviction b =
     else occ_post o ~time:now ~delta:(-u);
     st.stat.(b) <- tag_recompressing;
     st.aux.(b) <- done_at;
+    st.recompress_queued <- st.recompress_queued + 1;
     if st.listen then
       Packed.push_recompress_queued (chunk st) ~at:now ~block:b ~done_at);
   if eviction then begin
@@ -390,6 +405,7 @@ let make_room st ~now ~spare1 ~spare2 ~spare3 bytes =
 let stall st b ~now t =
   if t > now then begin
     st.stall_cycles <- st.stall_cycles + (t - now);
+    st.stalls <- st.stalls + 1;
     if st.listen then
       Packed.push_stall (chunk st) ~at:t ~block:b ~cycles:(t - now);
     t
@@ -599,12 +615,14 @@ let create ~config ~listen ~deliver ~graph ~info policy =
     discards = 0;
     evictions = 0;
     budget_overflows = 0;
+    stalls = 0;
+    recompress_queued = 0;
   }
 
 (* --- the loop --- *)
 
-let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
-    ~info ~trace policy =
+let run ?(config = Config.default) ?log ?sink ?(guard = ignore) ?registry
+    ?step_cycles ~graph ~info ~trace policy =
   let n = Cfg.Graph.num_blocks graph in
   if Array.length info <> n then
     invalid_arg "Core.Engine.run: info does not match graph";
@@ -676,6 +694,8 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
   let n_exc = ref 0 and n_patch = ref 0 and n_disc = ref 0 and n_pb = ref 0 in
   let n_dem = ref 0 and dem_cyc = ref 0 and dem_nj = ref 0 in
   let exec_cyc = ref 0 in
+  (* steps done at the guard's next call; events it has heard of *)
+  let next_poll = ref (min guard_every len) and reported = ref 0 in
   for i = 0 to len - 1 do
     let b = Array.unsafe_get trace i in
     let prev = if i = 0 then -1 else Array.unsafe_get trace (i - 1) in
@@ -781,6 +801,15 @@ let run ?(config = Config.default) ?log ?sink ?registry ?step_cycles ~graph
               Packed.unsafe_push_kabc ev ~kind:7 ~at:!clk ~a:d ~b:nsites ~c:0
           end
       end
+    end;
+    if s = !next_poll then begin
+      let total =
+        emitted st ~steps:s ~exceptions:!n_exc ~patches:!n_patch
+          ~demands:!n_dem ~discards:!n_disc
+      in
+      guard (total - !reported);
+      reported := total;
+      next_poll := min (s + guard_every) len
     end
   done;
   emit_flush st;

@@ -93,6 +93,7 @@ val run :
   ?config:Config.t ->
   ?log:(event -> unit) ->
   ?sink:Sim.Events.sink ->
+  ?guard:(int -> unit) ->
   ?registry:Sim.Metrics.t ->
   ?step_cycles:int array ->
   graph:Cfg.Graph.t ->
@@ -106,7 +107,11 @@ val run :
     events, so memory use is independent of trace length. Events exist
     only for a listener: with neither [log] nor [sink] the run builds
     none, and returns the same metrics. The sink is {e not} closed —
-    the caller owns its lifecycle. When [registry]
+    the caller owns its lifecycle. Every 256 trace steps, and once
+    after the last, [guard] is passed the number of events emitted
+    since its previous call, counted from the engine's own tallies
+    whether or not events are built: the arguments sum to exactly what
+    a sink receives. It may raise to abort the run. When [registry]
     is given, the final {!Metrics.t} is published into it via
     {!Metrics.register}. [step_cycles] overrides each
     trace step's execution cost (used by coarser-granularity

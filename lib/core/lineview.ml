@@ -125,7 +125,8 @@ let line_policy v (policy : Policy.t) =
   in
   { policy with strategy; retention; adaptive_k }
 
-let run ?config ?profile ?sink ?registry ?line_size (sc : Scenario.t) policy =
+let run ?config ?profile ?sink ?guard ?registry ?line_size (sc : Scenario.t)
+    policy =
   let v = view ?line_size sc in
   let policy = line_policy v policy in
   let config =
@@ -133,5 +134,5 @@ let run ?config ?profile ?sink ?registry ?line_size (sc : Scenario.t) policy =
     | Some c -> c
     | None -> Config.of_codec ?profile sc.codec
   in
-  Engine.run ~config ?sink ?registry ~step_cycles:v.step_cycles ~graph:v.graph
-    ~info:v.info ~trace:v.trace policy
+  Engine.run ~config ?sink ?guard ?registry ~step_cycles:v.step_cycles
+    ~graph:v.graph ~info:v.info ~trace:v.trace policy

@@ -52,6 +52,7 @@ val run :
   ?config:Config.t ->
   ?profile:string ->
   ?sink:Sim.Events.sink ->
+  ?guard:(int -> unit) ->
   ?registry:Sim.Metrics.t ->
   ?line_size:int ->
   Scenario.t ->
@@ -64,4 +65,6 @@ val run :
     profile of the line trace (its own profile is ignored), a
     [Pin_hot] set pins every line its blocks span, and an
     [adaptive_k] gives each line the largest k of the blocks spanning
-    it. *)
+    it. [guard] hears the number of events emitted every 256 steps of
+    the line trace and after the last, and may raise to abort the run
+    (see {!Engine.run}). *)

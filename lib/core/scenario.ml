@@ -71,13 +71,13 @@ let of_graph ?(name = "synthetic") ?(codec = Compress.Registry.default) graph
   in
   { name; graph; info; trace; codec; program = None }
 
-let run ?config ?profile ?log ?sink ?registry t policy =
+let run ?config ?profile ?log ?sink ?guard ?registry t policy =
   let config =
     match config with
     | Some c -> c
     | None -> Config.of_codec ?profile t.codec
   in
-  Engine.run ~config ?log ?sink ?registry ~graph:t.graph
+  Engine.run ~config ?log ?sink ?guard ?registry ~graph:t.graph
     ~info:t.info ~trace:t.trace policy
 
 let profile t = Cfg.Profile.of_trace t.graph t.trace

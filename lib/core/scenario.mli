@@ -53,6 +53,7 @@ val run :
   ?profile:string ->
   ?log:(Engine.event -> unit) ->
   ?sink:Sim.Events.sink ->
+  ?guard:(int -> unit) ->
   ?registry:Sim.Metrics.t ->
   t ->
   Policy.t ->
@@ -62,7 +63,9 @@ val run :
     coefficients from the named device [profile] (default
     [paper-2005]); an explicit [config] wins over [profile].
     [sink]/[registry] stream events and publish final metrics through
-    the {!Sim} kernel — see {!Engine.run}.
+    the {!Sim} kernel, and [guard] hears the number of events emitted
+    every 256 trace steps and after the last; it may raise to abort
+    the run — see {!Engine.run}.
     @raise Invalid_argument on an unknown [profile]. *)
 
 val profile : t -> Cfg.Profile.t

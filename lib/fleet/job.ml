@@ -126,9 +126,9 @@ let policy sc t =
   Core.Policy.make ~mode ~strategy ?budget:t.budget ~retention ~compress_k:t.k
     ()
 
-let execute ?sink sc t =
+let execute ?sink ?guard sc t =
   let policy = policy sc t in
   match t.line_size with
-  | None -> Core.Scenario.run ~profile:t.profile ?sink sc policy
+  | None -> Core.Scenario.run ~profile:t.profile ?sink ?guard sc policy
   | Some line_size ->
-    Core.Lineview.run ~profile:t.profile ?sink ~line_size sc policy
+    Core.Lineview.run ~profile:t.profile ?sink ?guard ~line_size sc policy

@@ -99,11 +99,18 @@ val retention_spec :
     hand (the runtime) skips the profiling run for every other
     policy. *)
 
-val execute : ?sink:Sim.Events.sink -> Core.Scenario.t -> t -> Core.Metrics.t
+val execute :
+  ?sink:Sim.Events.sink ->
+  ?guard:(int -> unit) ->
+  Core.Scenario.t ->
+  t ->
+  Core.Metrics.t
 (** Runs the job against [scenario] (which the caller resolved from
     [t.scenario]/[t.codec]). Deterministic: no clocks, no global
     state, safe to call from any domain as long as the scenario is
-    not mutated concurrently.
+    not mutated concurrently. [guard] hears the events emitted every
+    256 trace steps and after the last, and may raise to abort the run
+    ({!Sweep} passes {!Pool.tick}); see {!Core.Engine.run}.
     @raise Invalid_argument on malformed specs (bad k, lookahead,
     predictor or retention parameters) — the pool turns this into a
     per-job [Error]. *)

@@ -9,9 +9,9 @@
     Per-job guards: every task gets a {!budget} tracking its fuel
     (cooperative tick count) and wall-clock deadline. The task
     function calls {!tick} at natural checkpoints — the fleet's sweep
-    wires it into the engine's event sink, so a simulation burns one
-    fuel unit per emitted event, a whole chunk at a time — and a
-    blown budget raises, which the pool catches like any other task
+    passes it to the engine as its guard, so a simulation burns one
+    fuel unit per event, counted every 256 trace steps without
+    building any — and a blown budget raises, which the pool catches like any other task
     exception: the job becomes an [Error], the worker survives. *)
 
 type t

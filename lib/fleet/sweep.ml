@@ -119,15 +119,8 @@ let run ?(jobs = 1) ?pool ?cache ?registry ?progress ?fuel ?timeout_ms ?cancel
       | Ok sc -> sc
       | Error _ -> assert false (* filtered into [unresolvable] *)
     in
-    (* Counting needs no boxed event: a chunk burns its length. *)
-    let sink =
-      {
-        Sim.Events.null with
-        emit = (fun _ -> Pool.tick b 1);
-        emit_chunk = (fun ch -> Pool.tick b (Sim.Events.Packed.length ch));
-      }
-    in
-    match Job.execute ~sink sc spec with
+    (* The engine counts its events for the guard: none is built. *)
+    match Job.execute ~guard:(Pool.tick b) sc spec with
     | m ->
       emit key spec "ok";
       m

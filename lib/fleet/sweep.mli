@@ -45,10 +45,11 @@ val run :
     see {!Cache}). [resolve] is called on the {e calling} domain,
     once per distinct (scenario, codec) pair that actually needs an
     engine run; a raising [resolve] fails only the jobs that needed
-    it. [fuel]/[timeout_ms] bound each engine run via {!Pool.tick}
-    wired into the run's event sink (one fuel unit per simulation
-    event, burnt a chunk at a time; a job fails exactly when its
-    events outnumber the fuel).
+    it. [fuel]/[timeout_ms] bound each engine run via {!Pool.tick},
+    passed as the run's guard: one fuel unit per simulation event,
+    counted by the engine every 256 trace steps without building any,
+    so a job fails exactly when its events outnumber the fuel and
+    [cancel] and the deadline are polled during the run.
 
     [registry] gains the pool's counters (names
     [fleet_jobs_submitted], [fleet_jobs_completed],

@@ -351,24 +351,16 @@ end
 (* Sinks                                                               *)
 
 type sink = {
-  emit : t -> unit;
   emit_chunk : Packed.chunk -> unit;
   close : unit -> unit;
 }
 
-(* Default chunk delivery for sinks that only understand boxed events:
-   decode each packed slot and feed the per-event path. *)
-let chunk_via f ch = Packed.iter f ch
+let null = { emit_chunk = (fun _ -> ()); close = (fun () -> ()) }
 
-let null =
-  { emit = (fun _ -> ()); emit_chunk = (fun _ -> ()); close = (fun () -> ()) }
-
-let callback f =
-  { emit = f; emit_chunk = chunk_via f; close = (fun () -> ()) }
+let callback f = { emit_chunk = Packed.iter f; close = (fun () -> ()) }
 
 let tee sinks =
   {
-    emit = (fun ev -> List.iter (fun s -> s.emit ev) sinks);
     emit_chunk = (fun ch -> List.iter (fun s -> s.emit_chunk ch) sinks);
     close = (fun () -> List.iter (fun s -> s.close ()) sinks);
   }
@@ -377,9 +369,7 @@ type collector = { mutable rev_events : t list }
 
 let collector () = { rev_events = [] }
 
-let collecting c =
-  let emit ev = c.rev_events <- ev :: c.rev_events in
-  { emit; emit_chunk = chunk_via emit; close = (fun () -> ()) }
+let collecting c = callback (fun ev -> c.rev_events <- ev :: c.rev_events)
 
 let collected c = List.rev c.rev_events
 
@@ -389,16 +379,10 @@ let counters () = { per_kind = Array.make num_kinds 0; last_at = 0 }
 
 let counting c =
   {
-    emit =
-      (fun ev ->
-        let k = kind_index ev in
-        c.per_kind.(k) <- c.per_kind.(k) + 1;
-        let at = time ev in
-        if at > c.last_at then c.last_at <- at);
     emit_chunk =
-      (* Batched path: tally kinds straight off the tag bytes, no
-         boxed events materialized; the running max stays in a
-         register across the chunk. *)
+      (* Tally kinds straight off the tag bytes, no boxed events
+         materialized; the running max stays in a register across the
+         chunk. *)
       (fun ch ->
         let n = Packed.length ch in
         let per_kind = c.per_kind in
@@ -431,21 +415,13 @@ let count c name =
 let total c = Array.fold_left ( + ) 0 c.per_kind
 let last_time c = c.last_at
 
-let jsonl oc =
-  let emit ev =
+let to_file path =
+  let oc = open_out path in
+  let row ev =
     output_string oc (to_json ev);
     output_char oc '\n'
   in
-  { emit; emit_chunk = chunk_via emit; close = (fun () -> flush oc) }
-
-let to_file path =
-  let oc = open_out path in
-  let inner = jsonl oc in
-  {
-    emit = inner.emit;
-    emit_chunk = inner.emit_chunk;
-    close = (fun () -> close_out oc);
-  }
+  { emit_chunk = Packed.iter row; close = (fun () -> close_out oc) }
 
 (* Shown in parse errors: enough of the line to recognize it, not
    enough to flood a terminal when the "line" is a megabyte of junk. *)
@@ -487,18 +463,10 @@ let observing registry =
   let demand = Metrics.histogram registry "event_demand_dec_cycles" in
   let scratch = Array.make num_kinds 0 in
   {
-    emit =
-      (fun ev ->
-        Metrics.incr by_kind.(kind_index ev);
-        match ev with
-        | Stall { cycles; _ } -> Metrics.observe stalls cycles
-        | Demand_decompress { cycles; _ } -> Metrics.observe demand cycles
-        | Exec _ | Exception _ | Prefetch_issue _ | Patch _ | Unpatch _
-        | Discard _ | Evict _ | Recompress_queued _ | Flush _ -> ());
     emit_chunk =
-      (* Batched path: one registry update per kind per chunk instead
-         of one per event; only the (rare) cost-bearing kinds touch
-         their histograms per event. *)
+      (* One registry update per kind per chunk instead of one per
+         event; only the (rare) cost-bearing kinds touch their
+         histograms per event. *)
       (fun ch ->
         Array.fill scratch 0 num_kinds 0;
         let n = Packed.length ch in

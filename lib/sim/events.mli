@@ -3,7 +3,7 @@
     Every layer that simulates (or really performs) the paper's scheme
     — {!Core.Engine}'s timing model, the executable {!Runtime}, and
     the baseline schemes — narrates its run as a stream of these
-    events, pushed one at a time into a {!sink}. Sinks are
+    events, handed to a {!sink} a {!Packed.chunk} at a time. Sinks are
     constant-memory unless they choose otherwise, so a 10⁶-step trace
     costs the same memory as a 10-step one; two runs can be diffed
     event-by-event by streaming both through {!to_json}.
@@ -56,18 +56,16 @@ val of_json : string -> (t, string) result
 
     The hot loops (the timing engine steps a million-entry trace, the
     runtime executes real instructions) do not build one boxed {!t}
-    per event. They push events into a preallocated {!Packed.chunk} —
-    a kind tag plus up to three int fields, struct-of-arrays — and
-    hand whole chunks to the sink. Boxed events are reconstructed only
-    at sink boundaries that need them (collection, JSONL); counting
+    per event. Every producer pushes events into a preallocated
+    {!Packed.chunk} — a kind tag plus up to three int fields,
+    struct-of-arrays — and hands whole chunks to the sink. Boxed events
+    are reconstructed only at sink boundaries that need them (collection, JSONL); counting
     sinks tally straight off the tag bytes. *)
 
 module Packed : sig
   type chunk
   (** A bounded batch of packed events. Not thread-safe; producers
       reuse one chunk, flushing it into a sink whenever it fills. *)
-
-  val default_capacity : int
 
   val create : ?capacity:int -> unit -> chunk
   (** @raise Invalid_argument when [capacity <= 0]. *)
@@ -138,15 +136,13 @@ end
 (** {1 Sinks} *)
 
 type sink = {
-  emit : t -> unit;
   emit_chunk : Packed.chunk -> unit;
-      (** Consumes a whole packed batch. Equivalent to [Packed.iter
-          emit], but batching sinks override it to skip boxing. The
-          producer still owns the chunk and may [clear] and refill it
-          after the call returns — sinks must not retain it. *)
+      (** Consumes a whole packed batch, in push order. The producer
+          still owns the chunk and may [clear] and refill it after the
+          call returns — sinks must not retain it. *)
   close : unit -> unit;
-      (** Flushes and releases whatever the sink holds; further
-          [emit]s are a programming error with undefined behaviour. *)
+      (** Flushes and releases whatever the sink holds; a closed sink
+          must be given no further chunk. *)
 }
 
 val null : sink
@@ -190,12 +186,9 @@ val last_time : counters -> int
 
 (** {2 JSONL streaming} *)
 
-val jsonl : out_channel -> sink
-(** Writes one {!to_json} row per event. [close] flushes but leaves
-    the channel open (the caller owns it). *)
-
 val to_file : string -> sink
-(** Opens [path] for writing; [close] closes the file. *)
+(** Opens [path] for writing, one {!to_json} row per event; [close]
+    closes the file. *)
 
 val read_file : string -> (t list, string) result
 (** Reads a JSONL stream back line by line (the file is never loaded

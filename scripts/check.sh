@@ -11,8 +11,10 @@
 # as one with it), a
 # fleet sweep smoke (parallel run against a cold cache, then the same
 # sweep warm — the second run must be served entirely from cache and
-# print identical tables), a fuel smoke (a sweep job short of fuel
-# fails with the fuel message, one with ample fuel completes), and a
+# print identical tables), a fuel smoke (a sweep job given exactly as
+# much fuel as its event trace has lines completes, one unit less and
+# it fails with the fuel message; so does one given 10 units, and one
+# with ample fuel completes), and a
 # service smoke (real daemon on a Unix socket: serve, call —
 # sequential and pipelined — counters move, SIGTERM drains to exit 0).
 # `make check` runs this script.
@@ -200,17 +202,30 @@ if [ "$block_rows" -ne "$suite" ]; then
   exit 1
 fi
 
-# Fuel smoke: fuel counts a job's simulation events, so a sweep job
-# given 10 units must fail with the fuel message and exit 1, and the
-# same job given ample fuel must complete and exit 0.
-fuel_rc=0
-fuel_out=$("$ccomp" sweep fsm --ks 2 --no-cache --fuel 10 2>&1) || fuel_rc=$?
-if [ "$fuel_rc" -ne 1 ] \
-  || ! printf '%s\n' "$fuel_out" | grep -q 'fuel exhausted after 10 ticks'; then
-  echo "check: FAIL — sweep --fuel 10 exited $fuel_rc without the fuel error" >&2
-  printf '%s\n' "$fuel_out" >&2
+# Fuel smoke: fuel counts a job's simulation events, though the sweep
+# builds none. With E the line count of the same job's event trace, a
+# sweep job given E units must exit 0; given E-1, or 10, it must fail
+# with the fuel message and exit 1; given ample fuel it must exit 0.
+fuel_dir=$(mktemp -d)
+"$ccomp" sim fsm -k 2 --trace-out "$fuel_dir/fsm.jsonl" > /dev/null
+events=$(wc -l < "$fuel_dir/fsm.jsonl" | tr -d ' ')
+rm -rf "$fuel_dir"
+"$ccomp" sweep fsm --ks 2 --no-cache --fuel "$events" > /dev/null || {
+  echo "check: FAIL — sweep with fuel = its $events events did not complete" >&2
   exit 1
-fi
+}
+for fuel in $((events - 1)) 10; do
+  fuel_rc=0
+  fuel_out=$("$ccomp" sweep fsm --ks 2 --no-cache --fuel "$fuel" 2>&1) \
+    || fuel_rc=$?
+  if [ "$fuel_rc" -ne 1 ] \
+    || ! printf '%s\n' "$fuel_out" \
+      | grep -q "fuel exhausted after $fuel ticks"; then
+    echo "check: FAIL — sweep --fuel $fuel exited $fuel_rc without the fuel error" >&2
+    printf '%s\n' "$fuel_out" >&2
+    exit 1
+  fi
+done
 "$ccomp" sweep fsm --ks 2 --no-cache --fuel 100000000 > /dev/null || {
   echo "check: FAIL — sweep with ample fuel did not complete" >&2
   exit 1

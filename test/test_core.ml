@@ -1492,6 +1492,128 @@ let test_listener_independence () =
     check (Printf.sprintf "on-demand case %d" i) (on_demand_scenario i)
   done
 
+(* A guard hears the run's event count without any event being built:
+   every 256 steps and after the last, it is passed the events since
+   its previous call. [guarded sc policy] runs with a guard (and
+   [sink], if given) and returns the metrics, the guard's sum and its
+   number of calls. *)
+let guarded ?sink sc policy =
+  let sum = ref 0 and calls = ref 0 in
+  let guard n =
+    sum := !sum + n;
+    incr calls
+  in
+  let m = Core.Scenario.run ?sink ~guard sc policy in
+  (m, !sum, !calls)
+
+(* Calls a guard gets over [len] steps: one per 256 steps, and one
+   after the last. *)
+let guard_calls len = (len + 255) / 256
+
+(* Over every configuration both fixtures pin, the guard's sum is the
+   event total a counting sink sees, and a run with a guard alone
+   computes the fixture's metrics. *)
+let test_guard_counts_events () =
+  let check name expected (sc, policy) =
+    let counters = Sim.Events.counters () in
+    let m, sum, calls =
+      guarded ~sink:(Sim.Events.counting counters) sc policy
+    in
+    checki (name ^ ": guard sum = events") (Sim.Events.total counters) sum;
+    checki (name ^ ": guard calls")
+      (guard_calls (Array.length sc.Core.Scenario.trace))
+      calls;
+    let alone, sum_alone, _ = guarded sc policy in
+    checki (name ^ ": same sum without a sink") sum sum_alone;
+    checkb (name ^ ": same metrics with a sink") true (m = alone);
+    (* the fixture digest, with the guarded run's metrics *)
+    let buf = Buffer.create 4096 in
+    ignore
+      (Core.Scenario.run
+         ~log:(fun e ->
+           Buffer.add_string buf (Sim.Events.to_json e);
+           Buffer.add_char buf '\n')
+         sc policy);
+    Alcotest.check Alcotest.string (name ^ ": fixture digest") expected
+      (Digest.to_hex
+         (Digest.string (Marshal.to_string alone [] ^ Buffer.contents buf)))
+  in
+  List.iteri
+    (fun i params ->
+      check
+        (Printf.sprintf "design-space case %d" i)
+        fixture_expected.(i) (fixture_scenario i params))
+    fixture_cases;
+  for i = 0 to 66 do
+    check
+      (Printf.sprintf "on-demand case %d" i)
+      on_demand_expected.(i) (on_demand_scenario i)
+  done
+
+(* The same over generated graphs and traces long enough to cross
+   several polls, for every strategy, mode and budget. *)
+let prop_guard_counts_events =
+  let gen =
+    QCheck.Gen.(
+      let* blocks = int_range 2 14 in
+      let* extra =
+        list_size (int_range 0 14)
+          (pair (int_range 0 (blocks - 1)) (int_range 0 (blocks - 1)))
+      in
+      let* len = int_range 0 1500 in
+      let* seed = int_range 0 10_000 in
+      let* k = int_range 1 8 in
+      return (blocks, extra, len, seed, k))
+  in
+  QCheck.Test.make ~count:40 ~name:"guard sum = event total"
+    (QCheck.make gen) (fun (blocks, extra, len, seed, k) ->
+      let ring = List.init blocks (fun i -> (i, (i + 1) mod blocks)) in
+      let g =
+        Cfg.Graph.synthetic blocks (List.sort_uniq compare (ring @ extra))
+      in
+      let trace = Trace.Synthetic.markov ~seed g ~length:len in
+      let sc = Core.Scenario.of_graph g ~trace in
+      let total_bytes =
+        Array.fold_left
+          (fun a i -> a + i.Core.Engine.uncompressed_bytes)
+          0 sc.Core.Scenario.info
+      in
+      let strategies =
+        Core.Policy.On_demand
+        :: Core.Policy.Pre_all { lookahead = 2 }
+        :: List.map
+             (fun predictor ->
+               Core.Policy.Pre_single { lookahead = 2; predictor })
+             Core.Predictor.
+               [
+                 First_successor;
+                 Last_taken;
+                 By_profile (Core.Scenario.profile sc);
+               ]
+      in
+      List.for_all
+        (fun strategy ->
+          List.for_all
+            (fun mode ->
+              List.for_all
+                (fun budget ->
+                  let policy =
+                    Core.Policy.make ~mode ~strategy ?budget ~compress_k:k ()
+                  in
+                  let counters = Sim.Events.counters () in
+                  let m, sum, calls =
+                    guarded ~sink:(Sim.Events.counting counters) sc policy
+                  in
+                  let alone, sum_alone, _ = guarded sc policy in
+                  sum = Sim.Events.total counters
+                  && sum_alone = sum
+                  && calls = guard_calls len
+                  && m = alone
+                  && alone = Core.Scenario.run sc policy)
+                [ None; Some (max 1 (total_bytes / 3)) ])
+            [ Core.Policy.Discard; Core.Policy.Recompress ])
+        strategies)
+
 let () =
   Alcotest.run "core-fixture"
     [
@@ -1503,6 +1625,9 @@ let () =
             test_on_demand_fixture;
           Alcotest.test_case "results do not depend on a listener" `Quick
             test_listener_independence;
+          Alcotest.test_case "guard counts every event" `Quick
+            test_guard_counts_events;
+          qcheck prop_guard_counts_events;
           qcheck prop_pick_matches_choose;
           qcheck prop_kedge_model;
         ] );

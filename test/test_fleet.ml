@@ -648,6 +648,37 @@ let test_sweep_fuel_boundary () =
         ();
     ]
 
+(* A job's guards are polled while it runs, not only at its end. The
+   engine ticks the budget every 256 trace steps with at least one
+   event per step, so the cancel hook is polled at least once per 256
+   steps; a hook that turns true after its first call (the one before
+   the job starts) aborts the run. *)
+let test_sweep_guard_polled_mid_run () =
+  let spec = job ~scenario:"life" ~k:1 () in
+  let sc = resolve ~scenario:spec.scenario ~codec:spec.codec in
+  let steps = Array.length sc.Core.Scenario.trace in
+  let calls = ref 0 in
+  let cancel () =
+    incr calls;
+    false
+  in
+  (match Fleet.Sweep.run ~cancel ~resolve [ spec ] with
+  | [ { result = Ok _; _ } ] -> ()
+  | _ -> Alcotest.fail "an idle cancel hook stopped the job");
+  checkb
+    (Printf.sprintf "%d polls over %d steps" !calls steps)
+    true
+    (!calls >= steps / 256);
+  let polled = ref false in
+  let cancel () =
+    let fire = !polled in
+    polled := true;
+    fire
+  in
+  match Fleet.Sweep.run ~cancel ~resolve [ spec ] with
+  | [ { result = Error msg; _ } ] -> checks "cancelled mid-run" "cancelled" msg
+  | _ -> Alcotest.fail "a cancel hook firing mid-run did not stop the job"
+
 let test_sweep_progress_jsonl () =
   let lines = ref [] in
   let _ =
@@ -769,6 +800,8 @@ let () =
             test_sweep_bad_scenario_is_error;
           Alcotest.test_case "progress jsonl" `Quick test_sweep_progress_jsonl;
           Alcotest.test_case "fuel boundary" `Quick test_sweep_fuel_boundary;
+          Alcotest.test_case "guards polled mid-run" `Quick
+            test_sweep_guard_polled_mid_run;
         ] );
       ( "determinism",
         [

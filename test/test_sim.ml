@@ -166,6 +166,12 @@ let sample_events =
       Flush { at = 500; copies = 17 };
     ]
 
+(* A sink's one entry point: the events packed into a chunk, in order. *)
+let emit_events (sink : Sim.Events.sink) evs =
+  let ch = Sim.Events.Packed.create ~capacity:(max 1 (List.length evs)) () in
+  List.iter (Sim.Events.Packed.push_event ch) evs;
+  sink.Sim.Events.emit_chunk ch
+
 let test_json_roundtrip () =
   List.iter
     (fun ev ->
@@ -189,7 +195,7 @@ let test_json_rejects_garbage () =
 let test_file_roundtrip () =
   let path = Filename.temp_file "test_sim" ".jsonl" in
   let sink = Sim.Events.to_file path in
-  List.iter sink.Sim.Events.emit sample_events;
+  emit_events sink sample_events;
   sink.Sim.Events.close ();
   (match Sim.Events.read_file path with
   | Ok evs -> checkb "file round-trip" true (evs = sample_events)
@@ -202,7 +208,7 @@ let test_file_roundtrip () =
 let test_counting_sink () =
   let c = Sim.Events.counters () in
   let sink = Sim.Events.counting c in
-  List.iter sink.Sim.Events.emit sample_events;
+  emit_events sink sample_events;
   checki "total" (List.length sample_events) (Sim.Events.total c);
   checki "execs" 2 (Sim.Events.count c "exec");
   checki "discards" 2 (Sim.Events.count c "discard");
@@ -219,7 +225,7 @@ let test_tee_and_collector () =
   let sink =
     Sim.Events.tee [ Sim.Events.collecting a; Sim.Events.counting b ]
   in
-  List.iter sink.Sim.Events.emit sample_events;
+  emit_events sink sample_events;
   checkb "collector ordered" true (Sim.Events.collected a = sample_events);
   checki "tee reaches both" (List.length sample_events) (Sim.Events.total b)
 
@@ -294,7 +300,7 @@ let test_metrics_render () =
 let test_observing_sink () =
   let r = Sim.Metrics.create () in
   let sink = Sim.Events.observing r in
-  List.iter sink.Sim.Events.emit sample_events;
+  emit_events sink sample_events;
   checki "kind counter" 2
     (Sim.Metrics.value
        (Sim.Metrics.counter r ~labels:[ ("kind", "exec") ] "events_total"));
@@ -516,11 +522,12 @@ let prop_packed_sink_equivalence =
     (fun evs ->
       let ch = Sim.Events.Packed.create () in
       List.iter (Sim.Events.Packed.push_event ch) evs;
-      (* counting: tally off tag bytes vs one boxed emit at a time *)
+      (* counting: one whole chunk vs one chunk per event *)
       let by_chunk = Sim.Events.counters () in
       (Sim.Events.counting by_chunk).Sim.Events.emit_chunk ch;
       let one_by_one = Sim.Events.counters () in
-      List.iter (Sim.Events.counting one_by_one).Sim.Events.emit evs;
+      List.iter (fun ev -> emit_events (Sim.Events.counting one_by_one) [ ev ])
+        evs;
       (* collecting: boxing at the boundary preserves order *)
       let col = Sim.Events.collector () in
       (Sim.Events.collecting col).Sim.Events.emit_chunk ch;
